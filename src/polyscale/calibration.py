@@ -43,9 +43,7 @@ import numpy as np
 from .corpus import Corpus, LabelScheme
 from .hiermodel import DocPrediction, ModelConfig, predict, train
 from .pslengine import (
-    GroundLiteral,
     GroundNetwork,
-    GroundRule,
     MapResult,
     PslProgram,
     RelationalDatabase,
@@ -341,18 +339,13 @@ def calibrate(
     config = config or CalibrationConfig()
     network = ground(program, db)
     if config.prior_weight > 0.0:
-        for atom, initial in db.targets.items():
-            anchor = 0.5 if initial is None else float(initial)
-            idx = network.free_index[atom]
-            free = GroundLiteral(atom[0], atom[1], False, idx, None)
-            fixed = GroundLiteral("prior", atom[1], False, None, anchor)
-            network.rules.append(
-                GroundRule(config.prior_weight, 2, (fixed,), free)
-            )
-            network.rules.append(
-                GroundRule(config.prior_weight, 2, (free,), fixed)
-            )
+        network.add_prior(config.prior_weight)
     result = map_inference(network, solver_config)
+    if not result.converged:
+        log.warning(
+            "MAP inference stopped without converging after %d iterations",
+            result.iterations,
+        )
     positions = {
         atom[1][0]: float(result.values[i]) for atom, i in network.free_index.items()
     }

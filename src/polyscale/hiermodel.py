@@ -460,6 +460,8 @@ def load_checkpoint(path) -> HierParams:
         frozen = None
         if manifest["frozen_embed"] is not None:
             frozen = _read_array(fh, manifest["frozen_embed"], path)
+        if fh.read(1):
+            raise ValueError(f"{path} has trailing bytes after the last tensor")
     return HierParams(store, vocab, config, scheme, frozen)
 
 

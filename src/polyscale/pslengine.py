@@ -24,14 +24,27 @@ minus its atom value).  This equals clamping the Lukasiewicz AND of the body
 first, since h >= 0.  The MAP state minimizes the energy
 ``sum_r weight_r * d_r ** exponent_r`` over the free atoms, a convex box
 problem solved by projected gradient descent.
+
+Grounding works on arrays, as database joins that produce hinge rows.
+Every constant gets an integer code; each predicate's atoms become code
+arrays.  A rule's binding literals are joined by sort-and-search equi-joins
+on the variables already bound, all literals of all candidate rows are
+looked up at once, exact prunes apply as masks, and the kept rows are
+written straight into the flat arrays the solver uses (one row per ground
+rule: a constant, a weight, an exponent, and (row, free atom, coefficient)
+entries).  ``GroundRule`` objects are built only when a caller reads
+``GroundNetwork.rules``.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import logging
+import operator
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -351,8 +364,32 @@ def distance_to_satisfaction(rule: GroundRule, values: np.ndarray | Sequence[flo
     return linear if linear > 0.0 else 0.0
 
 
+@dataclass(frozen=True)
+class RuleStats:
+    """What grounding one source rule produced: kept rows and exact prunes.
+
+    ``missing`` counts substitutions with a literal on an open atom that is
+    neither a target nor observed, ``tautology`` those whose head repeats a
+    body literal, ``body_zero`` those whose observed body can never hold,
+    and ``constant`` those without a free atom.
+    """
+
+    rows: int
+    missing: int
+    tautology: int
+    body_zero: int
+    constant: int
+
+
 class GroundNetwork:
-    """Ground rules over indexed free atoms, with compiled energy arrays."""
+    """Ground rules over indexed free atoms, with compiled energy arrays.
+
+    ``GroundNetwork(free_atoms, initial, rules)`` compiles hand-built
+    ``GroundRule`` objects on first use.  ``ground`` builds the network from
+    its compiled arrays instead (``from_compiled``); its ``rules`` is then a
+    read-only sequence that builds each ``GroundRule`` only when read.
+    ``stats`` holds one ``RuleStats`` per source rule of a grounded program.
+    """
 
     def __init__(self, free_atoms: Sequence[Atom], initial: np.ndarray,
                  rules: Sequence[GroundRule]):
@@ -360,15 +397,51 @@ class GroundNetwork:
         self.free_index = {a: i for i, a in enumerate(self.free_atoms)}
         self.initial = np.asarray(initial, dtype=np.float64)
         self.rules = list(rules)
+        self.stats: tuple[RuleStats, ...] = ()
+        self._prior_rows = 0
         self._compiled = None
 
+    @classmethod
+    def from_compiled(cls, free_atoms: Sequence[Atom], initial: np.ndarray,
+                      compiled: "_Compiled", rules: Sequence[GroundRule],
+                      stats: Sequence[RuleStats]) -> "GroundNetwork":
+        """A network whose energy rows are ``compiled``, one per rule of ``rules``."""
+        network = cls(free_atoms, initial, ())
+        network.rules = rules
+        network.stats = tuple(stats)
+        network._compiled = compiled
+        return network
+
     def __len__(self):
-        return len(self.rules)
+        """Number of hinge rows in the energy: the ground rules, then any prior."""
+        return len(self.rules) + self._prior_rows
 
     def compiled(self):
         if self._compiled is None:
             self._compiled = _compile(self)
         return self._compiled
+
+    def add_prior(self, weight: float) -> None:
+        """Pull every free atom toward its initial value with a squared hinge.
+
+        Appends two rows of ``weight`` per free atom after the ground rules,
+        ``initial - x`` and ``x - initial``; ``rules`` does not list them.
+        """
+        n = len(self.free_atoms)
+        consts = np.empty(2 * n)
+        consts[0::2] = -0.0 + 1.0 * self.initial
+        consts[1::2] = -0.0 + -1.0 * self.initial
+        prior = _Compiled(
+            consts,
+            np.full(2 * n, weight, dtype=np.float64),
+            np.full(2 * n, 2, dtype=np.int64),
+            np.arange(2 * n, dtype=np.intp),
+            np.repeat(np.arange(n, dtype=np.intp), 2),
+            np.tile([-1.0, 1.0], n),
+            n,
+        )
+        self._compiled = _concat([self.compiled(), prior], n)
+        self._prior_rows += 2 * n
 
     def energy(self, values: np.ndarray | Sequence[float]) -> float:
         values = np.asarray(values, dtype=np.float64)
@@ -474,38 +547,29 @@ def _compile(network: GroundNetwork) -> _Compiled:
         weights.append(rule.weight)
         rhos.append(rule.exponent)
     return _Compiled(
-        np.asarray(consts),
-        np.asarray(weights),
-        np.asarray(rhos),
+        np.asarray(consts, dtype=np.float64),
+        np.asarray(weights, dtype=np.float64),
+        np.asarray(rhos, dtype=np.int64),
         np.asarray(entry_rule, dtype=np.intp),
         np.asarray(entry_free, dtype=np.intp),
-        np.asarray(entry_coef),
+        np.asarray(entry_coef, dtype=np.float64),
         len(network.free_atoms),
     )
 
 
-def energy(network: GroundNetwork, values) -> float:
-    return network.energy(values)
-
-
-def _binder_pools(program: PslProgram, db: RelationalDatabase):
-    """Candidate ground atoms per predicate, split by role."""
-    observed_by_pred: dict[str, list[Atom]] = {}
-    for atom, value in db.observations.items():
-        observed_by_pred.setdefault(atom[0], []).append(atom)
-    targets_by_pred: dict[str, list[Atom]] = {}
-    for atom in db.targets:
-        targets_by_pred.setdefault(atom[0], []).append(atom)
-    pools: dict[str, list[Atom]] = {}
-    for name, pred in program.predicates.items():
-        if pred.closed:
-            # positive closed literals can only hold on observed atoms > 0
-            pools[name] = [
-                a for a in observed_by_pred.get(name, []) if db.observations[a] > 0.0
-            ]
-        else:
-            pools[name] = targets_by_pred.get(name, []) + observed_by_pred.get(name, [])
-    return pools
+def _concat(parts: Sequence[_Compiled], n_free: int) -> _Compiled:
+    """Rows of ``parts`` one after another."""
+    offsets = np.cumsum([0] + [len(p.consts) for p in parts[:-1]])
+    return _Compiled(
+        np.concatenate([np.empty(0)] + [p.consts for p in parts]),
+        np.concatenate([np.empty(0)] + [p.weights for p in parts]),
+        np.concatenate([np.empty(0, np.int64)] + [p.rhos for p in parts]),
+        np.concatenate([np.empty(0, np.intp)]
+                       + [p.entry_rule + o for p, o in zip(parts, offsets)]),
+        np.concatenate([np.empty(0, np.intp)] + [p.entry_free for p in parts]),
+        np.concatenate([np.empty(0)] + [p.entry_coef for p in parts]),
+        n_free,
+    )
 
 
 def _check_arities(program: PslProgram, db: RelationalDatabase):
@@ -517,8 +581,273 @@ def _check_arities(program: PslProgram, db: RelationalDatabase):
             )
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _joint_keys(left: np.ndarray, right: np.ndarray, base: int):
+    """One int64 key per row of two code matrices; equal rows, equal keys.
+
+    Columns are packed base-``base``.  When the next column would overflow
+    int64, the keys so far are first re-coded densely over both matrices.
+    """
+    kl = np.zeros(len(left), dtype=np.int64)
+    kr = np.zeros(len(right), dtype=np.int64)
+    span = 1
+    for j in range(left.shape[1]):
+        if span * base > _INT64_MAX:
+            distinct, inverse = np.unique(np.concatenate([kl, kr]), return_inverse=True)
+            kl, kr = inverse[: len(kl)], inverse[len(kl):]
+            span = len(distinct)
+        kl = kl * base + left[:, j]
+        kr = kr * base + right[:, j]
+        span *= base
+    return kl, kr
+
+
+def _equijoin(left_keys: np.ndarray, right_keys: np.ndarray):
+    """Index pairs (i, j) with equal keys, ordered by i, then by j."""
+    order = np.argsort(right_keys, kind="stable")
+    sorted_keys = right_keys[order]
+    lo = np.searchsorted(sorted_keys, left_keys, side="left")
+    counts = np.searchsorted(sorted_keys, left_keys, side="right") - lo
+    left = np.repeat(np.arange(len(left_keys)), counts)
+    first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return left, order[first + np.arange(len(left))]
+
+
+class _Relation:
+    """One predicate's atoms as constant codes: targets first, then observations.
+
+    ``free`` holds a target's free-atom index and -1 for an observation;
+    ``value`` holds an observation's value and 0 for a target.
+    """
+
+    def __init__(self, args: np.ndarray, free: np.ndarray, value: np.ndarray, closed: bool):
+        self.args = args
+        self.free = free
+        self.value = value
+        observed = free < 0
+        self.observed = np.flatnonzero(observed)
+        # positive closed literals can only hold on observed atoms > 0
+        self.pool = np.flatnonzero(observed & (value > 0.0)) if closed else np.arange(len(free))
+
+
+def _relations(program: PslProgram, db: RelationalDatabase):
+    """Constant strings in sorted order, and a ``_Relation`` per predicate."""
+    rows: dict[str, tuple[list, list, list]] = {
+        name: ([], [], []) for name in program.predicates
+    }
+    for i, (pred, args) in enumerate(db.targets):
+        if pred in rows:
+            rows[pred][0].append(args)
+            rows[pred][1].append(i)
+            rows[pred][2].append(0.0)
+    for (pred, args), value in db.observations.items():
+        if pred in rows:
+            rows[pred][0].append(args)
+            rows[pred][1].append(-1)
+            rows[pred][2].append(value)
+    constants = sorted({c for args, _, _ in rows.values() for a in args for c in a})
+    code = {c: i for i, c in enumerate(constants)}
+    relations = {}
+    for name, (args, free, value) in rows.items():
+        pred = program.predicates[name]
+        codes = np.array([code[c] for a in args for c in a], dtype=np.int64)
+        relations[name] = _Relation(
+            codes.reshape(len(args), pred.arity),
+            np.array(free, dtype=np.intp),
+            np.array(value, dtype=np.float64),
+            pred.closed,
+        )
+    return constants, relations
+
+
+class _RuleRows:
+    """The kept rows of one source rule, as constant codes per literal."""
+
+    def __init__(self, rule: Rule, constants: list, args: list, free: np.ndarray,
+                 value: np.ndarray):
+        self.rule = rule
+        self.constants = constants
+        self.args = args  # per literal (body, then head): (rows, arity) codes
+        self.free = free  # (rows, literals): free-atom index, or -1
+        self.value = value  # (rows, literals): observed value where not free
+
+    def __len__(self):
+        return len(self.free)
+
+    def __getitem__(self, i: int) -> GroundRule:
+        literals = []
+        for j, lit in enumerate(self.rule.body + (self.rule.head,)):
+            args = tuple(self.constants[c] for c in self.args[j][i])
+            free = int(self.free[i, j])
+            if free >= 0:
+                literals.append(GroundLiteral(lit.predicate, args, lit.negated, free, None))
+            else:
+                literals.append(GroundLiteral(
+                    lit.predicate, args, lit.negated, None, float(self.value[i, j])
+                ))
+        return GroundRule(self.rule.weight, self.rule.exponent,
+                          tuple(literals[:-1]), literals[-1])
+
+
+class _GroundRules(Sequence):
+    """Read-only ground rules of an array network; each is built when read."""
+
+    def __init__(self, blocks: Sequence[_RuleRows]):
+        self._blocks = [b for b in blocks if len(b)]
+        self._ends = list(itertools.accumulate(len(b) for b in self._blocks))
+
+    def __len__(self):
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("ground rule index out of range")
+        b = bisect.bisect_right(self._ends, index)
+        return self._blocks[b][index - (self._ends[b - 1] if b else 0)]
+
+
+def _substitutions(rule: Rule, program: PslProgram, relations: dict, base: int):
+    """Join the rule's binding literals: (rows, variables) codes and column map.
+
+    Rows come out in the order of nested loops: variables bound only by
+    negated closed literals first (sorted by name, constants sorted), then
+    the binding literals in join order, each over its pool in atom order.
+    """
+    predicates = program.predicates
+    binders = [lit for lit in rule.body
+               if not (predicates[lit.predicate].closed and lit.negated)]
+    bindable = {v for lit in binders for v in lit.args}
+    unbindable = sorted({v for lit in rule.body for v in lit.args} - bindable)
+    var_pools = {
+        v: np.unique(np.concatenate([
+            relations[lit.predicate].args[relations[lit.predicate].observed, i]
+            for lit in rule.body for i, arg in enumerate(lit.args) if arg == v
+        ]))
+        for v in unbindable
+    }
+    empty = [v for v in unbindable if not len(var_pools[v])]
+    if empty:
+        raise GroundingError(
+            f"variable(s) {empty} appear only in negated literals of "
+            f"predicates with no observed atoms: {rule}"
+        )
+    subs = np.zeros((1, 0), dtype=np.int64)
+    columns: dict[str, int] = {}
+    for v in unbindable:  # codes follow the sorted constant strings
+        consts = var_pools[v]
+        subs = np.column_stack([np.repeat(subs, len(consts), axis=0),
+                                np.tile(consts, len(subs))])
+        columns[v] = len(columns)
+    remaining = list(binders)
+    while remaining:
+        # prefer literals that reuse already-bound variables, then small pools
+        remaining.sort(key=lambda lit: (
+            -sum(1 for v in lit.args if v in columns),
+            len(relations[lit.predicate].pool),
+        ))
+        lit = remaining.pop(0)
+        relation = relations[lit.predicate]
+        pool = relation.args[relation.pool]
+        bound = [i for i, v in enumerate(lit.args) if v in columns]
+        left, right = _equijoin(*_joint_keys(
+            subs[:, [columns[lit.args[i]] for i in bound]], pool[:, bound], base
+        ))
+        first: dict[str, int] = {}
+        keep = np.ones(len(left), dtype=bool)
+        for i, v in enumerate(lit.args):
+            if v in columns:
+                continue
+            if v in first:  # a repeated new variable binds one constant
+                keep &= pool[right, i] == pool[right, first[v]]
+            else:
+                first[v] = i
+        left, right = left[keep], right[keep]
+        subs = np.column_stack([subs[left]] + [pool[right, i] for i in first.values()])
+        for v in first:
+            columns[v] = len(columns)
+    return subs, columns
+
+
+def _ground_rule(rule: Rule, program: PslProgram, relations: dict, constants: list):
+    """Compiled rows, kept rows and prune counts of one source rule."""
+    base = len(constants) or 1
+    subs, columns = _substitutions(rule, program, relations, base)
+    literals = rule.body + (rule.head,)
+    n = len(subs)
+    args = []  # per literal: (rows, arity) constant codes
+    free = np.full((n, len(literals)), -1, dtype=np.intp)
+    value = np.zeros((n, len(literals)))
+    missing = np.zeros(n, dtype=bool)
+    for j, lit in enumerate(literals):
+        relation = relations[lit.predicate]
+        query = subs[:, [columns[v] for v in lit.args]]
+        kq, ka = _joint_keys(query, relation.args, base)
+        order = np.argsort(ka)
+        pos = np.searchsorted(ka[order], kq)
+        found = pos < len(ka)
+        found[found] = ka[order[pos[found]]] == kq[found]
+        atom = order[pos[found]]
+        free[found, j] = relation.free[atom]
+        value[found, j] = relation.value[atom]
+        if not program.predicates[lit.predicate].closed:
+            missing |= ~found  # an open atom never declared
+        args.append(query)
+    # the four exact prunes, in order: each counts only rows not yet pruned
+    head = len(literals) - 1
+    tautology = np.zeros(n, dtype=bool)
+    for j, lit in enumerate(rule.body):
+        if lit.predicate == rule.head.predicate and lit.negated == rule.head.negated:
+            tautology |= np.all(args[j] == args[head], axis=1)
+    tautology &= ~missing
+    fixed = free < 0
+    fixed_sum = np.zeros(n)
+    for j, lit in enumerate(rule.body):
+        effective = 1.0 - value[:, j] if lit.negated else value[:, j]
+        np.add(fixed_sum, effective, out=fixed_sum, where=fixed[:, j])
+    live = ~(missing | tautology)
+    body_zero = live & (fixed_sum <= fixed[:, :head].sum(axis=1) - 1)
+    live &= ~body_zero
+    constant = live & fixed.all(axis=1)
+    keep = live & ~constant
+    stats = RuleStats(int(keep.sum()), int(missing.sum()), int(tautology.sum()),
+                      int(body_zero.sum()), int(constant.sum()))
+
+    free, value = free[keep], value[keep]
+    rows = _RuleRows(rule, constants, [a[keep] for a in args], free, value)
+    # the reference arithmetic of _compile, one literal at a time
+    const = np.full(len(free), -(len(rule.body) - 1.0))
+    coefs = np.empty(len(literals))
+    for j, lit in enumerate(literals):
+        sign = -1.0 if j == head else 1.0
+        if lit.negated:
+            const += sign * 1.0
+            coefs[j] = -sign
+        else:
+            coefs[j] = sign
+        np.add(const, coefs[j] * value[:, j], out=const, where=free[:, j] < 0)
+    entry_row, entry_lit = np.nonzero(free >= 0)
+    compiled = _Compiled(
+        const,
+        np.full(len(free), rule.weight, dtype=np.float64),
+        np.full(len(free), rule.exponent, dtype=np.int64),
+        entry_row.astype(np.intp),
+        free[entry_row, entry_lit],
+        coefs[entry_lit],
+        0,
+    )
+    return compiled, rows, stats
+
+
 def ground(program: PslProgram, db: RelationalDatabase) -> GroundNetwork:
-    """Instantiate every rule against the database.
+    """Instantiate every rule against the database, as array joins (see the
+    module docstring); rows come out rule by rule in program order.
 
     One ground rule per satisfiable substitution.  Exact prunes, all cases
     where the rule's distance is identically zero over the free atoms:
@@ -529,6 +858,7 @@ def ground(program: PslProgram, db: RelationalDatabase) -> GroundNetwork:
     with at that argument position, and raises if there are none.
     """
     _check_arities(program, db)
+    constants, relations = _relations(program, db)
     for name, pred in program.predicates.items():
         if not pred.closed:
             used = any(
@@ -536,142 +866,28 @@ def ground(program: PslProgram, db: RelationalDatabase) -> GroundNetwork:
                 for rule in program.rules
                 for lit in rule.body + (rule.head,)
             )
-            if used and not any(a[0] == name for a in db.targets):
+            if used and not np.any(relations[name].free >= 0):
                 raise GroundingError(
                     f"open predicate {name} has no target declaration in the database"
                 )
-    pools = _binder_pools(program, db)
-    all_observed: dict[str, list[Atom]] = {}
-    for atom in db.observations:
-        all_observed.setdefault(atom[0], []).append(atom)
-
-    def pool_for(lit: Literal) -> list[Atom]:
-        if program.predicates[lit.predicate].closed and lit.negated:
-            return all_observed.get(lit.predicate, [])
-        return pools[lit.predicate]
-
     free_atoms = list(db.targets)
-    free_index = {a: i for i, a in enumerate(free_atoms)}
     initial = np.array(
         [0.5 if v is None else v for v in db.targets.values()], dtype=np.float64
     )
-
-    def ground_literal(lit: Literal, sub: dict[str, str]) -> GroundLiteral | None:
-        atom = (lit.predicate, tuple(sub[v] for v in lit.args))
-        if atom in free_index:
-            return GroundLiteral(atom[0], atom[1], lit.negated, free_index[atom], None)
-        if atom in db.observations:
-            return GroundLiteral(atom[0], atom[1], lit.negated, None, db.observations[atom])
-        if program.predicates[lit.predicate].closed:
-            return GroundLiteral(atom[0], atom[1], lit.negated, None, 0.0)
-        return None  # open atom that was never declared
-
-    ground_rules: list[GroundRule] = []
-    stats = {"body_zero": 0, "tautology": 0, "constant": 0, "missing_head": 0}
+    parts, blocks, stats = [], [], []
     for rule in program.rules:
-        binders = [
-            lit
-            for lit in rule.body
-            if not (program.predicates[lit.predicate].closed and lit.negated)
-        ]
-        rule_vars = {v for lit in rule.body for v in lit.args}
-        bindable = {v for lit in binders for v in lit.args}
-        unbindable = sorted(rule_vars - bindable)
-        substitutions: list[dict[str, str]] = [dict()]
-        bound: set[str] = set()
-        if unbindable:
-            var_pools: dict[str, set[str]] = {v: set() for v in unbindable}
-            for lit in rule.body:
-                for i, v in enumerate(lit.args):
-                    if v in var_pools:
-                        for atom in all_observed.get(lit.predicate, []):
-                            var_pools[v].add(atom[1][i])
-            empty = [v for v in unbindable if not var_pools[v]]
-            if empty:
-                raise GroundingError(
-                    f"variable(s) {empty} appear only in negated literals of "
-                    f"predicates with no observed atoms: {rule}"
-                )
-            for v in unbindable:
-                substitutions = [
-                    dict(sub, **{v: const})
-                    for sub in substitutions
-                    for const in sorted(var_pools[v])
-                ]
-            bound.update(unbindable)
-        remaining = list(binders)
-        while remaining and substitutions:
-            # prefer literals that reuse already-bound variables, then small pools
-            remaining.sort(
-                key=lambda lit: (
-                    -sum(1 for v in lit.args if v in bound),
-                    len(pools[lit.predicate]),
-                )
-            )
-            lit = remaining.pop(0)
-            bound_positions = [i for i, v in enumerate(lit.args) if v in bound]
-            index: dict[tuple, list[Atom]] = {}
-            for atom in pools[lit.predicate]:
-                if len(atom[1]) != len(lit.args):
-                    continue
-                key = tuple(atom[1][i] for i in bound_positions)
-                index.setdefault(key, []).append(atom)
-            new_subs = []
-            for sub in substitutions:
-                key = tuple(sub[lit.args[i]] for i in bound_positions)
-                for atom in index.get(key, ()):
-                    extended = dict(sub)
-                    ok = True
-                    for var, const in zip(lit.args, atom[1]):
-                        if var in extended and extended[var] != const:
-                            ok = False
-                            break
-                        extended[var] = const
-                    if ok:
-                        new_subs.append(extended)
-            substitutions = new_subs
-            bound.update(lit.args)
-        for sub in substitutions:
-            body = []
-            for lit in rule.body:
-                gl = ground_literal(lit, sub)
-                if gl is None:
-                    body = None
-                    break
-                body.append(gl)
-            if body is None:
-                stats["missing_head"] += 1
-                continue
-            head = ground_literal(rule.head, sub)
-            if head is None:
-                stats["missing_head"] += 1
-                continue
-            if any(
-                gl.atom == head.atom and gl.negated == head.negated for gl in body
-            ):
-                stats["tautology"] += 1
-                continue
-            fixed = [gl for gl in body if gl.free_index is None]
-            fixed_sum = sum(
-                (1.0 - gl.observed_value) if gl.negated else gl.observed_value
-                for gl in fixed
-            )
-            if fixed_sum <= len(fixed) - 1:
-                stats["body_zero"] += 1
-                continue
-            if head.free_index is None and not any(gl.free_index is not None for gl in body):
-                stats["constant"] += 1
-                continue
-            ground_rules.append(
-                GroundRule(rule.weight, rule.exponent, tuple(body), head)
-            )
-    log.info(
-        "grounded %d rules over %d free atoms (pruned: %s)",
-        len(ground_rules),
-        len(free_atoms),
-        stats,
+        compiled, rows, rule_stats = _ground_rule(rule, program, relations, constants)
+        parts.append(compiled)
+        blocks.append(rows)
+        stats.append(rule_stats)
+    network = GroundNetwork.from_compiled(
+        free_atoms, initial, _concat(parts, len(free_atoms)), _GroundRules(blocks), stats
     )
-    return GroundNetwork(free_atoms, initial, ground_rules)
+    pruned = {k: sum(getattr(s, k) for s in stats)
+              for k in ("missing", "tautology", "body_zero", "constant")}
+    log.info("grounded %d rules over %d free atoms (pruned: %s)",
+             len(network.rules), len(free_atoms), pruned)
+    return network
 
 
 @dataclass
@@ -723,7 +939,7 @@ def map_inference(
         if x.shape != (n,):
             raise ValueError(f"initial values must have shape ({n},)")
     np.clip(x, 0.0, 1.0, out=x)
-    if n == 0 or not network.rules:
+    if n == 0 or len(network) == 0:
         return MapResult(x, network.energy(x), 0, True)
     if not (0.0 < config.smoothing_decay < 1.0):
         raise ValueError("smoothing_decay must lie in (0, 1)")

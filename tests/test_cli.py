@@ -9,11 +9,13 @@ import json
 import numpy as np
 import pytest
 
+from polyscale import pslengine
 from polyscale.calibration import save_party_graph
 from polyscale.cli import main
 from polyscale.corpus import save_corpus
 from polyscale.embedalign import EmbeddingTable, load_embeddings, save_embeddings
 from polyscale.synthetic import make_planted_corpus
+from reference_grounder import reference_ground
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +190,20 @@ class TestGroundInfer:
             values[atom] = float(value)
         assert values["pos(a)"] == pytest.approx(0.9, abs=1e-3)
         assert values["pos(b)"] == pytest.approx(0.9, abs=1e-3)
+
+    @pytest.mark.parametrize("command", ["ground", "infer"])
+    def test_output_matches_reference_grounder(self, logic_files, capsys, monkeypatch,
+                                               command):
+        argv = [
+            command,
+            "--rules", str(logic_files / "rules.psl"),
+            "--atoms", str(logic_files / "atoms.txt"),
+        ]
+        assert main(argv) == 0
+        got = capsys.readouterr().out
+        monkeypatch.setattr(pslengine, "ground", reference_ground)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == got
 
     def test_bad_atom_line_reports_location(self, logic_files, tmp_path, capsys):
         atoms = tmp_path / "broken.txt"

@@ -434,6 +434,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        corpus = small_corpus()
+        params, _ = train(corpus, tiny_config())
+        path = tmp_path / "model.pscl"
+        save_checkpoint(params, path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(path)
+
     def test_frozen_embeddings_round_trip(self, tmp_path):
         corpus = small_corpus()
         docs = training_documents(corpus)
