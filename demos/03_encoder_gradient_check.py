@@ -38,7 +38,7 @@ def loss_fn():
 
 # Spot-check three parameter groups; the full sweep over every coordinate
 # is what the test suite does.
-groups = ["word_fwd.wx_i", "sent_bwd.wh_o", "code_head.weight"]
+groups = ["word_fwd.weight", "sent_bwd.weight", "code_head.weight"]
 groups = [g for g in groups if g in params.store.names] or params.store.names[:3]
 start = time.perf_counter()
 worst = dc.check_gradients(loss_fn, params.store, epsilon=3e-3, names=groups)

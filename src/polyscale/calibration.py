@@ -187,14 +187,11 @@ def save_party_graph(graph: PartyGraph, path) -> None:
 @dataclass(frozen=True)
 class CalibrationConfig:
     recency_window_years: float = 4.0
-    ches_mapping: str = "nearest"
     prior_weight: float = 0.0
 
     def __post_init__(self):
         if self.recency_window_years <= 0:
             raise ValueError("recency_window_years must be positive")
-        if self.ches_mapping != "nearest":
-            raise ValueError(f"unknown ches_mapping {self.ches_mapping!r}")
         if self.prior_weight < 0:
             raise ValueError("prior_weight must be nonnegative")
 
@@ -401,48 +398,3 @@ def stacked_estimates(
                 trained_on_ids=trained_ids,
             )
     return out
-
-
-def load_ches(path) -> dict:
-    """CHES-style expert scores: tab-separated party_id, year, score."""
-    path = Path(path)
-    table: dict[tuple[str, int], float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected party_id, year, score"
-                )
-            try:
-                year = int(fields[1])
-                score = float(fields[2])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: year and score must be numeric"
-                ) from None
-            key = (fields[0], year)
-            if key in table:
-                raise ValueError(f"{path}:{lineno}: duplicate entry for {key}")
-            table[key] = score
-    return table
-
-
-def ches_for(manifesto, table: Mapping, mapping: str = "nearest") -> float | None:
-    """Expert score for a manifesto's party at the closest survey year.
-
-    Ties between equally distant years resolve to the earlier year; None
-    (with a warning) when the party has no entries.
-    """
-    if mapping != "nearest":
-        raise ValueError(f"unknown ches_mapping {mapping!r}")
-    years = [year for (party, year) in table if party == manifesto.party_id]
-    if not years:
-        log.warning("party %s has no expert scores", manifesto.party_id)
-        return None
-    target = manifesto.election_date.year
-    best = min(years, key=lambda y: (abs(y - target), y))
-    return table[(manifesto.party_id, best)]

@@ -128,10 +128,6 @@ class LabelScheme:
             raise ValueError(f"unknown code {code!r}") from None
 
 
-def polarity_of(code: str, scheme: LabelScheme) -> Polarity:
-    return scheme.polarity_of(code)
-
-
 @dataclass(frozen=True)
 class Sentence:
     """One coding unit: a quasi-sentence with its tokens and optional gold code."""

@@ -9,18 +9,19 @@ or row-wise over a batch, and ``dense`` (matmul plus bias, the one op that
 broadcasts its bias over a batch of rows).  No other broadcasting: operand
 shapes must match exactly where elementwise semantics apply.
 
-LSTMs run as one tape node per direction and padded batch of sequences
-(``lstm_sequence``, paired up by ``bilstm_batch``): the input projection of
-every step is one matmul, the recurrence runs in numpy, and backpropagation
-through time happens inside the node's vector-Jacobian product.  The per-step
-path (``lstm_step``, ``lstm_encode``, ``bilstm_encode``) builds one node per
-time step; it is kept as the reference that the fused node is tested against.
+An LSTM direction is two parameters (``init_lstm_params``): one
+(in + hidden, 4 * hidden) weight holding the input and recurrent rows of all
+four gates, and one 4 * hidden bias.  It runs as one tape node per padded
+batch of sequences (``lstm_sequence``, paired up by ``bilstm_batch``) whose
+parents are the input, the weight and the bias: the input projection of every
+step is one matmul, the recurrence runs in numpy, and backpropagation through
+time happens inside the node's vector-Jacobian product.  A per-step reference
+path lives in the tests (``tests/reference_lstm.py``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -318,22 +319,6 @@ def softmax_xent(logits: Tensor, gold: int) -> tuple[Tensor, Tensor]:
     return probs, loss
 
 
-def neglog_pick(probs: Tensor, gold: int) -> Tensor:
-    """Cross-entropy straight from a probability vector: -log p[gold]."""
-    pv = probs.value
-    gold = int(gold)
-    if not 0 <= gold < pv.shape[0]:
-        raise ValueError(f"gold index {gold} out of range for {pv.shape[0]} classes")
-    pg = pv[gold]
-    if pg <= 0.0:
-        raise ValueError("gold probability must be positive")
-
-    def vjp(g, acc):
-        acc[gold] -= g / pg
-
-    return Tensor(-math.log(pg), (probs,), (vjp,))
-
-
 def softmax_xent_rows(logits: Tensor, gold) -> tuple[Tensor, Tensor | None]:
     """Row-wise ``softmax_xent`` over (S, K) logits in two tape nodes.
 
@@ -420,175 +405,41 @@ class ParameterStore:
         return math.sqrt(total)
 
 
-@dataclass
-class LstmParams:
-    """One direction of an LSTM: a gate triple (Wx, Wh, b) per gate."""
-
-    wx_i: Tensor
-    wh_i: Tensor
-    b_i: Tensor
-    wx_f: Tensor
-    wh_f: Tensor
-    b_f: Tensor
-    wx_o: Tensor
-    wh_o: Tensor
-    b_o: Tensor
-    wx_c: Tensor
-    wh_c: Tensor
-    b_c: Tensor
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.b_i.value.shape[0]
-
-
 INIT_SCALE = 0.08
 
 
 def init_lstm_params(
     store: ParameterStore, prefix: str, input_dim: int, hidden_dim: int, rng: np.random.Generator
-) -> LstmParams:
-    """Uniform(-0.08, 0.08) initialization, forget-gate bias pinned to 1."""
-
-    def u(shape):
-        return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-
-    tensors = {}
-    for gate in ("i", "f", "o", "c"):
-        tensors[f"wx_{gate}"] = store.add(f"{prefix}.wx_{gate}", u((input_dim, hidden_dim)))
-        tensors[f"wh_{gate}"] = store.add(f"{prefix}.wh_{gate}", u((hidden_dim, hidden_dim)))
-        bias = np.ones(hidden_dim) if gate == "f" else u((hidden_dim,))
-        tensors[f"b_{gate}"] = store.add(f"{prefix}.b_{gate}", bias)
-    return LstmParams(**tensors)
-
-
-def _gate_cat(p: LstmParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gate weights side by side, in i/f/o/c order, for one batched matmul."""
-    wx = np.concatenate((p.wx_i.value, p.wx_f.value, p.wx_o.value, p.wx_c.value), axis=1)
-    wh = np.concatenate((p.wh_i.value, p.wh_f.value, p.wh_o.value, p.wh_c.value), axis=1)
-    b = np.concatenate((p.b_i.value, p.b_f.value, p.b_o.value, p.b_c.value))
-    return wx, wh, b
-
-
-def lstm_step(x: Tensor, h: Tensor, c: Tensor, p: LstmParams) -> tuple[Tensor, Tensor]:
-    """One LSTM step as a single tape node: the per-step reference path.
-
-    All four gate pre-activations come from one batched matmul against the
-    concatenated weights.  The node's value stacks h_next over c_next;
-    callers get row views of it.  The model runs whole sequences through
-    ``lstm_sequence`` instead, one node per direction and padded batch;
-    this step and ``lstm_encode`` on top of it stay as the slow reference
-    that the sequence node must match.
-    """
-    return _lstm_step_cat(x, h, c, p, *_gate_cat(p))
-
-
-def _lstm_step_cat(
-    x: Tensor, h: Tensor, c: Tensor, p: LstmParams,
-    wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
 ) -> tuple[Tensor, Tensor]:
-    # Shared backward intermediates are memoized per backward pass; the tape
-    # is rebuilt for every forward pass, so the cache never goes stale.
-    xv, hv, cv = x.value, h.value, c.value
-    n = p.hidden_dim
-    z = xv @ wx + hv @ wh + b
-    gates = _stable_sigmoid(z[: 3 * n])
-    i, f, o = gates[:n], gates[n : 2 * n], gates[2 * n :]
-    g = np.tanh(z[3 * n :])
-    c_next = f * cv + i * g
-    tc = np.tanh(c_next)
-    out = np.stack((o * tc, c_next))
+    """One LSTM direction as ``<prefix>.weight`` and ``<prefix>.bias``.
 
-    cache: list[tuple] = []
-
-    def deltas(grad):
-        if not cache:
-            dc = grad[0] * o * (1.0 - tc * tc) + grad[1]
-            dz = np.empty_like(z)
-            dz[:n] = dc * g * i * (1.0 - i)
-            dz[n : 2 * n] = dc * cv * f * (1.0 - f)
-            dz[2 * n : 3 * n] = grad[0] * tc * o * (1.0 - o)
-            dz[3 * n :] = dc * i * (1.0 - g * g)
-            cache.append((dc, dz))
-        return cache[0]
-
-    def vjp_x(grad, acc):
-        np.add(acc, wx @ deltas(grad)[1], out=acc)
-
-    def vjp_h(grad, acc):
-        np.add(acc, wh @ deltas(grad)[1], out=acc)
-
-    def vjp_c(grad, acc):
-        np.add(acc, deltas(grad)[0] * f, out=acc)
-
-    def weight_vjp(vec, lo):
-        def vjp(grad, acc):
-            np.add(acc, np.outer(vec, deltas(grad)[1][lo : lo + n]), out=acc)
-        return vjp
-
-    def bias_vjp(lo):
-        def vjp(grad, acc):
-            np.add(acc, deltas(grad)[1][lo : lo + n], out=acc)
-        return vjp
-
-    node = Tensor(
-        out,
-        (x, h, c,
-         p.wx_i, p.wh_i, p.b_i, p.wx_f, p.wh_f, p.b_f,
-         p.wx_o, p.wh_o, p.b_o, p.wx_c, p.wh_c, p.b_c),
-        (vjp_x, vjp_h, vjp_c,
-         weight_vjp(xv, 0), weight_vjp(hv, 0), bias_vjp(0),
-         weight_vjp(xv, n), weight_vjp(hv, n), bias_vjp(n),
-         weight_vjp(xv, 2 * n), weight_vjp(hv, 2 * n), bias_vjp(2 * n),
-         weight_vjp(xv, 3 * n), weight_vjp(hv, 3 * n), bias_vjp(3 * n)),
-    )
-    return row(node, 0), row(node, 1)
-
-
-def lstm_encode(seq: Sequence[Tensor], params: LstmParams, reverse: bool = False) -> list[Tensor]:
-    """Hidden states in input order; ``reverse`` runs the scan right to left.
-
-    One tape node per step; ``lstm_sequence`` is the fused equivalent.
+    The weight is (input_dim + hidden_dim, 4 * hidden_dim): input rows over
+    recurrent rows, with one column block per gate in i/f/o/c order; the bias
+    is (4 * hidden_dim,).  Entries are Uniform(-0.08, 0.08), drawn gate by
+    gate (input block, recurrent block, bias block), and the forget-gate bias
+    is pinned to 1.
     """
-    if not seq:
-        raise ValueError("cannot encode an empty sequence")
-    hidden = params.hidden_dim
-    gate_cat = _gate_cat(params)
-    h = constant(np.zeros(hidden))
-    c = constant(np.zeros(hidden))
-    states: list[Tensor] = []
-    indices = range(len(seq) - 1, -1, -1) if reverse else range(len(seq))
-    for t in indices:
-        h, c = _lstm_step_cat(seq[t], h, c, params, *gate_cat)
-        states.append(h)
-    if reverse:
-        states.reverse()
-    return states
-
-
-def bilstm_encode(
-    seq: Sequence[Tensor], forward: LstmParams, backward_params: LstmParams
-) -> tuple[list[Tensor], Tensor]:
-    """Per-step [fwd; bwd] states plus the final [last fwd; last bwd] state.
-
-    The backward direction's "last" state is the one produced at the first
-    input position, i.e. after it has consumed the whole sequence.
-    """
-    fwd = lstm_encode(seq, forward)
-    bwd = lstm_encode(seq, backward_params, reverse=True)
-    steps = [concat([f, b]) for f, b in zip(fwd, bwd)]
-    final = concat([fwd[-1], bwd[0]])
-    return steps, final
+    n = hidden_dim
+    weight = np.empty((input_dim + n, 4 * n))
+    bias = np.empty(4 * n)
+    for gate in range(4):
+        block = slice(gate * n, (gate + 1) * n)
+        weight[:input_dim, block] = rng.uniform(-INIT_SCALE, INIT_SCALE, (input_dim, n))
+        weight[input_dim:, block] = rng.uniform(-INIT_SCALE, INIT_SCALE, (n, n))
+        bias[block] = 1.0 if gate == 1 else rng.uniform(-INIT_SCALE, INIT_SCALE, n)
+    return store.add(f"{prefix}.weight", weight), store.add(f"{prefix}.bias", bias)
 
 
 def lstm_sequence(
-    x: Tensor, params: LstmParams, lengths=None, reverse: bool = False
+    x: Tensor, params: tuple[Tensor, Tensor], lengths=None, reverse: bool = False
 ) -> Tensor:
     """Hidden states of a padded batch of sequences, as one tape node.
 
     ``x`` is (B, T, d) for B sequences padded to T steps, or (T, d) for a
     single sequence; ``lengths`` gives each sequence's true length (all T
-    when omitted).  The input projection ``x @ Wx + b`` runs for every step
+    when omitted).  ``params`` is the (weight, bias) pair that
+    ``init_lstm_params`` makes: rows ``Wx`` over rows ``Wh``, gate blocks in
+    i/f/o/c order.  The input projection ``x @ Wx + b`` runs for every step
     in one matmul ahead of the recurrence, and the recurrence itself runs in
     numpy.  A padded step carries its sequence's state unchanged, so the
     result, (B, T, n) or (T, n), holds each sequence's last state at step
@@ -601,7 +452,8 @@ def lstm_sequence(
     if xb.ndim != 3:
         raise ValueError("lstm_sequence expects (T, d) or (B, T, d) inputs")
     batch, steps, width = xb.shape
-    n = params.hidden_dim
+    weight, bias = params
+    n = bias.value.shape[0] // 4
     if steps == 0:
         raise ValueError("cannot encode an empty sequence")
     # time-major from here on: row t of every array is step t of the batch
@@ -619,9 +471,11 @@ def lstm_sequence(
     # Halving the i/f/o pre-activations turns sigmoid into 0.5 + 0.5 tanh(z/2),
     # so one tanh call covers all four gates.  Halving is exact in floating
     # point, and doubling back recovers the weights bit for bit.
-    wx, wh, b = _gate_cat(params)
-    for w in (wx, wh, b):
-        w[..., : 3 * n] *= 0.5
+    w = weight.value.copy()
+    b = bias.value.copy()
+    w[:, : 3 * n] *= 0.5
+    b[: 3 * n] *= 0.5
+    wx, wh = w[:width], w[width:]
     xt = xb.transpose(1, 0, 2).reshape(steps * batch, width)
     zx = (xt @ wx + b).reshape(steps, batch, 4 * n)
 
@@ -698,28 +552,17 @@ def lstm_sequence(
                 dh = dz[t] @ wh_t
         dz2 = dz.reshape(steps * batch, 4 * n)
         dx = (dz2 @ wx_t).reshape(steps, batch, width).transpose(1, 0, 2)
-        dwx = xt.T @ dz2
-        dwh = h_prev.reshape(steps * batch, n).T @ dz2
-        db = dz2.sum(axis=0)
-        cache[:] = [g, (dx[0] if single else dx, dwx, dwh, db)]
+        dw = np.empty((width + n, 4 * n))
+        np.matmul(xt.T, dz2, out=dw[:width])
+        np.matmul(h_prev.reshape(steps * batch, n).T, dz2, out=dw[width:])
+        cache[:] = [g, (dx[0] if single else dx, dw, dz2.sum(axis=0))]
         return cache[1]
 
-    def vjp_x(g, acc):
-        np.add(acc, grads(g)[0], out=acc)
+    def vjp(k):
+        return lambda g, acc: np.add(acc, grads(g)[k], out=acc)
 
-    def gate_vjp(k, lo):
-        def vjp(g, acc):
-            np.add(acc, grads(g)[k][..., lo : lo + n], out=acc)
-        return vjp
-
-    vjps = [vjp_x]
-    for lo in range(0, 4 * n, n):
-        vjps += [gate_vjp(1, lo), gate_vjp(2, lo), gate_vjp(3, lo)]
-    p = params
-    parents = (x, p.wx_i, p.wh_i, p.b_i, p.wx_f, p.wh_f, p.b_f,
-               p.wx_o, p.wh_o, p.b_o, p.wx_c, p.wh_c, p.b_c)
     out = hidden[:, 0] if single else hidden.transpose(1, 0, 2)
-    return Tensor(out, parents, tuple(vjps))
+    return Tensor(out, (x, weight, bias), (vjp(0), vjp(1), vjp(2)))
 
 
 def _last_states(fwd: Tensor, bwd: Tensor) -> Tensor:
@@ -738,13 +581,16 @@ def _last_states(fwd: Tensor, bwd: Tensor) -> Tensor:
 
 
 def bilstm_batch(
-    x: Tensor, forward: LstmParams, backward_params: LstmParams, lengths=None
+    x: Tensor, forward: tuple[Tensor, Tensor], backward_params: tuple[Tensor, Tensor],
+    lengths=None,
 ) -> tuple[Tensor, Tensor]:
-    """Batched ``bilstm_encode`` over ``lstm_sequence`` nodes.
+    """Both directions of a bidirectional LSTM over ``lstm_sequence`` nodes.
 
     Returns the per-step [fwd; bwd] states, (B, T, 2n) or (T, 2n), and the
-    final [last fwd; last bwd] state per sequence, (B, 2n) or (2n,).  For a
-    padded sequence the per-step states past its length are filler.
+    final [last fwd; last bwd] state per sequence, (B, 2n) or (2n,): the
+    backward direction's last state is the one at step 0, after it has
+    consumed the whole sequence.  For a padded sequence the per-step states
+    past its length are filler.
     """
     fwd = lstm_sequence(x, forward, lengths)
     bwd = lstm_sequence(x, backward_params, lengths, reverse=True)

@@ -45,7 +45,7 @@ log = logging.getLogger(__name__)
 POLARITY_ORDER = (Polarity.LEFT, Polarity.RIGHT, Polarity.NEUTRAL)
 _STRUC_SIGNS = np.array([-1.0, 1.0, 0.0])
 UNK = "<unk>"
-CHECKPOINT_MAGIC = b"PSCL1\n"
+CHECKPOINT_MAGIC = b"PSCL2\n"
 
 
 @dataclass(frozen=True)
@@ -239,10 +239,12 @@ def forward_document(params: HierParams, manifesto: Manifesto) -> DocForward:
             params.vocab.id_of(manifesto.language, tok) for tok in sentence.tokens
         ]
     words = dc.gather(params.embedding_tensor(), ids)
-    _, sentence_vectors = dc.bilstm_batch(
-        words, _lstm_view(store, "word_fwd"), _lstm_view(store, "word_bwd"), lengths)
-    states, _ = dc.bilstm_batch(
-        sentence_vectors, _lstm_view(store, "sent_fwd"), _lstm_view(store, "sent_bwd"))
+
+    def lstm(prefix):
+        return store[f"{prefix}.weight"], store[f"{prefix}.bias"]
+
+    _, sentence_vectors = dc.bilstm_batch(words, lstm("word_fwd"), lstm("word_bwd"), lengths)
+    states, _ = dc.bilstm_batch(sentence_vectors, lstm("sent_fwd"), lstm("sent_bwd"))
 
     code_gold = [-1 if s.gold_code is None else scheme.index(s.gold_code) for s in sentences]
     pol_gold = [
@@ -260,14 +262,6 @@ def forward_document(params: HierParams, manifesto: Manifesto) -> DocForward:
     rile_hat = dc.tanh(raw)
     return DocForward(code_logits, code_probs, pol_probs, sentence_loss, polarity_loss,
                       doc_vector, rile_hat)
-
-
-def _lstm_view(store: dc.ParameterStore, prefix: str) -> dc.LstmParams:
-    return dc.LstmParams(**{
-        field: store[f"{prefix}.{field}"]
-        for field in ("wx_i", "wh_i", "b_i", "wx_f", "wh_f", "b_f",
-                      "wx_o", "wh_o", "b_o", "wx_c", "wh_c", "b_c")
-    })
 
 
 def combine_losses(l_sentence, l_doc, l_polarity, l_structure,
@@ -411,11 +405,15 @@ def predict(params: HierParams, docs: Corpus | Sequence[Manifesto]) -> list[DocP
 
 
 def save_checkpoint(params: HierParams, path) -> None:
-    """PSCL1 container: magic, one-line JSON manifest, raw float64 tensors."""
+    """PSCL2 container: magic, one-line JSON manifest, raw float64 tensors.
+
+    Each LSTM direction is two tensors, ``<prefix>.weight`` and
+    ``<prefix>.bias``; PSCL1 stored twelve gate pieces instead.
+    """
     path = Path(path)
     names = params.store.names
     manifest = {
-        "format": "PSCL1",
+        "format": "PSCL2",
         "config": asdict(params.config),
         "scheme": {
             "codes": list(params.scheme.codes),
@@ -442,6 +440,10 @@ def load_checkpoint(path) -> HierParams:
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
+        if magic == b"PSCL1\n":
+            raise ValueError(f"{path} is a PSCL1 checkpoint, whose LSTM layout of twelve "
+                             "gate tensors per direction is no longer read; retrain the "
+                             "model to write a PSCL2 checkpoint")
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a model checkpoint")
         manifest = json.loads(fh.readline().decode("utf-8"))

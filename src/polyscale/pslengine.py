@@ -313,11 +313,6 @@ class RelationalDatabase:
             raise ValueError(f"initial value must be in [0, 1], got {initial}")
         self.targets[atom] = initial
 
-    def atoms_of(self, predicate: str) -> list[Atom]:
-        return [a for a in self.observations if a[0] == predicate] + [
-            a for a in self.targets if a[0] == predicate
-        ]
-
 
 @dataclass(frozen=True)
 class GroundLiteral:

@@ -13,10 +13,8 @@ from polyscale.calibration import (
     StackedEstimate,
     build_database,
     calibrate,
-    ches_for,
     default_program,
     lw_right_left_ratio,
-    load_ches,
     program_for_groups,
     squash,
     stacked_estimates,
@@ -406,44 +404,3 @@ class TestStackedEstimates:
     def test_too_few_folds_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             stacked_estimates(self.small_training_corpus(), self.config(), k=1)
-
-
-class TestChes:
-    def write_table(self, tmp_path):
-        path = tmp_path / "ches.tsv"
-        path.write_text(
-            "# party year score\npa\t2010\t3.5\npa\t2014\t6.0\npb\t2012\t4.0\n",
-            encoding="utf-8",
-        )
-        return path
-
-    def test_nearest_year(self, tmp_path):
-        table = load_ches(self.write_table(tmp_path))
-        doc = make_doc("t1", "pa", "AA", datetime.date(2011, 6, 1))
-        assert ches_for(doc, table) == 3.5
-        late = make_doc("t2", "pa", "AA", datetime.date(2015, 6, 1))
-        assert ches_for(late, table) == 6.0
-
-    def test_tie_resolves_to_earlier_year(self, tmp_path):
-        table = load_ches(self.write_table(tmp_path))
-        doc = make_doc("t1", "pa", "AA", datetime.date(2012, 6, 1))
-        assert ches_for(doc, table) == 3.5
-
-    def test_missing_party_returns_none_with_warning(self, tmp_path, caplog):
-        table = load_ches(self.write_table(tmp_path))
-        doc = make_doc("t1", "pz", "AA", datetime.date(2012, 6, 1))
-        with caplog.at_level("WARNING"):
-            assert ches_for(doc, table) is None
-        assert any("pz" in r.message for r in caplog.records)
-
-    def test_parse_errors(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("pa\t2010\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="party_id, year, score"):
-            load_ches(path)
-        path.write_text("pa\tyear\t3.5\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="numeric"):
-            load_ches(path)
-        path.write_text("pa\t2010\t3.5\npa\t2010\t4.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="duplicate"):
-            load_ches(path)

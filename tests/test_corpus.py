@@ -12,7 +12,6 @@ from polyscale.corpus import (
     Sentence,
     compute_rile,
     load_corpus,
-    polarity_of,
     save_corpus,
     segment,
     tokenize,
@@ -41,7 +40,7 @@ class TestLabelScheme:
         assert scheme.polarity_of("105") is Polarity.LEFT
         assert scheme.polarity_of("104") is Polarity.RIGHT
         assert scheme.polarity_of("408") is Polarity.NEUTRAL
-        assert polarity_of("504", scheme) is Polarity.LEFT
+        assert scheme.polarity_of("504") is Polarity.LEFT
 
     def test_unknown_code_rejected(self):
         scheme = LabelScheme.default()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polyscale import diffcore as dc
+from reference_lstm import bilstm_encode, lstm_encode
 
 
 def make_store_with(rng, **shapes):
@@ -133,30 +134,39 @@ class TestSoftmaxXent:
         with pytest.raises(ValueError, match="range"):
             dc.softmax_xent(dc.constant(np.zeros(3)), gold=3)
 
-    def test_neglog_pick_agrees(self):
-        z = dc.constant(np.array([0.3, -1.2, 2.0]))
-        probs = dc.softmax(z)
-        direct = dc.neglog_pick(probs, 1)
-        _, fused = dc.softmax_xent(z, 1)
-        assert float(direct.value) == pytest.approx(float(fused.value), rel=1e-12)
-
 
 class TestLstm:
     def make_params(self, store, prefix, d_in, d_hidden, seed):
         return dc.init_lstm_params(store, prefix, d_in, d_hidden, np.random.default_rng(seed))
 
-    def test_forget_bias_is_one(self):
+    def test_init_lays_gate_draws_out_in_blocks(self):
+        d_in, n = 4, 3
         store = dc.ParameterStore()
-        p = self.make_params(store, "lstm", 4, 3, 0)
-        assert np.all(p.b_f.value == 1.0)
-        assert np.all(np.abs(p.b_i.value) <= dc.INIT_SCALE)
-        assert np.all(np.abs(p.wx_c.value) <= dc.INIT_SCALE)
+        weight, bias = self.make_params(store, "lstm", d_in, n, 0)
+        assert store.names == ["lstm.weight", "lstm.bias"]
+        assert weight.value.shape == (d_in + n, 4 * n) and bias.value.shape == (4 * n,)
+        # the same draws, gate by gate in i/f/o/c order: input weights,
+        # recurrent weights, then the bias, which the forget gate pins to 1
+        rng = np.random.default_rng(0)
+        pieces = {"wx": [], "wh": [], "b": []}
+        for gate in "ifoc":
+            pieces["wx"].append(rng.uniform(-dc.INIT_SCALE, dc.INIT_SCALE, (d_in, n)))
+            pieces["wh"].append(rng.uniform(-dc.INIT_SCALE, dc.INIT_SCALE, (n, n)))
+            pieces["b"].append(np.ones(n) if gate == "f"
+                               else rng.uniform(-dc.INIT_SCALE, dc.INIT_SCALE, n))
+        expected = np.vstack((np.hstack(pieces["wx"]), np.hstack(pieces["wh"])))
+        assert weight.value.tobytes() == expected.tobytes()
+        assert bias.value.tobytes() == np.concatenate(pieces["b"]).tobytes()
+        forget = slice(n, 2 * n)
+        assert np.all(bias.value[forget] == 1.0)
+        assert np.all(np.abs(np.delete(bias.value, forget)) <= dc.INIT_SCALE)
+        assert np.all(np.abs(weight.value) <= dc.INIT_SCALE)
 
     def test_state_shapes(self):
         store = dc.ParameterStore()
         p = self.make_params(store, "lstm", 4, 3, 1)
         seq = [dc.constant(np.ones(4)) for _ in range(5)]
-        states = dc.lstm_encode(seq, p)
+        states = lstm_encode(seq, p)
         assert len(states) == 5
         assert all(s.value.shape == (3,) for s in states)
 
@@ -166,11 +176,11 @@ class TestLstm:
         pf = self.make_params(store, "f", 4, 3, 3)
         pb = self.make_params(store, "b", 4, 3, 4)
         seq = [dc.constant(rng.normal(size=4)) for _ in range(6)]
-        steps, final = dc.bilstm_encode(seq, pf, pb)
+        steps, final = bilstm_encode(seq, pf, pb)
         assert len(steps) == 6
         assert final.value.shape == (6,)
-        fwd_states = dc.lstm_encode(seq, pf)
-        bwd_states = dc.lstm_encode(seq, pb, reverse=True)
+        fwd_states = lstm_encode(seq, pf)
+        bwd_states = lstm_encode(seq, pb, reverse=True)
         np.testing.assert_array_equal(final.value[:3], fwd_states[-1].value)
         np.testing.assert_array_equal(final.value[3:], bwd_states[0].value)
         np.testing.assert_array_equal(steps[2].value[:3], fwd_states[2].value)
@@ -183,8 +193,8 @@ class TestLstm:
         vecs = [rng.normal(size=4) for _ in range(5)]
         seq = [dc.constant(v) for v in vecs]
         seq_rev = [dc.constant(v) for v in reversed(vecs)]
-        _, final = dc.bilstm_encode(seq, pf, pb)
-        _, final_swapped = dc.bilstm_encode(seq_rev, pb, pf)
+        _, final = bilstm_encode(seq, pf, pb)
+        _, final_swapped = bilstm_encode(seq_rev, pb, pf)
         np.testing.assert_allclose(final.value[:3], final_swapped.value[3:], atol=1e-15)
         np.testing.assert_allclose(final.value[3:], final_swapped.value[:3], atol=1e-15)
 
@@ -192,7 +202,7 @@ class TestLstm:
         store = dc.ParameterStore()
         p = self.make_params(store, "lstm", 4, 3, 8)
         with pytest.raises(ValueError, match="empty"):
-            dc.lstm_encode([], p)
+            lstm_encode([], p)
 
     def test_bilstm_gradients(self):
         rng = np.random.default_rng(9)
@@ -204,7 +214,7 @@ class TestLstm:
 
         def loss():
             seq = [dc.constant(v) for v in vecs]
-            _, final = dc.bilstm_encode(seq, pf, pb)
+            _, final = bilstm_encode(seq, pf, pb)
             return dc.matmul(final, w)
 
         assert dc.check_gradients(loss, store, epsilon=1e-4) <= 1e-4
@@ -246,6 +256,7 @@ class TestLstmSequence:
         rng, store, table, pf, _, ids = self.make_case(20 + reverse)
         weights = rng.normal(size=ids.shape + (3,))
         states = dc.lstm_sequence(dc.gather(table, ids), pf, self.LENGTHS, reverse=reverse)
+        assert states.parents[1:] == pf and len(states.parents) == 3
         valid = np.arange(ids.shape[1]) < np.array(self.LENGTHS)[:, None]
         fused_loss = weighted_sum(states, weights * valid[..., None])
         fused = self.grads_of(store, fused_loss)
@@ -253,7 +264,7 @@ class TestLstmSequence:
         ref_loss = None
         for b, length in enumerate(self.LENGTHS):
             seq = [dc.row(table, i) for i in ids[b, :length]]
-            ref_states = dc.lstm_encode(seq, pf, reverse=reverse)
+            ref_states = lstm_encode(seq, pf, reverse=reverse)
             for t, h in enumerate(ref_states):
                 np.testing.assert_allclose(states.value[b, t], h.value, rtol=0, atol=1e-10)
                 term = weighted_sum(h, weights[b, t])
@@ -279,7 +290,7 @@ class TestLstmSequence:
         ref_loss = None
         for b, length in enumerate(self.LENGTHS):
             seq = [dc.row(table, i) for i in ids[b, :length]]
-            ref_steps, ref_final = dc.bilstm_encode(seq, pf, pb)
+            ref_steps, ref_final = bilstm_encode(seq, pf, pb)
             np.testing.assert_allclose(final.value[b], ref_final.value, rtol=0, atol=1e-10)
             terms = [weighted_sum(ref_final, final_w[b])]
             for t, s in enumerate(ref_steps):
@@ -306,7 +317,7 @@ class TestLstmSequence:
         fused_loss = dc.add(weighted_sum(steps, step_w), weighted_sum(final, final_w))
         fused = self.grads_of(store, fused_loss)
 
-        ref_steps, ref_final = dc.bilstm_encode([dc.row(x, t) for t in range(length)], pf, pb)
+        ref_steps, ref_final = bilstm_encode([dc.row(x, t) for t in range(length)], pf, pb)
         np.testing.assert_allclose(final.value, ref_final.value, rtol=0, atol=1e-10)
         ref_loss = weighted_sum(ref_final, final_w)
         for t, s in enumerate(ref_steps):

@@ -10,6 +10,7 @@ from polyscale.corpus import Corpus, LabelScheme, Manifesto, Polarity, Sentence
 from polyscale.diffcore import check_gradients, constant
 from polyscale.embedalign import EmbeddingTable
 from polyscale.hiermodel import (
+    CHECKPOINT_MAGIC,
     POLARITY_ORDER,
     DocPrediction,
     ModelConfig,
@@ -24,6 +25,7 @@ from polyscale.hiermodel import (
     train,
     training_documents,
 )
+from reference_lstm import bilstm_encode
 
 SCHEME = LabelScheme.default()
 
@@ -227,11 +229,13 @@ class TestGradients:
             return total
 
         names = [
-            "embed.matrix", "word_fwd.wx_i", "word_bwd.wh_c", "sent_fwd.b_f",
-            "sent_bwd.wx_o", "code_head.weight", "pol_head.bias",
+            "embed.matrix", "word_fwd.weight", "word_bwd.weight", "sent_fwd.bias",
+            "sent_bwd.weight", "code_head.weight", "pol_head.bias",
             "doc_head.weight", "doc_head.bias",
         ]
-        worst = check_gradients(loss_fn, params.store, epsilon=1e-4, names=names)
+        # c01's step: the whole weights include recurrent rows whose ~5e-9
+        # gradients read ~3e-4 at a step of 1e-4 from round-off alone
+        worst = check_gradients(loss_fn, params.store, epsilon=3e-3, names=names)
         assert worst <= 1e-4
 
 
@@ -248,17 +252,14 @@ def reference_forward(params, manifesto):
     """The per-step path: one tape node per LSTM step and per-sentence heads."""
     store, scheme = params.store, params.scheme
     embed = params.embedding_tensor()
-    views = {p: dc.LstmParams(**{
-        f: store[f"{p}.{f}"] for f in (
-            "wx_i", "wh_i", "b_i", "wx_f", "wh_f", "b_f",
-            "wx_o", "wh_o", "b_o", "wx_c", "wh_c", "b_c")})
-        for p in ("word_fwd", "word_bwd", "sent_fwd", "sent_bwd")}
+    views = {p: (store[f"{p}.weight"], store[f"{p}.bias"])
+             for p in ("word_fwd", "word_bwd", "sent_fwd", "sent_bwd")}
     vectors = []
     for sentence in manifesto.sentences:
         seq = [dc.row(embed, params.vocab.id_of(manifesto.language, tok))
                for tok in sentence.tokens]
-        vectors.append(dc.bilstm_encode(seq, views["word_fwd"], views["word_bwd"])[1])
-    states, _ = dc.bilstm_encode(vectors, views["sent_fwd"], views["sent_bwd"])
+        vectors.append(bilstm_encode(seq, views["word_fwd"], views["word_bwd"])[1])
+    states, _ = bilstm_encode(vectors, views["sent_fwd"], views["sent_bwd"])
     code_xents, pol_xents, pol_probs, pooled = [], [], [], []
     for sentence, state in zip(manifesto.sentences, states):
         logits = dc.add(dc.matmul(state, store["code_head.weight"]), store["code_head.bias"])
@@ -423,6 +424,26 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError, match="not a model checkpoint"):
             load_checkpoint(path)
+
+    def test_pscl1_checkpoint_rejected(self, tmp_path):
+        corpus = small_corpus()
+        params, _ = train(corpus, tiny_config())
+        path = tmp_path / "model.pscl"
+        save_checkpoint(params, path)
+        assert path.read_bytes().startswith(CHECKPOINT_MAGIC) and CHECKPOINT_MAGIC == b"PSCL2\n"
+        path.write_bytes(b"PSCL1\n" + path.read_bytes()[len(CHECKPOINT_MAGIC):])
+        with pytest.raises(ValueError, match="PSCL1 checkpoint.*retrain"):
+            load_checkpoint(path)
+
+    def test_two_tensors_per_lstm_direction(self):
+        config = ModelConfig(epochs=0)
+        params, _ = train(small_corpus(), config)
+        store = params.store
+        assert len(store) == 15
+        for prefix, d_in, n in (("word_fwd", config.embed_dim, config.word_hidden),
+                                ("sent_bwd", 2 * config.word_hidden, config.sentence_hidden)):
+            assert store[f"{prefix}.weight"].shape == (d_in + n, 4 * n)
+            assert store[f"{prefix}.bias"].shape == (4 * n,)
 
     def test_truncated_file_rejected(self, tmp_path):
         corpus = small_corpus()
