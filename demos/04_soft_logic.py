@@ -11,7 +11,6 @@ import numpy as np
 
 from polyscale.pslengine import (
     RelationalDatabase,
-    distance_to_satisfaction,
     ground,
     map_inference,
     parse_program,
@@ -47,16 +46,17 @@ network = ground(program, db)
 print(f"ground network: {len(network.free_atoms)} free atoms, "
       f"{len(network)} ground rules")
 
-# Hinge distances at the uniform starting point.
+# Hinge distances at the uniform starting point: the compiled energy has one
+# row per ground rule, and max(row, 0) is that rule's distance to satisfaction.
 x0 = network.initial.copy()
+distances = np.maximum(network.compiled().linear(x0), 0.0)
 print("\ndistances at the start (value 0.5 everywhere):")
-for rule in network.rules:
+for rule, d in zip(network.rules, distances):
     body = " & ".join(
         ("!" if l.negated else "") + f"{l.predicate}{l.args}" for l in rule.body
     )
     head = ("!" if rule.head.negated else "") + \
         f"{rule.head.predicate}{rule.head.args}"
-    d = distance_to_satisfaction(rule, x0)
     print(f"  {rule.weight:.1f} ^{rule.exponent} : {body} -> {head}   d={d:.3f}")
 
 result = map_inference(network)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from importlib import resources

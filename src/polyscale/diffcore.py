@@ -3,11 +3,11 @@
 Everything is float64 numpy.  A ``Tensor`` wraps a value plus closures that
 accumulate vector-Jacobian products into its parents, so a forward pass builds
 the tape and ``backward`` walks it once.  Ops: matmul, add, sub, mul, scale,
-sigmoid, tanh, softmax, concat, mean, mean over rows, square, row lookup and
-batched row lookup (``gather``), a fused softmax cross-entropy for one vector
-or row-wise over a batch, and ``dense`` (matmul plus bias, the one op that
-broadcasts its bias over a batch of rows).  No other broadcasting: operand
-shapes must match exactly where elementwise semantics apply.
+sigmoid, tanh, softmax, concat, mean, mean over rows, square, reshape, row
+lookup and batched row lookup (``gather``), a fused softmax cross-entropy for
+one vector or row-wise over a batch, and ``dense`` (matmul plus bias, the one
+op that broadcasts its bias over a batch of rows).  No other broadcasting:
+operand shapes must match exactly where elementwise semantics apply.
 
 An LSTM direction is two parameters (``init_lstm_params``): one
 (in + hidden, 4 * hidden) weight holding the input and recurrent rows of all
@@ -272,6 +272,12 @@ def row(matrix: Tensor, index: int) -> Tensor:
         acc[index] += g
 
     return Tensor(out, (matrix,), (vjp,))
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    """``a`` with a new shape of the same size."""
+    out = a.value.reshape(shape)
+    return Tensor(out, (a,), (lambda g, acc: np.add(acc, g.reshape(acc.shape), out=acc),))
 
 
 def gather(matrix: Tensor, ids) -> Tensor:

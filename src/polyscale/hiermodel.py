@@ -227,16 +227,22 @@ class DocForward:
     rile_hat: dc.Tensor
 
 
-def forward_document(params: HierParams, manifesto: Manifesto) -> DocForward:
-    """One pass over a document: each LSTM direction is a single tape node
-    over the document's sentences, padded to the longest one."""
-    store, scheme = params.store, params.scheme
-    sentences = manifesto.sentences
-    lengths = [len(sentence.tokens) for sentence in sentences]
+def _encode_sentences(params: HierParams, manifestos: Sequence[Manifesto]) -> dc.Tensor:
+    """Sentence states of a batch of documents, (sentences, 2 * sentence_hidden).
+
+    Rows run through the documents in order, each document's sentences in
+    order.  The word level is one LSTM node per direction over every sentence
+    of the batch, padded to the longest one.  The sentence level is one node
+    per direction over the documents, padded to the most sentences; a batch
+    of one document runs it over that document's sentences unpadded.
+    """
+    store = params.store
+    sentences = [(m.language, s) for m in manifestos for s in m.sentences]
+    lengths = [len(s.tokens) for _, s in sentences]
     ids = np.zeros((len(sentences), max(lengths)), dtype=np.intp)
-    for row, sentence in zip(ids, sentences):
+    for row, (language, sentence) in zip(ids, sentences):
         row[: len(sentence.tokens)] = [
-            params.vocab.id_of(manifesto.language, tok) for tok in sentence.tokens
+            params.vocab.id_of(language, tok) for tok in sentence.tokens
         ]
     words = dc.gather(params.embedding_tensor(), ids)
 
@@ -244,22 +250,54 @@ def forward_document(params: HierParams, manifesto: Manifesto) -> DocForward:
         return store[f"{prefix}.weight"], store[f"{prefix}.bias"]
 
     _, sentence_vectors = dc.bilstm_batch(words, lstm("word_fwd"), lstm("word_bwd"), lengths)
-    states, _ = dc.bilstm_batch(sentence_vectors, lstm("sent_fwd"), lstm("sent_bwd"))
+    if len(manifestos) == 1:
+        states, _ = dc.bilstm_batch(sentence_vectors, lstm("sent_fwd"), lstm("sent_bwd"))
+        return states
+    counts = np.array([len(m.sentences) for m in manifestos])
+    slots = np.arange(counts.max())
+    real = slots < counts[:, None]  # (documents, most sentences)
+    starts = np.cumsum(counts) - counts
+    # padded slots read row 0; the LSTM carries each document's state over them
+    padded = dc.gather(sentence_vectors, np.where(real, starts[:, None] + slots, 0))
+    states, _ = dc.bilstm_batch(padded, lstm("sent_fwd"), lstm("sent_bwd"), counts)
+    flat = dc.reshape(states, (-1, states.value.shape[-1]))
+    return dc.gather(flat, np.flatnonzero(real))
 
+
+def _sentence_heads(params: HierParams, states: dc.Tensor, code_gold, pol_gold):
+    """Code and polarity heads over every row of ``states``: (code logits,
+    code probabilities, sentence loss, polarity probabilities, polarity loss)."""
+    store = params.store
+    code_logits = dc.dense(states, store["code_head.weight"], store["code_head.bias"])
+    pol_logits = dc.dense(states, store["pol_head.weight"], store["pol_head.bias"])
+    code_probs, sentence_loss = dc.softmax_xent_rows(code_logits, code_gold)
+    pol_probs, polarity_loss = dc.softmax_xent_rows(pol_logits, pol_gold)
+    return code_logits, code_probs, sentence_loss, pol_probs, polarity_loss
+
+
+def _doc_head(params: HierParams, pooled: dc.Tensor) -> tuple[dc.Tensor, dc.Tensor]:
+    """Document vector (mean of the [code probabilities; state] rows) and score."""
+    doc_vector = dc.mean_rows(pooled)
+    store = params.store
+    raw = dc.add(dc.matmul(doc_vector, store["doc_head.weight"]), store["doc_head.bias"])
+    return doc_vector, dc.tanh(raw)
+
+
+def forward_document(params: HierParams, manifesto: Manifesto) -> DocForward:
+    """One pass over a document: each LSTM direction is a single tape node
+    over the document's sentences, padded to the longest one."""
+    scheme = params.scheme
+    sentences = manifesto.sentences
+    states = _encode_sentences(params, [manifesto])
     code_gold = [-1 if s.gold_code is None else scheme.index(s.gold_code) for s in sentences]
     pol_gold = [
         -1 if s.gold_code is None
         else POLARITY_ORDER.index(scheme.polarity_of(s.gold_code))
         for s in sentences
     ]
-    code_logits = dc.dense(states, store["code_head.weight"], store["code_head.bias"])
-    pol_logits = dc.dense(states, store["pol_head.weight"], store["pol_head.bias"])
-    code_probs, sentence_loss = dc.softmax_xent_rows(code_logits, code_gold)
-    pol_probs, polarity_loss = dc.softmax_xent_rows(pol_logits, pol_gold)
-
-    doc_vector = dc.mean_rows(dc.concat([code_probs, states]))
-    raw = dc.add(dc.matmul(doc_vector, store["doc_head.weight"]), store["doc_head.bias"])
-    rile_hat = dc.tanh(raw)
+    code_logits, code_probs, sentence_loss, pol_probs, polarity_loss = _sentence_heads(
+        params, states, code_gold, pol_gold)
+    doc_vector, rile_hat = _doc_head(params, dc.concat([code_probs, states]))
     return DocForward(code_logits, code_probs, pol_probs, sentence_loss, polarity_loss,
                       doc_vector, rile_hat)
 
@@ -330,7 +368,11 @@ def train(
     embeddings: EmbeddingTable | None = None,
     trace: Callable[[EpochLog], None] | None = None,
 ) -> tuple[HierParams, list[EpochLog]]:
-    """Fit on every document with a usable document-level target."""
+    """Fit on every document with a usable document-level target.
+
+    Raises ``ValueError`` naming the epoch and the document when a loss is
+    not finite, before that document's backward pass and update.
+    """
     config = config or ModelConfig()
     docs = training_documents(corpus)
     if not docs:
@@ -357,6 +399,9 @@ def train(
             doc = docs[idx]
             params.store.zero_grad()
             loss, parts = document_loss(params, doc, config)
+            if not np.isfinite(loss.value):
+                raise ValueError(f"epoch {epoch}: the loss of document {doc.id!r} is "
+                                 f"{float(loss.value)}; no update was applied for it")
             dc.backward(loss)
             optimizer.step()
             total += float(loss.value)
@@ -384,23 +429,67 @@ class DocPrediction:
     doc_vector: np.ndarray
 
 
-def predict(params: HierParams, docs: Corpus | Sequence[Manifesto]) -> list[DocPrediction]:
-    manifestos = docs.manifestos if isinstance(docs, Corpus) else tuple(docs)
-    scheme = params.scheme
-    out = []
+# Values in the word-level gate array of one predict batch (~512 KB): padded
+# word slots times 4 * word_hidden.  Larger batches add little speed and
+# hold more memory at once.
+_BATCH_VALUES = 1 << 16
+
+
+def _predict_batches(manifestos: Sequence[Manifesto], word_hidden: int) -> list[list[Manifesto]]:
+    """Consecutive runs of documents whose padded word slots (sentences times
+    the longest sentence) times 4 * word_hidden stay within ``_BATCH_VALUES``.
+    A document over the budget on its own is a batch of one."""
+    batches: list[list[Manifesto]] = []
+    rows = longest = 0
     for manifesto in manifestos:
-        fwd = forward_document(params, manifesto)
-        codes = tuple(scheme.codes[k] for k in np.argmax(fwd.code_probs.value, axis=1))
-        pols = tuple(POLARITY_ORDER[k] for k in np.argmax(fwd.pol_probs.value, axis=1))
+        n = len(manifesto.sentences)
+        width = max(len(s.tokens) for s in manifesto.sentences)
+        if batches and (rows + n) * max(longest, width) * 4 * word_hidden <= _BATCH_VALUES:
+            batches[-1].append(manifesto)
+            rows, longest = rows + n, max(longest, width)
+        else:
+            batches.append([manifesto])
+            rows, longest = n, width
+    return batches
+
+
+def predict(params: HierParams, docs: Corpus | Sequence[Manifesto]) -> list[DocPrediction]:
+    """Score documents in batches (see ``_predict_batches``), in input order."""
+    manifestos = docs.manifestos if isinstance(docs, Corpus) else tuple(docs)
+    out: list[DocPrediction] = []
+    for batch in _predict_batches(manifestos, params.config.word_hidden):
+        out += _predict_batch(params, batch)
+    return out
+
+
+def _predict_batch(params: HierParams, batch: Sequence[Manifesto]) -> list[DocPrediction]:
+    """One encoder pass and one pass of the sentence heads over the batch,
+    then the document head per document.  The batch's tape is freed on
+    return, before the next batch is built."""
+    scheme = params.scheme
+    states = _encode_sentences(params, batch)
+    unlabeled = np.full(states.value.shape[0], -1)
+    _, code_probs, _, pol_probs, _ = _sentence_heads(params, states, unlabeled, unlabeled)
+    pooled = dc.concat([code_probs, states]).value
+    codes = np.argmax(code_probs.value, axis=1)
+    pols = np.argmax(pol_probs.value, axis=1)
+    out = []
+    lo = 0
+    for manifesto in batch:
+        hi = lo + len(manifesto.sentences)
+        # prediction never runs backward, so each document's rows enter the
+        # document head as a constant
+        doc_vector, rile_hat = _doc_head(params, dc.constant(pooled[lo:hi]))
         out.append(
             DocPrediction(
                 manifesto_id=manifesto.id,
-                rile_hat=float(fwd.rile_hat.value),
-                codes=codes,
-                polarities=pols,
-                doc_vector=fwd.doc_vector.value.copy(),
+                rile_hat=float(rile_hat.value),
+                codes=tuple(scheme.codes[k] for k in codes[lo:hi]),
+                polarities=tuple(POLARITY_ORDER[k] for k in pols[lo:hi]),
+                doc_vector=doc_vector.value,
             )
         )
+        lo = hi
     return out
 
 

@@ -12,7 +12,6 @@ from datetime import date
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import polyscale.diffcore as dc
 from polyscale.calibration import (
@@ -46,13 +45,13 @@ from polyscale.pslengine import (
     GroundLiteral,
     GroundNetwork,
     GroundRule,
-    distance_to_satisfaction,
     load_program,
     map_inference,
     parse_program,
     print_program,
 )
 from polyscale.synthetic import make_planted_corpus
+from reference_hinge import distance_to_satisfaction
 
 RULES_PATH = Path(__file__).resolve().parents[1] / "src/polyscale/assets/position_rules.psl"
 

@@ -21,7 +21,6 @@ from polyscale.calibration import (
 )
 from polyscale.corpus import Corpus, LabelScheme, Manifesto, Sentence
 from polyscale.hiermodel import DocPrediction, ModelConfig
-from polyscale.pslengine import SolverConfig
 
 SCHEME = LabelScheme.default()
 

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from polyscale.corpus import (
-    Corpus,
     CorpusFormatError,
     LabelScheme,
-    Manifesto,
     Polarity,
     Sentence,
     compute_rile,

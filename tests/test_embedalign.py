@@ -7,7 +7,6 @@ from polyscale.embedalign import (
     BilingualLexicon,
     EmbeddingFormatError,
     EmbeddingTable,
-    ProjectionMatrix,
     align,
     apply_projection,
     build_multilingual,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from polyscale.calibration import save_party_graph
-from polyscale.corpus import Corpus, save_corpus
+from polyscale.corpus import save_corpus
 from polyscale.evaluation import (
     SplitSpec,
     average_ranks,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import polyscale.diffcore as dc
-from polyscale.corpus import Corpus, LabelScheme, Manifesto, Polarity, Sentence
+import polyscale.hiermodel as hm
+from polyscale.corpus import Corpus, LabelScheme, Manifesto, Sentence
 from polyscale.diffcore import check_gradients, constant
 from polyscale.embedalign import EmbeddingTable
 from polyscale.hiermodel import (
@@ -377,6 +378,21 @@ class TestTrain:
         assert len(logs) == 1
         assert {"sentence", "doc", "polarity", "structure"} <= set(logs[0].components)
 
+    def test_non_finite_loss_names_epoch_and_document(self, monkeypatch):
+        corpus = small_corpus()
+        words = list(Vocabulary.build(training_documents(corpus), 20_000).tokens)
+        table = EmbeddingTable(tuple(words), np.zeros((len(words), 6)))
+        table.matrix[table.index["bb:grenzen"]] = np.nan  # only m3 reads this row
+        backward = dc.backward
+
+        def finite_backward(root):
+            assert np.isfinite(root.value), "backward ran on a non-finite loss"
+            backward(root)
+
+        monkeypatch.setattr(dc, "backward", finite_backward)
+        with pytest.raises(ValueError, match=r"epoch 0: the loss of document 'm3' is nan"):
+            train(corpus, tiny_config(), embeddings=table)
+
 
 class TestPredict:
     def test_prediction_fields(self):
@@ -398,6 +414,76 @@ class TestPredict:
         alien = make_doc("z1", ["palabras nuevas aqui"], lang="zz", country="AA")
         with pytest.raises(ValueError, match="language 'zz'"):
             predict(params, [alien])
+
+
+class TestBatchedPredict:
+    """``predict`` runs documents in batches; ``forward_document`` is the reference."""
+
+    def setup_method(self):
+        self.params, _ = train(small_corpus(), tiny_config())
+        self.docs = small_corpus().manifestos + tuple(EDGE_DOCS.values())
+
+    def assert_matches_per_document_pass(self, docs):
+        preds = predict(self.params, docs)
+        assert [p.manifesto_id for p in preds] == [d.id for d in docs]
+        for pred, doc in zip(preds, docs):
+            fwd = forward_document(self.params, doc)
+            assert pred.rile_hat == pytest.approx(float(fwd.rile_hat.value), abs=1e-12)
+            np.testing.assert_allclose(pred.doc_vector, fwd.doc_vector.value, rtol=0, atol=1e-12)
+            assert pred.codes == tuple(
+                SCHEME.codes[k] for k in np.argmax(fwd.code_probs.value, axis=1))
+            assert pred.polarities == tuple(
+                POLARITY_ORDER[k] for k in np.argmax(fwd.pol_probs.value, axis=1))
+            assert pred.doc_vector.base is None
+
+    def test_one_batch_matches_per_document_pass(self):
+        assert len(hm._predict_batches(self.docs, self.params.config.word_hidden)) == 1
+        self.assert_matches_per_document_pass(self.docs)
+
+    def test_several_batches_match_per_document_pass(self, monkeypatch):
+        # at word_hidden 4, m1-m3 fill 6 sentences x 4 tokens x 16 = 384
+        # values, and m4 would raise that to 8 x 4 x 16 = 512
+        monkeypatch.setattr(hm, "_BATCH_VALUES", 400)
+        batches = hm._predict_batches(self.docs, self.params.config.word_hidden)
+        assert [[d.id for d in b] for b in batches] == [["m1", "m2", "m3"], ["m4", "e1", "e2"]]
+        self.assert_matches_per_document_pass(self.docs)
+
+    def test_batch_composition_does_not_change_the_bits(self):
+        m1, m2, m3, m4 = small_corpus().manifestos
+        doc = EDGE_DOCS["padded"]
+        first = predict(self.params, [m1, doc])[1]
+        second = predict(self.params, [m4, m3, doc, EDGE_DOCS["one_sentence"], m2])[2]
+        assert first.rile_hat == second.rile_hat
+        assert first.doc_vector.tobytes() == second.doc_vector.tobytes()
+        assert (first.codes, first.polarities) == (second.codes, second.polarities)
+
+    def test_no_documents(self):
+        assert predict(self.params, []) == []
+
+    def test_batches_respect_the_budget(self):
+        hidden = 32
+        docs = list(self.docs) * 40
+
+        def gate_values(batch):
+            rows = sum(len(d.sentences) for d in batch)
+            longest = max(len(s.tokens) for d in batch for s in d.sentences)
+            return rows * longest * 4 * hidden
+
+        batches = hm._predict_batches(docs, hidden)
+        assert [d for batch in batches for d in batch] == docs
+        assert len(batches) > 1
+        assert all(gate_values(b) <= hm._BATCH_VALUES for b in batches)
+        # each batch closed because the next document would have broken the budget
+        assert all(gate_values(b + after[:1]) > hm._BATCH_VALUES
+                   for b, after in zip(batches, batches[1:]))
+
+    def test_over_budget_document_runs_alone(self):
+        hidden = 4
+        width = hm._BATCH_VALUES // (4 * hidden) + 1
+        big = make_doc("big", [" ".join(["w"] * width)])
+        small_a, small_b = EDGE_DOCS["padded"], EDGE_DOCS["one_sentence"]
+        batches = hm._predict_batches([small_a, big, small_b], hidden)
+        assert batches == [[small_a], [big], [small_b]]
 
 
 class TestCheckpoint:

@@ -1,7 +1,6 @@
 """Tests for the soft-logic engine: parsing, grounding, energies, MAP."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -13,19 +12,17 @@ from polyscale.pslengine import (
     GroundRule,
     Literal,
     MapResult,
-    PslProgram,
     Predicate,
     RelationalDatabase,
-    Rule,
     RuleSyntaxError,
     SolverConfig,
-    distance_to_satisfaction,
     ground,
     load_program,
     map_inference,
     parse_program,
     print_program,
 )
+from reference_hinge import distance_to_satisfaction
 
 
 def free_lit(idx, negated=False):
