@@ -74,13 +74,18 @@ def default_program() -> PslProgram:
         return load_program(path)
 
 
-def program_for_groups(program: PslProgram, groups: Sequence[str]) -> PslProgram:
+def group_rules(groups: Sequence[str]) -> list[int]:
+    """Sorted indices of the rules in the named groups."""
     indices: list[int] = []
     for name in groups:
         if name not in RULE_GROUPS:
             raise ValueError(f"unknown rule group {name!r}")
         indices.extend(RULE_GROUPS[name])
-    return program.subset(sorted(indices))
+    return sorted(indices)
+
+
+def program_for_groups(program: PslProgram, groups: Sequence[str]) -> PslProgram:
+    return program.subset(group_rules(groups))
 
 
 def squash(value: float) -> float:
@@ -326,15 +331,25 @@ def calibrate(
     program: PslProgram | None = None,
     solver_config: SolverConfig | None = None,
     config: CalibrationConfig | None = None,
+    network: GroundNetwork | None = None,
 ) -> CalibrationResult:
     """Ground the program against the evidence and run MAP inference.
 
     A positive prior_weight adds a squared pull toward each target's
     initial value, keeping weakly-constrained atoms near the model score.
+    A caller that has already grounded the program against ``db`` passes
+    that network instead, such as a ``GroundNetwork.select`` cut of a
+    larger program's network (``evaluate`` grounds its database once and
+    cuts each ablation prefix from it).  The prior rows are appended to it.
     """
     program = program or default_program()
     config = config or CalibrationConfig()
-    network = ground(program, db)
+    if network is None:
+        network = ground(program, db)
+    elif len(network.stats) != len(program.rules) or network.free_atoms != tuple(db.targets):
+        raise ValueError("the network was not grounded from this program and database")
+    elif len(network) != len(network.rules):
+        raise ValueError("the network already holds prior rows")
     if config.prior_weight > 0.0:
         network.add_prior(config.prior_weight)
     result = map_inference(network, solver_config)

@@ -3,8 +3,10 @@
 ``run_experiment`` drives the full pipeline from a JSON-able config dict:
 load corpus, split, optionally tune loss weights on the dev set, train,
 predict the test set, build stacked context positions, and calibrate under
-an incremental rule-group ablation.  It writes three CSV files plus a run
-manifest whose content hashes make reruns byte-for-byte comparable:
+an incremental rule-group ablation.  The database is grounded once, and
+each ablation prefix is calibrated on its rules' rows of that network.  It
+writes three CSV files plus a run manifest whose content hashes make reruns
+byte-for-byte comparable:
 
 * ``sentence_f.csv``: per-language micro-averaged F1 of sentence codes.
 * ``document_corr.csv``: Pearson and Spearman correlation of document
@@ -32,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, calibration
 from .calibration import (
     ABLATION_ORDER,
     CalibrationConfig,
@@ -40,7 +42,7 @@ from .calibration import (
     build_database,
     calibrate,
     default_program,
-    program_for_groups,
+    group_rules,
     stacked_estimates,
 )
 from .corpus import Corpus, Manifesto, load_corpus
@@ -318,15 +320,17 @@ def _run_once(corpus: Corpus, graph: PartyGraph, cfg: dict, seed: int) -> Single
     db_corpus = Corpus(manifestos=split.test + fit_docs, scheme=corpus.scheme)
     db = build_database(db_corpus, preds, graph, calib_config, context)
     program = default_program()
+    # one grounding serves every prefix: each rule's rows ground on their own
+    full = calibration.ground(program, db)
 
     gold_by_id = {m.id: m.rile_gold for m in split.test if m.rile_gold is not None}
     ches_by_id = {m.id: m.ches_gold for m in split.test if m.ches_gold is not None}
     ablation = []
     final = None
     for i, group in enumerate(ABLATION_ORDER):
-        groups = ABLATION_ORDER[: i + 1]
+        rules = group_rules(ABLATION_ORDER[: i + 1])
         result = calibrate(
-            db, program_for_groups(program, groups), config=calib_config
+            db, program.subset(rules), config=calib_config, network=full.select(rules)
         )
         label = group if i == 0 else f"+{group}"
         s_rile = _spearman_or_none(

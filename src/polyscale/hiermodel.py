@@ -464,33 +464,39 @@ def predict(params: HierParams, docs: Corpus | Sequence[Manifesto]) -> list[DocP
 
 def _predict_batch(params: HierParams, batch: Sequence[Manifesto]) -> list[DocPrediction]:
     """One encoder pass and one pass of the sentence heads over the batch,
-    then the document head per document.  The batch's tape is freed on
-    return, before the next batch is built."""
+    then the document head over every document at once, in plain numpy:
+    prediction never runs backward.  The batch's tape is freed on return,
+    before the next batch is built."""
     scheme = params.scheme
+    store = params.store
     states = _encode_sentences(params, batch)
     unlabeled = np.full(states.value.shape[0], -1)
     _, code_probs, _, pol_probs, _ = _sentence_heads(params, states, unlabeled, unlabeled)
-    pooled = dc.concat([code_probs, states]).value
+    pooled = np.concatenate([code_probs.value, states.value], axis=1)
     codes = np.argmax(code_probs.value, axis=1)
     pols = np.argmax(pol_probs.value, axis=1)
-    out = []
-    lo = 0
-    for manifesto in batch:
-        hi = lo + len(manifesto.sentences)
-        # prediction never runs backward, so each document's rows enter the
-        # document head as a constant
-        doc_vector, rile_hat = _doc_head(params, dc.constant(pooled[lo:hi]))
-        out.append(
-            DocPrediction(
-                manifesto_id=manifesto.id,
-                rile_hat=float(rile_hat.value),
-                codes=tuple(scheme.codes[k] for k in codes[lo:hi]),
-                polarities=tuple(POLARITY_ORDER[k] for k in pols[lo:hi]),
-                doc_vector=doc_vector.value,
-            )
+    # each document's rows, zero-padded to the most sentences: summing the
+    # padded axis adds the rows in order, as ``_doc_head``'s mean does
+    counts = np.array([len(m.sentences) for m in batch])
+    starts = np.cumsum(counts) - counts
+    slots = np.arange(counts.max())
+    real = slots < counts[:, None]
+    rows = pooled[np.where(real, starts[:, None] + slots, 0)]
+    padded = np.where(real[:, :, None], rows, 0.0)
+    doc_vectors = padded.sum(axis=1) * (1.0 / counts)[:, None]
+    # stacked (1, K) @ (K, 1) products: one dot per document, as in ``_doc_head``
+    raw = (doc_vectors[:, None, :] @ store["doc_head.weight"].value[:, None])[:, 0, 0]
+    riles = np.tanh(raw + store["doc_head.bias"].value)
+    return [
+        DocPrediction(
+            manifesto_id=manifesto.id,
+            rile_hat=float(rile),
+            codes=tuple(scheme.codes[k] for k in codes[lo:lo + n]),
+            polarities=tuple(POLARITY_ORDER[k] for k in pols[lo:lo + n]),
+            doc_vector=vector.copy(),
         )
-        lo = hi
-    return out
+        for manifesto, lo, n, vector, rile in zip(batch, starts, counts, doc_vectors, riles)
+    ]
 
 
 def save_checkpoint(params: HierParams, path) -> None:

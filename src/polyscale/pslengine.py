@@ -34,17 +34,24 @@ written straight into the flat arrays the solver uses (one row per ground
 rule: a constant, a weight, an exponent, and (row, free atom, coefficient)
 entries).  ``GroundRule`` objects are built only when a caller reads
 ``GroundNetwork.rules``.
+
+Each source rule grounds independently of the others into one block of
+rows, so ``GroundNetwork.select`` can cut any subset of rules out of one
+grounded network; ``evaluate`` grounds its database once and calibrates
+every ablation prefix on such a cut.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import logging
 import operator
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -414,6 +421,36 @@ class GroundNetwork:
         self._compiled = _concat([self.compiled(), prior], n)
         self._prior_rows += 2 * n
 
+    def select(self, rule_indices: Iterable[int]) -> "GroundNetwork":
+        """The row blocks of the chosen source rules, in the order given.
+
+        Works on a network that ``ground`` built.  The result's arrays,
+        ``rules`` and ``stats`` equal those of grounding
+        ``program.subset(rule_indices)`` against the same database, because
+        each rule's block grounds independently of the other rules.
+        """
+        if self._prior_rows:
+            raise ValueError("cannot select rule blocks from a network with prior rows")
+        comp = self.compiled()
+        row_ends = np.cumsum([s.rows for s in self.stats], dtype=np.intp)
+        entry_ends = np.searchsorted(comp.entry_rule, row_ends)
+        parts, blocks, stats = [], [], []
+        for k in rule_indices:
+            k = range(len(self.stats))[k]  # negative indices count from the end
+            r0, r1 = row_ends[k] - self.stats[k].rows, row_ends[k]
+            e0, e1 = entry_ends[k - 1] if k else 0, entry_ends[k]
+            parts.append(_Compiled(
+                comp.consts[r0:r1], comp.weights[r0:r1], comp.rhos[r0:r1],
+                comp.entry_rule[e0:e1] - r0, comp.entry_free[e0:e1],
+                comp.entry_coef[e0:e1], 0,
+            ))
+            blocks.append(self.rules.blocks[k])
+            stats.append(self.stats[k])
+        n = len(self.free_atoms)
+        return GroundNetwork.from_compiled(
+            self.free_atoms, self.initial.copy(), _concat(parts, n), _GroundRules(blocks), stats
+        )
+
     def energy(self, values: np.ndarray | Sequence[float]) -> float:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (len(self.free_atoms),):
@@ -429,7 +466,12 @@ class GroundNetwork:
 
 
 class _Compiled:
-    """Flat arrays for vectorized energy and gradient."""
+    """Flat arrays for vectorized energy and gradient.
+
+    ``linear(x)`` gives the hinge rows, one value per row before clamping;
+    the ``*_at`` methods take those rows, so a caller that already holds
+    them for an assignment does not compute them again.
+    """
 
     def __init__(self, consts, weights, rhos, entry_rule, entry_free, entry_coef, n_free):
         self.consts = consts
@@ -439,6 +481,11 @@ class _Compiled:
         self.entry_free = entry_free
         self.entry_coef = entry_coef
         self.n_free = n_free
+
+    @functools.cached_property
+    def is_linear(self) -> np.ndarray:
+        """Rows whose hinge has exponent 1."""
+        return self.rhos == 1
 
     def linear(self, x: np.ndarray) -> np.ndarray:
         if len(self.entry_rule):
@@ -452,41 +499,40 @@ class _Compiled:
         return self.consts + sums
 
     def energy(self, x: np.ndarray) -> float:
-        d = np.maximum(self.linear(x), 0.0)
-        return float(np.sum(self.weights * np.where(self.rhos == 1, d, d * d)))
+        return self.energy_at(self.linear(x))
+
+    def energy_at(self, u: np.ndarray) -> float:
+        d = np.maximum(u, 0.0)
+        return float(np.sum(self.weights * np.where(self.is_linear, d, d * d)))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         d = np.maximum(self.linear(x), 0.0)
         # d(w * d^rho)/d(linear): rho=1 -> w on the active set, rho=2 -> 2 w d
-        slope = np.where(self.rhos == 1, self.weights * (d > 0), 2.0 * self.weights * d)
-        if not len(self.entry_rule):
-            return np.zeros(self.n_free)
-        return np.bincount(
-            self.entry_free,
-            weights=self.entry_coef * slope[self.entry_rule],
-            minlength=self.n_free,
-        )
+        slope = np.where(self.is_linear, self.weights * (d > 0), 2.0 * self.weights * d)
+        return self._pull_back(slope)
 
-    def smoothed_energy(self, x: np.ndarray, mu: float) -> float:
+    def smoothed_energy_at(self, u: np.ndarray, mu: float) -> float:
         """Energy with linear hinges replaced by their Huber smoothing.
 
         max(u, 0) becomes u^2/(2 mu) on (0, mu] and u - mu/2 beyond, which
         is convex, C^1, and underestimates the hinge by at most mu/2 per
         rule.  Squared hinges are already C^1 and stay exact.
         """
-        u = self.linear(x)
         d = np.maximum(u, 0.0)
         huber = np.where(u <= mu, d * d / (2.0 * mu), u - mu / 2.0)
-        return float(np.sum(self.weights * np.where(self.rhos == 1, huber, d * d)))
+        return float(np.sum(self.weights * np.where(self.is_linear, huber, d * d)))
 
-    def smoothed_gradient(self, x: np.ndarray, mu: float) -> np.ndarray:
-        u = self.linear(x)
+    def smoothed_gradient_at(self, u: np.ndarray, mu: float) -> np.ndarray:
         d = np.maximum(u, 0.0)
         slope = np.where(
-            self.rhos == 1,
+            self.is_linear,
             self.weights * np.minimum(d / mu, 1.0),
             2.0 * self.weights * d,
         )
+        return self._pull_back(slope)
+
+    def _pull_back(self, slope: np.ndarray) -> np.ndarray:
+        """Gradient over the free atoms from the energy's slope per row."""
         if not len(self.entry_rule):
             return np.zeros(self.n_free)
         return np.bincount(
@@ -666,8 +712,8 @@ class _GroundRules(Sequence):
     """Read-only ground rules of an array network; each is built when read."""
 
     def __init__(self, blocks: Sequence[_RuleRows]):
-        self._blocks = [b for b in blocks if len(b)]
-        self._ends = list(itertools.accumulate(len(b) for b in self._blocks))
+        self.blocks = tuple(blocks)  # one per source rule, empty ones included
+        self._ends = list(itertools.accumulate(len(b) for b in self.blocks))
 
     def __len__(self):
         return self._ends[-1] if self._ends else 0
@@ -680,8 +726,8 @@ class _GroundRules(Sequence):
             index += len(self)
         if not 0 <= index < len(self):
             raise IndexError("ground rule index out of range")
-        b = bisect.bisect_right(self._ends, index)
-        return self._blocks[b][index - (self._ends[b - 1] if b else 0)]
+        b = bisect.bisect_right(self._ends, index)  # skips empty blocks
+        return self.blocks[b][index - (self._ends[b - 1] if b else 0)]
 
 
 def _substitutions(rule: Rule, program: PslProgram, relations: dict, base: int):
@@ -871,12 +917,21 @@ class SolverConfig:
     smoothing_decay: float = 0.1
 
 
+class MapLevel(NamedTuple):
+    """What one smoothing level of ``map_inference`` did."""
+
+    mu: float  # Huber width of the level's linear hinges
+    iterations: int  # gradient evaluations spent in the level
+    energy: float  # exact (unsmoothed) energy where the level ended
+
+
 @dataclass
 class MapResult:
     values: np.ndarray
     energy: float
     iterations: int
     converged: bool
+    levels: tuple[MapLevel, ...] = ()  # in solving order; the last is where it stopped
 
 
 def map_inference(
@@ -895,7 +950,9 @@ def map_inference(
     mu/2 per linear rule, so the final level pins the gap well below any
     reported tolerance.  Each level runs monotone backtracking descent
     until the improvement falls under the tolerance; the result reports
-    the exact (unsmoothed) energy of the best iterate.
+    the exact (unsmoothed) energy of the best iterate, and one ``MapLevel``
+    per level run.  The hinge rows of each iterate are computed once: the
+    line search's accepted trial hands its rows to the next gradient.
     """
     config = config or SolverConfig()
     n = len(network.free_atoms)
@@ -915,26 +972,29 @@ def map_inference(
     if not (0.0 < config.smoothing_decay < 1.0):
         raise ValueError("smoothing_decay must lie in (0, 1)")
 
-    levels = []
+    mus = []
     mu = config.smoothing_initial
     while mu > config.smoothing_final:
-        levels.append(mu)
+        mus.append(mu)
         mu *= config.smoothing_decay
-    levels.append(config.smoothing_final)
+    mus.append(config.smoothing_final)
 
     comp = network.compiled()
-    best_x, best_f = x.copy(), comp.energy(x)
+    u = comp.linear(x)
+    best_x, best_f = x.copy(), comp.energy_at(u)
     iterations = 0
     converged = True
-    for mu in levels:
-        f = comp.smoothed_energy(x, mu)
+    levels = []
+    for mu in mus:
+        f = comp.smoothed_energy_at(u, mu)
         step = config.initial_step
         stall_count = 0
+        start = iterations
         while True:
             if iterations >= config.max_iterations:
                 converged = False
                 break
-            g = comp.smoothed_gradient(x, mu)
+            g = comp.smoothed_gradient_at(u, mu)
             iterations += 1
             if float(np.linalg.norm(g)) == 0.0:
                 break
@@ -944,7 +1004,8 @@ def map_inference(
                 xn = np.clip(x - s * g, 0.0, 1.0)
                 if not np.any(xn != x):
                     break
-                fn = comp.smoothed_energy(xn, mu)
+                un = comp.linear(xn)
+                fn = comp.smoothed_energy_at(un, mu)
                 if fn < f - 1e-15:
                     accepted = True
                     break
@@ -952,7 +1013,7 @@ def map_inference(
             if not accepted:
                 break  # projected stationary point of the smoothed energy
             delta = f - fn
-            x, f = xn, fn
+            x, u, f = xn, un, fn
             step = min(s * 2.0, 4.0)
             if delta < config.tolerance:
                 stall_count += 1
@@ -960,9 +1021,10 @@ def map_inference(
                     break
             else:
                 stall_count = 0
-        exact = comp.energy(x)
+        exact = comp.energy_at(u)
+        levels.append(MapLevel(mu, iterations - start, exact))
         if exact < best_f:
             best_f, best_x = exact, x.copy()
         if not converged:
             break
-    return MapResult(best_x, best_f, iterations, converged)
+    return MapResult(best_x, best_f, iterations, converged, tuple(levels))

@@ -1,9 +1,11 @@
-"""The array grounder against the dict-per-substitution reference.
+"""The array grounder and the MAP solver against their references.
 
 ``pslengine.ground`` must emit the solver's arrays bitwise equal to
 compiling the reference network: the same rows, in the same order, with the
 same floating-point constants.  Its rules, prune counts and errors must
-match the reference as well.
+match the reference as well.  A ``GroundNetwork.select`` cut must equal
+grounding the selected rules alone, and ``map_inference`` must return what
+the reference loop in ``reference_map`` returns, bit for bit.
 """
 
 import datetime
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyscale import pslengine
@@ -23,6 +25,7 @@ from polyscale.calibration import (
     build_database,
     calibrate,
     default_program,
+    group_rules,
     program_for_groups,
 )
 from polyscale.hiermodel import DocPrediction
@@ -43,6 +46,8 @@ from polyscale.pslengine import (
 )
 from polyscale.synthetic import make_planted_corpus
 from reference_grounder import reference_ground
+from reference_hinge import distance_to_satisfaction
+from reference_map import reference_map
 
 ARRAYS = ("consts", "weights", "rhos", "entry_rule", "entry_free", "entry_coef")
 
@@ -127,6 +132,71 @@ def databases(draw):
 @given(st.lists(rules(), min_size=1, max_size=4), databases())
 def test_random_programs_match_reference(program_rules, db):
     assert_matches_reference(PslProgram(dict(PREDICATES), program_rules), db)
+
+
+def ground_or_reject(program, db):
+    """The network, or a rejected example when the program cannot ground."""
+    try:
+        return ground(program, db)
+    except GroundingError:
+        assume(False)
+
+
+def assert_select_matches_ground(network, program, db, indices):
+    """A cut of ``network`` equals grounding the selected rules alone."""
+    cut = network.select(indices)
+    want = ground(program.subset(indices), db)
+    got_arrays, want_arrays = cut.compiled(), want.compiled()
+    for name in ARRAYS:
+        a, b = getattr(got_arrays, name), getattr(want_arrays, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert cut.stats == want.stats
+    assert list(cut.rules) == list(want.rules)
+    assert cut.free_atoms == want.free_atoms
+    assert cut.initial.tobytes() == want.initial.tobytes()
+    return cut
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(rules(), min_size=1, max_size=4), databases(), st.data())
+def test_random_selections_match_grounding_the_subset(program_rules, db, data):
+    program = PslProgram(dict(PREDICATES), program_rules)
+    network = ground_or_reject(program, db)
+    indices = data.draw(st.lists(st.integers(0, len(program_rules) - 1), max_size=5))
+    assert_select_matches_ground(network, program, db, indices)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(rules(), min_size=1, max_size=4), databases(), st.data())
+def test_energy_is_the_weighted_sum_of_rule_hinges(program_rules, db, data):
+    network = ground_or_reject(PslProgram(dict(PREDICATES), program_rules), db)
+    n = len(network.free_atoms)
+    x = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    expected = sum(rule.weight * distance_to_satisfaction(rule, x) ** rule.exponent
+                   for rule in network.rules)
+    assert network.energy(x) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def assert_map_matches_reference(network, config=None):
+    result = map_inference(network, config)
+    values, energy, iterations, converged = reference_map(network, config)
+    assert result.values.tobytes() == values.tobytes()
+    assert result.energy == energy
+    assert (result.iterations, result.converged) == (iterations, converged)
+    return result
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(rules(), min_size=1, max_size=4), databases(),
+       st.sampled_from((0.0, 0.5, 2.0)), st.sampled_from((None, 1, 4, 25)))
+def test_random_networks_solve_like_the_reference_loop(program_rules, db, prior,
+                                                        max_iterations):
+    network = ground_or_reject(PslProgram(dict(PREDICATES), program_rules), db)
+    if prior:
+        network.add_prior(prior)
+    config = None if max_iterations is None else SolverConfig(max_iterations=max_iterations)
+    assert_map_matches_reference(network, config)
 
 
 # -- named cases --------------------------------------------------------------
@@ -257,6 +327,14 @@ def planted_db():
                           CalibrationConfig(prior_weight=1.0), context)
 
 
+def without(db, predicate):
+    """A copy of ``db`` without the observations of one predicate."""
+    out = RelationalDatabase()
+    out.observations = {a: v for a, v in db.observations.items() if a[0] != predicate}
+    out.targets = dict(db.targets)
+    return out
+
+
 @pytest.mark.parametrize("prefix", range(len(ABLATION_ORDER)))
 def test_ablation_prefixes_match_reference(planted_db, prefix):
     program = program_for_groups(default_program(), ABLATION_ORDER[: prefix + 1])
@@ -278,6 +356,111 @@ def test_per_rule_stats_add_up_to_the_full_program(planted_db):
              for k in range(len(program.rules))]
     assert tuple(alone) == network.stats
     assert sum(s.rows for s in network.stats) == len(network.rules)
+
+
+PREFIXES = [group_rules(ABLATION_ORDER[: i + 1]) for i in range(len(ABLATION_ORDER))]
+
+
+@pytest.mark.parametrize("indices", PREFIXES + [[k] for k in range(14)] + [
+    [0, 5, 9, 13], [13, 2, 7], [11, 10, 3], [4, 4], [],
+])
+def test_selections_match_grounding_the_subset(planted_db, indices):
+    program = default_program()
+    assert_select_matches_ground(ground(program, planted_db), program, planted_db, indices)
+
+
+@pytest.mark.parametrize("indices", [[10], [10, 11], [9, 10, 12], PREFIXES[2]])
+def test_selections_with_an_empty_block_match(planted_db, indices):
+    db = without(planted_db, "LwRightLeftRatio")
+    program = default_program()
+    network = ground(program, db)
+    assert network.stats[10].rows == 0 and network.stats[11].rows > 0
+    cut = assert_select_matches_ground(network, program, db, indices)
+    assert sum(s.rows for s in cut.stats) == len(cut.rules)
+
+
+def test_select_refuses_a_network_with_prior_rows(planted_db):
+    network = ground(default_program(), planted_db)
+    network.add_prior(1.0)
+    with pytest.raises(ValueError, match="prior"):
+        network.select([0])
+
+
+def test_calibrate_refuses_a_network_of_another_program_or_database(planted_db):
+    program = default_program()
+    network = ground(program, planted_db)
+    with pytest.raises(ValueError, match="not grounded from this program"):
+        calibrate(planted_db, program.subset([0, 1]), network=network)
+    other = without(planted_db, "Manifesto")
+    del other.targets[next(iter(other.targets))]
+    with pytest.raises(ValueError, match="not grounded from this program"):
+        calibrate(other, program, network=network)
+    calibrate(planted_db, program, network=network, config=CalibrationConfig(prior_weight=1.0))
+    with pytest.raises(ValueError, match="prior rows"):
+        calibrate(planted_db, program, network=network)
+
+
+@pytest.mark.parametrize("prefix", range(len(ABLATION_ORDER)))
+def test_calibrating_a_cut_equals_grounding_the_prefix(planted_db, prefix):
+    program = default_program()
+    indices = PREFIXES[prefix]
+    config = CalibrationConfig(prior_weight=1.0)
+    cut = calibrate(planted_db, program.subset(indices), config=config,
+                    network=ground(program, planted_db).select(indices))
+    alone = calibrate(planted_db, program.subset(indices), config=config)
+    assert cut.map_result.values.tobytes() == alone.map_result.values.tobytes()
+    assert cut.map_result.energy == alone.map_result.energy
+    assert cut.map_result.levels == alone.map_result.levels
+    assert cut.rile == alone.rile
+
+
+@pytest.mark.parametrize("prefix", range(len(ABLATION_ORDER)))
+def test_prefix_networks_solve_like_the_reference_loop(planted_db, prefix):
+    network = ground(default_program(), planted_db).select(PREFIXES[prefix])
+    network.add_prior(1.0)
+    assert_map_matches_reference(network)
+
+
+@pytest.fixture(scope="module")
+def full_map(planted_db):
+    network = ground(default_program(), planted_db)
+    network.add_prior(1.0)
+    return network, map_inference(network)
+
+
+def test_map_levels_add_up_and_record_the_best_energy(full_map):
+    network, result = full_map
+    levels = result.levels
+    assert sum(level.iterations for level in levels) == result.iterations
+    assert all(level.iterations > 0 for level in levels)
+    start = network.energy(network.initial)
+    assert result.energy == min([start] + [level.energy for level in levels])
+    assert levels[-1].energy == pytest.approx(result.energy, rel=0, abs=1e-9)
+
+
+def test_map_levels_follow_the_smoothing_schedule(full_map):
+    network, result = full_map
+    config = SolverConfig()
+    mus = [level.mu for level in result.levels]
+    assert mus[0] == config.smoothing_initial and mus[-1] == config.smoothing_final
+    assert all(b == a * config.smoothing_decay for a, b in zip(mus[:-2], mus[1:-1]))
+    # binary fractions make every level exact
+    exact = SolverConfig(smoothing_initial=0.5, smoothing_decay=0.5, smoothing_final=0.0625)
+    assert [level.mu for level in map_inference(network, exact).levels] == [
+        0.5, 0.25, 0.125, 0.0625]
+
+
+def test_a_run_stopped_by_max_iterations_ends_at_the_level_it_stopped_in(full_map):
+    network, result = full_map
+    # stop two iterations into the first level with at least three
+    j = next(i for i, level in enumerate(result.levels) if level.iterations >= 3)
+    done = sum(level.iterations for level in result.levels[:j])
+    stopped = map_inference(network, SolverConfig(max_iterations=done + 2))
+    assert not stopped.converged
+    assert stopped.iterations == done + 2
+    assert stopped.levels[:j] == result.levels[:j]
+    assert len(stopped.levels) == j + 1
+    assert stopped.levels[j][:2] == (result.levels[j].mu, 2)
 
 
 def reference_calibration(db, program, prior_weight):

@@ -8,6 +8,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from polyscale import calibration, evaluation
 from polyscale.calibration import save_party_graph
 from polyscale.corpus import save_corpus
 from polyscale.evaluation import (
@@ -344,6 +345,36 @@ class TestRunExperiment:
         monkeypatch.setenv("POLYSCALE_THREADS", "2")
         parallel = run_experiment(cfg, root / "parallel")
         assert serial.manifest["outputs"] == parallel.manifest["outputs"]
+
+    def test_grounds_once_and_writes_what_grounding_each_prefix_writes(
+        self, experiment_files, monkeypatch
+    ):
+        root, corpus_path, graph_path = experiment_files
+        cfg = experiment_config(corpus_path, graph_path, calibration={"prior_weight": 1.0})
+        grounded = []
+        real_ground = calibration.ground
+
+        def counting_ground(program, db):
+            grounded.append(len(program.rules))
+            return real_ground(program, db)
+
+        monkeypatch.setattr(calibration, "ground", counting_ground)
+        once = run_experiment(cfg, root / "ground_once")
+        assert grounded == [14]
+
+        # the per-prefix path: calibrate drops the cut and grounds its program
+        real_calibrate = evaluation.calibrate
+
+        def ground_each_prefix(db, program, network=None, **kwargs):
+            return real_calibrate(db, program, **kwargs)
+
+        monkeypatch.setattr(evaluation, "calibrate", ground_each_prefix)
+        grounded.clear()
+        each = run_experiment(cfg, root / "ground_each")
+        assert grounded == [14, 8, 10, 12, 14]
+        for name in ("sentence_f.csv", "document_corr.csv", "calibration_ablation.csv",
+                     "run_manifest.json"):
+            assert (once.out_dir / name).read_bytes() == (each.out_dir / name).read_bytes()
 
     def test_missing_corpus_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="corpus"):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyscale.pslengine import (
     GroundingError,
@@ -13,7 +15,9 @@ from polyscale.pslengine import (
     Literal,
     MapResult,
     Predicate,
+    PslProgram,
     RelationalDatabase,
+    Rule,
     RuleSyntaxError,
     SolverConfig,
     ground,
@@ -188,6 +192,36 @@ class TestParser:
         again = parse_program(print_program(program))
         assert again == program
         assert print_program(again) == print_program(program)
+
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True)
+
+
+@st.composite
+def programs(draw):
+    names = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    predicates = {name: Predicate(name, draw(st.integers(1, 3)), draw(st.booleans()))
+                  for name in names}
+    variables = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+
+    def literal(pool):
+        pred = predicates[draw(st.sampled_from(names))]
+        args = draw(st.lists(st.sampled_from(pool), min_size=pred.arity, max_size=pred.arity))
+        return Literal(pred.name, tuple(args), draw(st.booleans()))
+
+    rules = []
+    for _ in range(draw(st.integers(0, 4))):
+        body = tuple(literal(variables) for _ in range(draw(st.integers(1, 3))))
+        head = literal(sorted({v for lit in body for v in lit.args}))
+        weight = draw(st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
+        rules.append(Rule(weight, body, head, draw(st.sampled_from((1, 2)))))
+    return PslProgram(predicates, rules)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(programs())
+def test_printed_programs_parse_back(program):
+    assert parse_program(print_program(program)) == program
 
 
 class TestShippedProgram:
