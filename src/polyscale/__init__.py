@@ -17,7 +17,6 @@ from .corpus import (
     load_corpus,
     save_corpus,
     segment,
-    subcorpus,
     tokenize,
 )
 from .embedalign import (
@@ -123,7 +122,6 @@ __all__ = [
     "segment",
     "spearman",
     "stacked_estimates",
-    "subcorpus",
     "tokenize",
     "train",
     "__version__",

@@ -402,10 +402,3 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             ]
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
-
-def subcorpus(corpus: Corpus, manifestos: Iterable[Manifesto]) -> Corpus:
-    """A corpus over the given manifestos, sharing the scheme."""
-    ms = tuple(manifestos)
-    if not ms:
-        raise ValueError("subcorpus would be empty")
-    return Corpus(ms, corpus.scheme)

@@ -2,12 +2,13 @@
 
 Everything is float64 numpy.  A ``Tensor`` wraps a value plus closures that
 accumulate vector-Jacobian products into its parents, so a forward pass builds
-the tape and ``backward`` walks it once.  Ops: matmul, add, sub, mul, scale,
-sigmoid, tanh, softmax, concat, mean, mean over rows, square, reshape, row
-lookup and batched row lookup (``gather``), a fused softmax cross-entropy for
-one vector or row-wise over a batch, and ``dense`` (matmul plus bias, the one
-op that broadcasts its bias over a batch of rows).  No other broadcasting:
-operand shapes must match exactly where elementwise semantics apply.
+the tape and ``backward`` walks it once.  Ops: matmul, add, sub, scale, tanh,
+square, concat, reshape, the mean over rows (``mean_rows``) and over runs of
+rows (``segment_mean``), batched row lookup (``gather``), a row-wise fused
+softmax cross-entropy, and ``dense`` (matmul plus bias, the one op that
+broadcasts its bias over a batch of rows).  No other broadcasting: operand
+shapes must match exactly where elementwise semantics apply.  Per-vector ops
+that only the tests' reference paths use live in ``tests/reference_ops.py``.
 
 An LSTM direction is two parameters (``init_lstm_params``): one
 (in + hidden, 4 * hidden) weight holding the input and recurrent rows of all
@@ -49,10 +50,6 @@ class Tensor:
 
 def constant(value) -> Tensor:
     return Tensor(value)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def backward(root: Tensor) -> None:
@@ -150,19 +147,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "mul")
-    av, bv = a.value, b.value
-    return Tensor(
-        av * bv,
-        (a, b),
-        (
-            lambda g, acc: np.add(acc, g * bv, out=acc),
-            lambda g, acc: np.add(acc, g * av, out=acc),
-        ),
-    )
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return Tensor(c * a.value, (a,), (lambda g, acc: np.add(acc, c * g, out=acc),))
@@ -173,34 +157,9 @@ def square(a: Tensor) -> Tensor:
     return Tensor(av * av, (a,), (lambda g, acc: np.add(acc, 2.0 * av * g, out=acc),))
 
 
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp only ever sees non-positive arguments, so it cannot overflow
-    out = 1.0 / (1.0 + np.exp(-np.abs(z)))
-    return np.where(z >= 0, out, 1.0 - out)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = _stable_sigmoid(a.value)
-    return Tensor(out, (a,), (lambda g, acc: np.add(acc, g * out * (1.0 - out), out=acc),))
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.value)
     return Tensor(out, (a,), (lambda g, acc: np.add(acc, g * (1.0 - out * out), out=acc),))
-
-
-def softmax(a: Tensor) -> Tensor:
-    av = a.value
-    if av.ndim != 1:
-        raise ValueError("softmax expects a 1-D tensor")
-    z = av - av.max()
-    e = np.exp(z)
-    p = e / e.sum()
-
-    def vjp(g, acc):
-        np.add(acc, p * (g - np.dot(g, p)), out=acc)
-
-    return Tensor(p, (a,), (vjp,))
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -226,27 +185,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return Tensor(out, tuple(parts), tuple(vjps))
 
 
-def mean(parts: Sequence[Tensor]) -> Tensor:
-    """Elementwise mean of same-shaped tensors."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("mean of no tensors")
-    shape = parts[0].value.shape
-    for p in parts:
-        if p.value.shape != shape:
-            raise ValueError("mean: shape mismatch")
-    inv = 1.0 / len(parts)
-    out = parts[0].value.copy()
-    for p in parts[1:]:
-        out += p.value
-    out *= inv
-
-    def vjp(g, acc):
-        np.add(acc, inv * g, out=acc)
-
-    return Tensor(out, tuple(parts), (vjp,) * len(parts))
-
-
 def mean_rows(a: Tensor) -> Tensor:
     """Mean over the first axis: (S, K) -> (K,), (S,) -> scalar."""
     av = a.value
@@ -261,17 +199,27 @@ def mean_rows(a: Tensor) -> Tensor:
     return Tensor(out, (a,), (vjp,))
 
 
-def row(matrix: Tensor, index: int) -> Tensor:
-    """Row lookup, the embedding-table access path."""
-    if matrix.value.ndim != 2:
-        raise ValueError("row expects a 2-D tensor")
-    index = int(index)
-    out = matrix.value[index].copy()
+def segment_mean(rows: Tensor, counts) -> Tensor:
+    """Mean of each run of consecutive rows: (sum(counts), K) -> (len(counts), K).
+
+    Each run is summed in order over a zero-padded (runs, longest run, K)
+    array, so a run's mean has the bits ``mean_rows`` gives it alone,
+    whatever runs surround it (``np.add.reduceat`` sums in another order).
+    """
+    av = rows.value
+    if av.ndim != 2 or min(counts, default=0) < 1 or sum(counts) != av.shape[0]:
+        raise ValueError(f"segment_mean: counts {list(counts)} must split the {av.shape[0]} "
+                         "rows of a 2-D tensor into runs of one row or more")
+    counts = np.asarray(counts)
+    real = np.arange(counts.max()) < counts[:, None]
+    padded = np.zeros(real.shape + av.shape[1:])
+    padded[real] = av
+    inv = 1.0 / counts
 
     def vjp(g, acc):
-        acc[index] += g
+        np.add(acc, np.repeat(inv[:, None] * g, counts, axis=0), out=acc)
 
-    return Tensor(out, (matrix,), (vjp,))
+    return Tensor(padded.sum(axis=1) * inv[:, None], (rows,), (vjp,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -292,37 +240,6 @@ def gather(matrix: Tensor, ids) -> Tensor:
         np.add.at(acc, flat, g.reshape(-1, width))
 
     return Tensor(matrix.value[ids], (matrix,), (vjp,))
-
-
-def softmax_xent(logits: Tensor, gold: int) -> tuple[Tensor, Tensor]:
-    """Softmax distribution plus cross-entropy against a gold index.
-
-    The loss is computed via log-sum-exp and its backward is the closed form
-    p - onehot, so both stay finite for any logit magnitude.
-    """
-    zv = logits.value
-    if zv.ndim != 1:
-        raise ValueError("softmax_xent expects 1-D logits")
-    gold = int(gold)
-    if not 0 <= gold < zv.shape[0]:
-        raise ValueError(f"gold index {gold} out of range for {zv.shape[0]} classes")
-    m = zv.max()
-    e = np.exp(zv - m)
-    total = e.sum()
-    p = e / total
-
-    def vjp_probs(g, acc):
-        np.add(acc, p * (g - np.dot(g, p)), out=acc)
-
-    probs = Tensor(p, (logits,), (vjp_probs,))
-    loss_value = (m + math.log(total)) - zv[gold]
-
-    def vjp_loss(g, acc):
-        acc += g * p
-        acc[gold] -= g
-
-    loss = Tensor(loss_value, (logits,), (vjp_loss,))
-    return probs, loss
 
 
 def softmax_xent_rows(logits: Tensor, gold) -> tuple[Tensor, Tensor | None]:
@@ -604,22 +521,33 @@ def bilstm_batch(
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """``x @ weight + bias`` as one node; a 2-D ``x`` is a batch of rows."""
+    """``x @ weight + bias`` as one node; a 2-D ``x`` is a batch of rows.
+
+    A 1-D ``weight`` with a scalar ``bias`` gives one score per row, each
+    row's own dot product, so a row scores the same bits in any batch (a
+    matrix-vector product sums in an order that depends on the batch).
+    """
     xv, wv = x.value, weight.value
-    if wv.ndim != 2 or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[0]:
+    if wv.ndim not in (1, 2) or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[0]:
         raise ValueError(f"dense: shape mismatch {xv.shape} @ {wv.shape}")
     if bias.value.shape != wv.shape[1:]:
-        raise ValueError(f"dense: bias shape {bias.value.shape} for {wv.shape[1]} outputs")
+        raise ValueError(f"dense: bias shape {bias.value.shape} for weight {wv.shape}")
     x2 = xv.reshape(-1, wv.shape[0])
-    return Tensor(
-        xv @ wv + bias.value,
-        (x, weight, bias),
-        (
+    if wv.ndim == 1:  # stacked (1, K) @ (K, 1) products: one dot per row
+        out = (x2[:, None, :] @ wv[:, None])[:, 0, 0].reshape(xv.shape[:-1])
+        vjps = (
+            lambda g, acc: np.add(acc, np.multiply.outer(g, wv), out=acc),
+            lambda g, acc: np.add(acc, g.reshape(-1) @ x2, out=acc),
+            lambda g, acc: np.add(acc, g.sum(), out=acc),
+        )
+    else:
+        out = xv @ wv
+        vjps = (
             lambda g, acc: np.add(acc, g @ wv.T, out=acc),
             lambda g, acc: np.add(acc, x2.T @ g.reshape(x2.shape[0], -1), out=acc),
             lambda g, acc: np.add(acc, g.reshape(-1, wv.shape[1]).sum(axis=0), out=acc),
-        ),
-    )
+        )
+    return Tensor(out + bias.value, (x, weight, bias), vjps)
 
 
 class Adam:

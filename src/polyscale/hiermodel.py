@@ -210,23 +210,6 @@ def _copy_pretrained(matrix, vocab, embeddings, embed_dim):
     log.info("initialized %d of %d vocabulary rows from pretrained vectors", hits, len(vocab.tokens))
 
 
-@dataclass
-class DocForward:
-    """Tape nodes produced by one document pass, one row per sentence.
-
-    ``sentence_loss`` and ``polarity_loss`` are the mean cross-entropies
-    over the gold-labeled sentences, None when no sentence is labeled.
-    """
-
-    code_logits: dc.Tensor
-    code_probs: dc.Tensor
-    pol_probs: dc.Tensor
-    sentence_loss: dc.Tensor | None
-    polarity_loss: dc.Tensor | None
-    doc_vector: dc.Tensor
-    rile_hat: dc.Tensor
-
-
 def _encode_sentences(params: HierParams, manifestos: Sequence[Manifesto]) -> dc.Tensor:
     """Sentence states of a batch of documents, (sentences, 2 * sentence_hidden).
 
@@ -264,42 +247,27 @@ def _encode_sentences(params: HierParams, manifestos: Sequence[Manifesto]) -> dc
     return dc.gather(flat, np.flatnonzero(real))
 
 
-def _sentence_heads(params: HierParams, states: dc.Tensor, code_gold, pol_gold):
-    """Code and polarity heads over every row of ``states``: (code logits,
-    code probabilities, sentence loss, polarity probabilities, polarity loss)."""
+def _forward(params: HierParams, manifestos: Sequence[Manifesto], code_gold, pol_gold):
+    """The model over a batch of documents as one tape: ``document_loss``
+    runs it on one document, ``predict`` on a batch.
+
+    ``code_gold`` and ``pol_gold`` give each sentence's class index, -1 when
+    unlabeled.  Returns the code and polarity distributions (one row per
+    sentence), the sentence and polarity losses (mean cross-entropies over
+    the labeled sentences, None without any), and per document the mean
+    [code probabilities; state] row and the score.  The document head is
+    three tape nodes for any number of documents.
+    """
     store = params.store
+    states = _encode_sentences(params, manifestos)
     code_logits = dc.dense(states, store["code_head.weight"], store["code_head.bias"])
     pol_logits = dc.dense(states, store["pol_head.weight"], store["pol_head.bias"])
     code_probs, sentence_loss = dc.softmax_xent_rows(code_logits, code_gold)
     pol_probs, polarity_loss = dc.softmax_xent_rows(pol_logits, pol_gold)
-    return code_logits, code_probs, sentence_loss, pol_probs, polarity_loss
-
-
-def _doc_head(params: HierParams, pooled: dc.Tensor) -> tuple[dc.Tensor, dc.Tensor]:
-    """Document vector (mean of the [code probabilities; state] rows) and score."""
-    doc_vector = dc.mean_rows(pooled)
-    store = params.store
-    raw = dc.add(dc.matmul(doc_vector, store["doc_head.weight"]), store["doc_head.bias"])
-    return doc_vector, dc.tanh(raw)
-
-
-def forward_document(params: HierParams, manifesto: Manifesto) -> DocForward:
-    """One pass over a document: each LSTM direction is a single tape node
-    over the document's sentences, padded to the longest one."""
-    scheme = params.scheme
-    sentences = manifesto.sentences
-    states = _encode_sentences(params, [manifesto])
-    code_gold = [-1 if s.gold_code is None else scheme.index(s.gold_code) for s in sentences]
-    pol_gold = [
-        -1 if s.gold_code is None
-        else POLARITY_ORDER.index(scheme.polarity_of(s.gold_code))
-        for s in sentences
-    ]
-    code_logits, code_probs, sentence_loss, pol_probs, polarity_loss = _sentence_heads(
-        params, states, code_gold, pol_gold)
-    doc_vector, rile_hat = _doc_head(params, dc.concat([code_probs, states]))
-    return DocForward(code_logits, code_probs, pol_probs, sentence_loss, polarity_loss,
-                      doc_vector, rile_hat)
+    doc_vectors = dc.segment_mean(dc.concat([code_probs, states]),
+                                  [len(m.sentences) for m in manifestos])
+    scores = dc.tanh(dc.dense(doc_vectors, store["doc_head.weight"], store["doc_head.bias"]))
+    return code_probs, pol_probs, sentence_loss, polarity_loss, doc_vectors, scores
 
 
 def combine_losses(l_sentence, l_doc, l_polarity, l_structure,
@@ -331,16 +299,18 @@ def document_loss(
 ) -> tuple[dc.Tensor, dict]:
     """Total loss tensor for one document plus per-component values."""
     config = config or params.config
-    fwd = forward_document(params, manifesto)
-    target = effective_rile(manifesto, params.scheme)
-
-    l_sentence = fwd.sentence_loss
-    l_polarity = fwd.polarity_loss
+    scheme = params.scheme
+    codes = [s.gold_code for s in manifesto.sentences]
+    code_gold = [-1 if c is None else scheme.index(c) for c in codes]
+    pol_gold = [-1 if c is None else POLARITY_ORDER.index(scheme.polarity_of(c)) for c in codes]
+    _, pol_probs, l_sentence, l_polarity, _, score = _forward(
+        params, [manifesto], code_gold, pol_gold)
+    target = effective_rile(manifesto, scheme)
     l_doc = None
     l_structure = None
     if target is not None:
-        l_doc = dc.square(dc.sub(fwd.rile_hat, dc.constant(target)))
-        margins = dc.matmul(fwd.pol_probs, dc.constant(_STRUC_SIGNS))
+        l_doc = dc.square(dc.sub(dc.reshape(score, ()), dc.constant(target)))
+        margins = dc.matmul(pol_probs, dc.constant(_STRUC_SIGNS))
         l_structure = dc.square(dc.sub(dc.mean_rows(margins), dc.constant(target)))
     total = combine_losses(l_sentence, l_doc, l_polarity, l_structure,
                            config.alpha, config.beta, config.gamma)
@@ -463,39 +433,25 @@ def predict(params: HierParams, docs: Corpus | Sequence[Manifesto]) -> list[DocP
 
 
 def _predict_batch(params: HierParams, batch: Sequence[Manifesto]) -> list[DocPrediction]:
-    """One encoder pass and one pass of the sentence heads over the batch,
-    then the document head over every document at once, in plain numpy:
-    prediction never runs backward.  The batch's tape is freed on return,
+    """``_forward`` over the batch, unlabeled; its tape is freed on return,
     before the next batch is built."""
     scheme = params.scheme
-    store = params.store
-    states = _encode_sentences(params, batch)
-    unlabeled = np.full(states.value.shape[0], -1)
-    _, code_probs, _, pol_probs, _ = _sentence_heads(params, states, unlabeled, unlabeled)
-    pooled = np.concatenate([code_probs.value, states.value], axis=1)
+    bounds = np.cumsum([0] + [len(m.sentences) for m in batch])
+    unlabeled = np.full(bounds[-1], -1)
+    code_probs, pol_probs, _, _, doc_vectors, scores = _forward(
+        params, batch, unlabeled, unlabeled)
     codes = np.argmax(code_probs.value, axis=1)
     pols = np.argmax(pol_probs.value, axis=1)
-    # each document's rows, zero-padded to the most sentences: summing the
-    # padded axis adds the rows in order, as ``_doc_head``'s mean does
-    counts = np.array([len(m.sentences) for m in batch])
-    starts = np.cumsum(counts) - counts
-    slots = np.arange(counts.max())
-    real = slots < counts[:, None]
-    rows = pooled[np.where(real, starts[:, None] + slots, 0)]
-    padded = np.where(real[:, :, None], rows, 0.0)
-    doc_vectors = padded.sum(axis=1) * (1.0 / counts)[:, None]
-    # stacked (1, K) @ (K, 1) products: one dot per document, as in ``_doc_head``
-    raw = (doc_vectors[:, None, :] @ store["doc_head.weight"].value[:, None])[:, 0, 0]
-    riles = np.tanh(raw + store["doc_head.bias"].value)
     return [
         DocPrediction(
             manifesto_id=manifesto.id,
             rile_hat=float(rile),
-            codes=tuple(scheme.codes[k] for k in codes[lo:lo + n]),
-            polarities=tuple(POLARITY_ORDER[k] for k in pols[lo:lo + n]),
+            codes=tuple(scheme.codes[k] for k in codes[lo:hi]),
+            polarities=tuple(POLARITY_ORDER[k] for k in pols[lo:hi]),
             doc_vector=vector.copy(),
         )
-        for manifesto, lo, n, vector, rile in zip(batch, starts, counts, doc_vectors, riles)
+        for manifesto, lo, hi, vector, rile in zip(
+            batch, bounds, bounds[1:], doc_vectors.value, scores.value)
     ]
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from polyscale import diffcore as dc
 from polyscale.diffcore import Tensor
+from reference_ops import _stable_sigmoid, row
 
 
 def lstm_step(
@@ -32,7 +33,7 @@ def lstm_step(
     n = hv.shape[0]
     wx, wh = weight.value[:width], weight.value[width:]
     z = xv @ wx + hv @ wh + bias.value
-    gates = dc._stable_sigmoid(z[: 3 * n])
+    gates = _stable_sigmoid(z[: 3 * n])
     i, f, o = gates[:n], gates[n : 2 * n], gates[2 * n :]
     g = np.tanh(z[3 * n :])
     c_next = f * cv + i * g
@@ -72,7 +73,7 @@ def lstm_step(
         np.add(acc, deltas(grad)[1], out=acc)
 
     node = Tensor(out, (x, h, c, weight, bias), (vjp_x, vjp_h, vjp_c, vjp_weight, vjp_bias))
-    return dc.row(node, 0), dc.row(node, 1)
+    return row(node, 0), row(node, 1)
 
 
 def lstm_encode(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_ops as ops
 from polyscale import diffcore as dc
 from reference_lstm import bilstm_encode, lstm_encode
 
@@ -34,10 +35,10 @@ class TestTapeOps:
         ones = dc.constant(np.ones(5))
 
         def loss():
-            s = dc.sigmoid(store["x"])
+            s = ops.sigmoid(store["x"])
             t = dc.tanh(store["y"])
-            q = dc.square(dc.sub(dc.mul(s, t), dc.scale(store["z"], 0.7)))
-            u = dc.add(q, dc.mul(store["x"], store["x"]))
+            q = dc.square(dc.sub(ops.mul(s, t), dc.scale(store["z"], 0.7)))
+            u = dc.add(q, ops.mul(store["x"], store["x"]))
             return dc.matmul(u, ones)
 
         assert dc.check_gradients(loss, store) <= 1e-6
@@ -47,9 +48,9 @@ class TestTapeOps:
         store = make_store_with(rng, a=(4,), b=(4,), w=(8,))
 
         def loss():
-            pa = dc.softmax(store["a"])
-            pb = dc.softmax(store["b"])
-            m = dc.mean([dc.concat([pa, pb]), dc.concat([pb, pa])])
+            pa = ops.softmax(store["a"])
+            pb = ops.softmax(store["b"])
+            m = ops.mean([dc.concat([pa, pb]), dc.concat([pb, pa])])
             return dc.matmul(m, store["w"])
 
         assert dc.check_gradients(loss, store) <= 1e-6
@@ -59,7 +60,7 @@ class TestTapeOps:
         store = make_store_with(rng, table=(6, 3), v=(3,))
 
         def loss():
-            picked = dc.mean([dc.row(store["table"], 1), dc.row(store["table"], 4)])
+            picked = ops.mean([ops.row(store["table"], 1), ops.row(store["table"], 4)])
             return dc.matmul(picked, store["v"])
 
         assert dc.check_gradients(loss, store) <= 1e-6
@@ -75,7 +76,7 @@ class TestTapeOps:
         x = store.add("x", np.array([2.0]))
 
         def loss():
-            y = dc.mul(x, x)  # x^2, both parents are the same node
+            y = ops.mul(x, x)  # x^2, both parents are the same node
             return dc.matmul(y, dc.constant(np.ones(1)))
 
         store.zero_grad()
@@ -102,11 +103,63 @@ class TestTapeOps:
         assert np.all(store["unused"].grad == 0.0)
 
 
+class TestBatchOps:
+    """``segment_mean`` and ``dense`` with a vector weight: the document head."""
+
+    COUNTS = (3, 1, 4)  # a one-row segment between two longer ones
+
+    def test_segment_mean_matches_finite_differences(self):
+        rng = np.random.default_rng(12)
+        store = make_store_with(rng, x=(sum(self.COUNTS), 5))
+        w = rng.normal(size=(len(self.COUNTS), 5))
+
+        def loss():
+            return weighted_sum(dc.segment_mean(store["x"], self.COUNTS), w)
+
+        assert dc.check_gradients(loss, store, epsilon=3e-3) <= 1e-4
+
+    @pytest.mark.parametrize("counts", [(7,), COUNTS])
+    def test_each_segment_equals_mean_rows_of_its_rows_bitwise(self, counts):
+        rng = np.random.default_rng(13)
+        rows = rng.normal(size=(sum(counts), 5))
+        means = dc.segment_mean(dc.constant(rows), counts).value
+        for k, (lo, n) in enumerate(zip(np.cumsum((0,) + counts), counts)):
+            alone = dc.mean_rows(dc.constant(rows[lo:lo + n])).value
+            assert means[k].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("counts", [(3, 0, 5), (), (4, 3), (9,)])
+    def test_segment_mean_rejects_bad_counts(self, counts):
+        x = dc.constant(np.zeros((8, 2)))
+        with pytest.raises(ValueError, match="segment"):
+            dc.segment_mean(x, counts)
+
+    def test_dense_vector_weight_scores_each_row_by_its_own_dot(self):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(9, 40))
+        w, b = dc.constant(rng.normal(size=40)), dc.constant(np.array(0.3))
+        scores = dc.dense(dc.constant(x), w, b).value
+        assert scores.shape == (9,)
+        for k in range(9):
+            one = dc.dense(dc.constant(x[k:k + 1]), w, b).value
+            assert scores[k].tobytes() == one[0].tobytes()
+            assert scores[k] == np.dot(x[k], w.value) + 0.3
+
+    def test_dense_vector_weight_matches_finite_differences(self):
+        rng = np.random.default_rng(16)
+        store = make_store_with(rng, x=(4, 6), w=(6,), b=())
+        v = rng.normal(size=4)
+
+        def loss():
+            return weighted_sum(dc.tanh(dc.dense(store["x"], store["w"], store["b"])), v)
+
+        assert dc.check_gradients(loss, store) <= 1e-6
+
+
 class TestSoftmaxXent:
     def test_peaked_logits_closed_form(self):
         # independent oracle: log(1 + e^-20) via log1p
         expected = math.log1p(math.exp(-20.0))
-        probs, loss = dc.softmax_xent(dc.constant(np.array([10.0, -10.0])), gold=0)
+        probs, loss = ops.softmax_xent(dc.constant(np.array([10.0, -10.0])), gold=0)
         assert float(loss.value) == pytest.approx(expected, rel=1e-6)
         assert float(loss.value) == pytest.approx(2.06e-9, rel=1e-2)
         assert probs.value.sum() == pytest.approx(1.0)
@@ -115,7 +168,7 @@ class TestSoftmaxXent:
         rng = np.random.default_rng(5)
         store = make_store_with(rng, z=(7,))
         store.zero_grad()
-        probs, loss = dc.softmax_xent(store["z"], gold=3)
+        probs, loss = ops.softmax_xent(store["z"], gold=3)
         dc.backward(loss)
         onehot = np.zeros(7)
         onehot[3] = 1.0
@@ -126,13 +179,13 @@ class TestSoftmaxXent:
         store = make_store_with(rng, z=(5,))
 
         def loss():
-            return dc.softmax_xent(store["z"], gold=2)[1]
+            return ops.softmax_xent(store["z"], gold=2)[1]
 
         assert dc.check_gradients(loss, store) <= 1e-7
 
     def test_gold_out_of_range(self):
         with pytest.raises(ValueError, match="range"):
-            dc.softmax_xent(dc.constant(np.zeros(3)), gold=3)
+            ops.softmax_xent(dc.constant(np.zeros(3)), gold=3)
 
 
 class TestLstm:
@@ -263,7 +316,7 @@ class TestLstmSequence:
 
         ref_loss = None
         for b, length in enumerate(self.LENGTHS):
-            seq = [dc.row(table, i) for i in ids[b, :length]]
+            seq = [ops.row(table, i) for i in ids[b, :length]]
             ref_states = lstm_encode(seq, pf, reverse=reverse)
             for t, h in enumerate(ref_states):
                 np.testing.assert_allclose(states.value[b, t], h.value, rtol=0, atol=1e-10)
@@ -289,7 +342,7 @@ class TestLstmSequence:
 
         ref_loss = None
         for b, length in enumerate(self.LENGTHS):
-            seq = [dc.row(table, i) for i in ids[b, :length]]
+            seq = [ops.row(table, i) for i in ids[b, :length]]
             ref_steps, ref_final = bilstm_encode(seq, pf, pb)
             np.testing.assert_allclose(final.value[b], ref_final.value, rtol=0, atol=1e-10)
             terms = [weighted_sum(ref_final, final_w[b])]
@@ -317,7 +370,7 @@ class TestLstmSequence:
         fused_loss = dc.add(weighted_sum(steps, step_w), weighted_sum(final, final_w))
         fused = self.grads_of(store, fused_loss)
 
-        ref_steps, ref_final = bilstm_encode([dc.row(x, t) for t in range(length)], pf, pb)
+        ref_steps, ref_final = bilstm_encode([ops.row(x, t) for t in range(length)], pf, pb)
         np.testing.assert_allclose(final.value, ref_final.value, rtol=0, atol=1e-10)
         ref_loss = weighted_sum(ref_final, final_w)
         for t, s in enumerate(ref_steps):

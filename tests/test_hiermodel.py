@@ -7,6 +7,7 @@ import pytest
 
 import polyscale.diffcore as dc
 import polyscale.hiermodel as hm
+import reference_ops as ops
 from polyscale.corpus import Corpus, LabelScheme, Manifesto, Sentence
 from polyscale.diffcore import check_gradients, constant
 from polyscale.embedalign import EmbeddingTable
@@ -19,7 +20,6 @@ from polyscale.hiermodel import (
     combine_losses,
     document_loss,
     effective_rile,
-    forward_document,
     load_checkpoint,
     predict,
     save_checkpoint,
@@ -77,6 +77,15 @@ def np_softmax(z):
     return e / e.sum()
 
 
+def forward(params, doc):
+    """The shared forward over one unlabeled document: its code and polarity
+    probabilities, document vector and score, as arrays."""
+    unlabeled = np.full(len(doc.sentences), -1)
+    code_probs, pol_probs, _, _, doc_vectors, scores = hm._forward(
+        params, [doc], unlabeled, unlabeled)
+    return code_probs.value, pol_probs.value, doc_vectors.value[0], scores.value[0]
+
+
 class TestVocabulary:
     def test_language_namespacing(self):
         docs = [
@@ -121,34 +130,41 @@ class TestForward:
         self.params, _ = train(self.corpus, tiny_config(epochs=0))
 
     def test_output_shapes(self):
-        doc = self.corpus.manifestos[0]
-        fwd = forward_document(self.params, doc)
-        assert fwd.code_logits.value.shape == (len(doc.sentences), 57)
-        assert fwd.pol_probs.value.shape == (len(doc.sentences), 3)
-        assert fwd.doc_vector.value.shape == (57 + 8,)
-        assert fwd.rile_hat.value.shape == ()
-        assert -1.0 < float(fwd.rile_hat.value) < 1.0
+        docs = self.corpus.manifestos[:3]
+        n = sum(len(doc.sentences) for doc in docs)
+        unlabeled = np.full(n, -1)
+        code_probs, pol_probs, sentence_loss, polarity_loss, doc_vectors, scores = (
+            hm._forward(self.params, docs, unlabeled, unlabeled))
+        assert code_probs.value.shape == (n, 57)
+        assert pol_probs.value.shape == (n, 3)
+        assert sentence_loss is None and polarity_loss is None
+        assert doc_vectors.value.shape == (3, 57 + 8)
+        assert scores.value.shape == (3,)
+        assert np.all(np.abs(scores.value) < 1.0)
 
     def test_doc_vector_is_mean_of_prob_state_blocks(self):
-        fwd = forward_document(self.params, self.corpus.manifestos[0])
-        for logits, probs in zip(fwd.code_logits.value, fwd.code_probs.value):
-            assert np.allclose(np_softmax(logits), probs, atol=1e-12)
-        mean_probs = np.mean(fwd.code_probs.value, axis=0)
-        assert np.allclose(fwd.doc_vector.value[:57], mean_probs, atol=1e-12)
+        doc = self.corpus.manifestos[0]
+        code_probs, _, doc_vector, _ = forward(self.params, doc)
+        states = hm._encode_sentences(self.params, [doc]).value
+        store = self.params.store
+        logits = states @ store["code_head.weight"].value + store["code_head.bias"].value
+        for row, probs in zip(logits, code_probs):
+            assert np.allclose(np_softmax(row), probs, atol=1e-12)
+        assert np.allclose(doc_vector[:57], np.mean(code_probs, axis=0), atol=1e-12)
+        assert np.allclose(doc_vector[57:], np.mean(states, axis=0), atol=1e-12)
 
     def test_document_head_recomputation(self):
-        fwd = forward_document(self.params, self.corpus.manifestos[1])
+        _, _, doc_vector, rile_hat = forward(self.params, self.corpus.manifestos[1])
         w = self.params.store["doc_head.weight"].value
         b = self.params.store["doc_head.bias"].value
-        expected = np.tanh(fwd.doc_vector.value @ w + b)
-        assert float(fwd.rile_hat.value) == pytest.approx(float(expected), rel=1e-12)
+        expected = np.tanh(doc_vector @ w + b)
+        assert float(rile_hat) == pytest.approx(float(expected), rel=1e-12)
 
     def test_forward_is_deterministic(self):
         doc = self.corpus.manifestos[0]
-        a = forward_document(self.params, doc)
-        b = forward_document(self.params, doc)
-        assert np.array_equal(a.rile_hat.value, b.rile_hat.value)
-        assert np.array_equal(a.doc_vector.value, b.doc_vector.value)
+        a = forward(self.params, doc)
+        b = forward(self.params, doc)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 class TestLosses:
@@ -179,10 +195,8 @@ class TestLosses:
         params, _ = train(corpus, tiny_config(epochs=0))
         total, parts = document_loss(params, corpus.manifestos[0])
         assert set(parts) == {"sentence", "doc", "polarity", "structure"}
-        fwd = forward_document(params, corpus.manifestos[0])
-        assert parts["doc"] == pytest.approx(
-            (float(fwd.rile_hat.value) - 0.6) ** 2, rel=1e-9
-        )
+        rile_hat = forward(params, corpus.manifestos[0])[3]
+        assert parts["doc"] == pytest.approx((float(rile_hat) - 0.6) ** 2, rel=1e-9)
 
     def test_document_loss_score_only_doc(self):
         corpus = small_corpus()
@@ -196,8 +210,8 @@ class TestLosses:
         params, _ = train(corpus, tiny_config(epochs=0))
         doc = corpus.manifestos[1]
         _, parts = document_loss(params, doc)
-        fwd = forward_document(params, doc)
-        margins = [float(p[1] - p[0]) for p in fwd.pol_probs.value]
+        pol_probs = forward(params, doc)[1]
+        margins = [float(p[1] - p[0]) for p in pol_probs]
         expected = (float(np.mean(margins)) - doc.rile_gold) ** 2
         assert parts["structure"] == pytest.approx(expected, rel=1e-9)
 
@@ -250,44 +264,48 @@ EDGE_DOCS = {
 
 
 def reference_forward(params, manifesto):
-    """The per-step path: one tape node per LSTM step and per-sentence heads."""
+    """The per-step path: one tape node per LSTM step and per-sentence heads.
+
+    Returns the document vector, score and loss, and each sentence's code
+    and polarity distributions."""
     store, scheme = params.store, params.scheme
     embed = params.embedding_tensor()
     views = {p: (store[f"{p}.weight"], store[f"{p}.bias"])
              for p in ("word_fwd", "word_bwd", "sent_fwd", "sent_bwd")}
     vectors = []
     for sentence in manifesto.sentences:
-        seq = [dc.row(embed, params.vocab.id_of(manifesto.language, tok))
+        seq = [ops.row(embed, params.vocab.id_of(manifesto.language, tok))
                for tok in sentence.tokens]
         vectors.append(bilstm_encode(seq, views["word_fwd"], views["word_bwd"])[1])
     states, _ = bilstm_encode(vectors, views["sent_fwd"], views["sent_bwd"])
-    code_xents, pol_xents, pol_probs, pooled = [], [], [], []
+    code_xents, pol_xents, code_probs, pol_probs, pooled = [], [], [], [], []
     for sentence, state in zip(manifesto.sentences, states):
         logits = dc.add(dc.matmul(state, store["code_head.weight"]), store["code_head.bias"])
         pol_logits = dc.add(dc.matmul(state, store["pol_head.weight"]), store["pol_head.bias"])
         if sentence.gold_code is None:
-            probs, p_probs = dc.softmax(logits), dc.softmax(pol_logits)
+            probs, p_probs = ops.softmax(logits), ops.softmax(pol_logits)
         else:
-            probs, xent = dc.softmax_xent(logits, scheme.index(sentence.gold_code))
+            probs, xent = ops.softmax_xent(logits, scheme.index(sentence.gold_code))
             gold_pol = POLARITY_ORDER.index(scheme.polarity_of(sentence.gold_code))
-            p_probs, p_xent = dc.softmax_xent(pol_logits, gold_pol)
+            p_probs, p_xent = ops.softmax_xent(pol_logits, gold_pol)
             code_xents.append(xent)
             pol_xents.append(p_xent)
+        code_probs.append(probs)
         pol_probs.append(p_probs)
         pooled.append(dc.concat([probs, state]))
-    doc_vector = dc.mean(pooled)
+    doc_vector = ops.mean(pooled)
     rile_hat = dc.tanh(dc.add(dc.matmul(doc_vector, store["doc_head.weight"]),
                               store["doc_head.bias"]))
     target = constant(effective_rile(manifesto, scheme))
     margins = [dc.matmul(p, constant(np.array([-1.0, 1.0, 0.0]))) for p in pol_probs]
     total = combine_losses(
-        dc.mean(code_xents) if code_xents else None,
+        ops.mean(code_xents) if code_xents else None,
         dc.square(dc.sub(rile_hat, target)),
-        dc.mean(pol_xents) if pol_xents else None,
-        dc.square(dc.sub(dc.mean(margins), target)),
+        ops.mean(pol_xents) if pol_xents else None,
+        dc.square(dc.sub(ops.mean(margins), target)),
         params.config.alpha, params.config.beta, params.config.gamma,
     )
-    return doc_vector, rile_hat, total
+    return doc_vector, rile_hat, total, code_probs, pol_probs
 
 
 class TestFusedEncoder:
@@ -301,13 +319,13 @@ class TestFusedEncoder:
         total, _ = document_loss(params, doc)
         dc.backward(total)
         fused = {k: t.grad.copy() for k, t in params.store}
-        fwd = forward_document(params, doc)
+        _, _, fused_vector, fused_rile = forward(params, doc)
 
         params.store.zero_grad()
-        doc_vector, rile_hat, ref_total = reference_forward(params, doc)
+        doc_vector, rile_hat, ref_total, _, _ = reference_forward(params, doc)
         dc.backward(ref_total)
-        assert float(fwd.rile_hat.value) == pytest.approx(float(rile_hat.value), abs=1e-10)
-        np.testing.assert_allclose(fwd.doc_vector.value, doc_vector.value, rtol=0, atol=1e-10)
+        assert float(fused_rile) == pytest.approx(float(rile_hat.value), abs=1e-10)
+        np.testing.assert_allclose(fused_vector, doc_vector.value, rtol=0, atol=1e-10)
         assert float(total.value) == pytest.approx(float(ref_total.value), abs=1e-10)
         for k, t in params.store:
             np.testing.assert_allclose(fused[k], t.grad, rtol=0, atol=1e-10, err_msg=k)
@@ -333,7 +351,7 @@ class TestFusedEncoder:
         loaded = load_checkpoint(tmp_path / "model.pscl")
         docs = corpus.manifestos + tuple(EDGE_DOCS.values())
         for pred, doc in zip(predict(loaded, docs), docs):
-            _, rile_hat, _ = reference_forward(params, doc)
+            rile_hat = reference_forward(params, doc)[1]
             assert pred.rile_hat == pytest.approx(float(rile_hat.value), abs=1e-10)
 
 
@@ -417,23 +435,29 @@ class TestPredict:
 
 
 class TestBatchedPredict:
-    """``predict`` runs documents in batches; ``forward_document`` is the reference."""
+    """``predict`` runs documents in batches; the per-step ``reference_forward``
+    is the reference."""
 
     def setup_method(self):
         self.params, _ = train(small_corpus(), tiny_config())
         self.docs = small_corpus().manifestos + tuple(EDGE_DOCS.values())
+        # trained this briefly, every sentence gets the same code and polarity;
+        # weights out of the near-linear init regime make them differ, so that
+        # rows read in the wrong order show
+        rng = np.random.default_rng(9)  # 4 codes and all 3 polarities over 12 sentences
+        for _, t in self.params.store:
+            t.value[...] = rng.uniform(-1.0, 1.0, size=t.value.shape)
 
     def assert_matches_per_document_pass(self, docs):
         preds = predict(self.params, docs)
         assert [p.manifesto_id for p in preds] == [d.id for d in docs]
         for pred, doc in zip(preds, docs):
-            fwd = forward_document(self.params, doc)
-            assert pred.rile_hat == pytest.approx(float(fwd.rile_hat.value), abs=1e-12)
-            np.testing.assert_allclose(pred.doc_vector, fwd.doc_vector.value, rtol=0, atol=1e-12)
-            assert pred.codes == tuple(
-                SCHEME.codes[k] for k in np.argmax(fwd.code_probs.value, axis=1))
+            doc_vector, rile_hat, _, code_probs, pol_probs = reference_forward(self.params, doc)
+            assert pred.rile_hat == pytest.approx(float(rile_hat.value), abs=1e-10)
+            np.testing.assert_allclose(pred.doc_vector, doc_vector.value, rtol=0, atol=1e-10)
+            assert pred.codes == tuple(SCHEME.codes[np.argmax(p.value)] for p in code_probs)
             assert pred.polarities == tuple(
-                POLARITY_ORDER[k] for k in np.argmax(fwd.pol_probs.value, axis=1))
+                POLARITY_ORDER[np.argmax(p.value)] for p in pol_probs)
             assert pred.doc_vector.base is None
 
     def test_one_batch_matches_per_document_pass(self):
