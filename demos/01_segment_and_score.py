@@ -23,7 +23,7 @@ print(f"label scheme: {len(scheme.codes)} codes "
       f"({sum(1 for c in scheme.codes if scheme.polarity_of(c).value == 'left')} left, "
       f"{sum(1 for c in scheme.codes if scheme.polarity_of(c).value == 'right')} right)")
 
-# The default segmenter splits at sentence-final punctuation, and at
+# The segmenter splits at sentence-final punctuation, and at
 # semicolons when both halves look clausal.
 text = (
     "We will expand public healthcare and protect pension levels. "

@@ -49,7 +49,7 @@ print(f"ground network: {len(network.free_atoms)} free atoms, "
 # Hinge distances at the uniform starting point: the compiled energy has one
 # row per ground rule, and max(row, 0) is that rule's distance to satisfaction.
 x0 = network.initial.copy()
-distances = np.maximum(network.compiled().linear(x0), 0.0)
+distances = np.maximum(network.compiled.linear(x0), 0.0)
 print("\ndistances at the start (value 0.5 everywhere):")
 for rule, d in zip(network.rules, distances):
     body = " & ".join(

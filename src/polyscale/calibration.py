@@ -376,7 +376,6 @@ def stacked_estimates(
     corpus: Corpus,
     config: ModelConfig,
     k: int = 5,
-    embeddings=None,
 ) -> dict:
     """Out-of-fold positions for every corpus document via k-fold refits.
 
@@ -404,7 +403,7 @@ def stacked_estimates(
             raise ValueError(
                 f"fold {fold} leaves no trainable documents to fit on"
             )
-        params, _ = train(rest_corpus, config, embeddings=embeddings)
+        params, _ = train(rest_corpus, config)
         trained_ids = tuple(d.id for d in trainable)
         for pred in predict(params, held_out):
             out[pred.manifesto_id] = StackedEstimate(

@@ -394,7 +394,7 @@ def _cmd_calibrate(args) -> int:
     Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(
         f"calibrated {len(test_docs)} documents "
-        f"({len(result.network)} ground rules, "
+        f"({len(result.network.rules)} ground rules, "
         f"energy {result.map_result.energy:.6g}) -> {args.output}"
     )
     return EXIT_OK

@@ -25,7 +25,7 @@ from datetime import date
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -183,18 +183,13 @@ class Corpus:
                 return m
         raise KeyError(manifesto_id)
 
-    @property
-    def sentence_annotated(self) -> tuple[Manifesto, ...]:
-        """Manifestos in which every sentence carries a gold code."""
-        return tuple(m for m in self.manifestos if m.fully_annotated)
-
 
 def tokenize(text: str) -> tuple[str, ...]:
     """Word tokens: maximal runs of word characters; punctuation is dropped."""
     return tuple(_TOKEN.findall(text))
 
 
-# Default segmentation heuristic.  Splits at sentence-final punctuation, then
+# Segmentation heuristic.  Splits at sentence-final punctuation, then
 # at ";" when both sides contain a verb-like token.  "Verb-like" is a stated
 # default: an auxiliary/copula from the list below, or an alphabetic token of
 # length >= 4 ending in a common verbal suffix.
@@ -229,37 +224,29 @@ def _split_semicolons(piece: str) -> list[str]:
     return out
 
 
-class RuleSegmenter:
-    """Default rule-based splitter; see module notes on the heuristic."""
+def segment(text: str, language: str) -> list[Sentence]:
+    """Split raw text into coding units with the rule-based heuristic above.
 
-    def __call__(self, text: str, language: str) -> list[Sentence]:
-        if not text or not text.strip():
-            raise ValueError("cannot segment empty text")
-        pieces: list[str] = []
-        for chunk in _FINAL_SPLIT.split(text.strip()):
-            pieces.extend(_split_semicolons(chunk))
-        sentences: list[Sentence] = []
-        for piece in pieces:
-            piece = piece.strip()
-            tokens = tokenize(piece)
-            if not tokens:
-                continue
-            sentences.append(
-                Sentence(text=piece, tokens=tokens, position_index=len(sentences) + 1)
-            )
-        if not sentences:
-            raise ValueError("text yielded no tokens")
-        return sentences
-
-
-DEFAULT_SEGMENTER = RuleSegmenter()
-
-Segmenter = Callable[[str, str], list[Sentence]]
-
-
-def segment(text: str, language: str, segmenter: Segmenter | None = None) -> list[Sentence]:
-    """Split raw text into coding units.  Pre-segmented corpora bypass this."""
-    return (segmenter or DEFAULT_SEGMENTER)(text, language)
+    Pre-segmented corpora bypass this.  The heuristic is the same for every
+    ``language``.
+    """
+    if not text or not text.strip():
+        raise ValueError("cannot segment empty text")
+    pieces: list[str] = []
+    for chunk in _FINAL_SPLIT.split(text.strip()):
+        pieces.extend(_split_semicolons(chunk))
+    sentences: list[Sentence] = []
+    for piece in pieces:
+        piece = piece.strip()
+        tokens = tokenize(piece)
+        if not tokens:
+            continue
+        sentences.append(
+            Sentence(text=piece, tokens=tokens, position_index=len(sentences) + 1)
+        )
+    if not sentences:
+        raise ValueError("text yielded no tokens")
+    return sentences
 
 
 def compute_rile(labels: Sequence[str], scheme: LabelScheme) -> float:

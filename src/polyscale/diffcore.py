@@ -2,13 +2,14 @@
 
 Everything is float64 numpy.  A ``Tensor`` wraps a value plus closures that
 accumulate vector-Jacobian products into its parents, so a forward pass builds
-the tape and ``backward`` walks it once.  Ops: matmul, add, sub, scale, tanh,
-square, concat, reshape, the mean over rows (``mean_rows``) and over runs of
-rows (``segment_mean``), batched row lookup (``gather``), a row-wise fused
-softmax cross-entropy, and ``dense`` (matmul plus bias, the one op that
-broadcasts its bias over a batch of rows).  No other broadcasting: operand
-shapes must match exactly where elementwise semantics apply.  Per-vector ops
-that only the tests' reference paths use live in ``tests/reference_ops.py``.
+the tape and ``backward`` walks it once.  Ops: add, sub, scale, tanh, square,
+concat, reshape, the mean over rows (``mean_rows``) and over runs of rows
+(``segment_mean``), batched row lookup (``gather``), a row-wise fused softmax
+cross-entropy (``softmax_xent_rows``), ``dense`` (a batch of rows times a
+weight, plus a bias broadcast over the rows: the one op that broadcasts) and
+the LSTM below.  No other broadcasting: operand shapes must match exactly
+where elementwise semantics apply.  ``matmul`` and the per-vector ops that
+only the tests' reference paths use live in ``tests/reference_ops.py``.
 
 An LSTM direction is two parameters (``init_lstm_params``): one
 (in + hidden, 4 * hidden) weight holding the input and recurrent rows of all
@@ -88,34 +89,6 @@ def backward(root: Tensor) -> None:
             vjp(g, parent.grad)
         if node.parents:
             node.grad = None
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.value, b.value
-    out = av @ bv
-    if av.ndim == 1 and bv.ndim == 2:
-        vjps = (
-            lambda g, acc: np.add(acc, bv @ g, out=acc),
-            lambda g, acc: np.add(acc, np.outer(av, g), out=acc),
-        )
-    elif av.ndim == 2 and bv.ndim == 1:
-        vjps = (
-            lambda g, acc: np.add(acc, np.outer(g, bv), out=acc),
-            lambda g, acc: np.add(acc, av.T @ g, out=acc),
-        )
-    elif av.ndim == 2 and bv.ndim == 2:
-        vjps = (
-            lambda g, acc: np.add(acc, g @ bv.T, out=acc),
-            lambda g, acc: np.add(acc, av.T @ g, out=acc),
-        )
-    elif av.ndim == 1 and bv.ndim == 1:
-        vjps = (
-            lambda g, acc: np.add(acc, g * bv, out=acc),
-            lambda g, acc: np.add(acc, g * av, out=acc),
-        )
-    else:
-        raise ValueError(f"matmul: unsupported ndim pair {av.ndim}, {bv.ndim}")
-    return Tensor(out, (a, b), vjps)
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -521,31 +494,30 @@ def bilstm_batch(
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """``x @ weight + bias`` as one node; a 2-D ``x`` is a batch of rows.
+    """``x @ weight + bias`` as one node over a (rows, K) batch ``x``.
 
     A 1-D ``weight`` with a scalar ``bias`` gives one score per row, each
     row's own dot product, so a row scores the same bits in any batch (a
     matrix-vector product sums in an order that depends on the batch).
     """
     xv, wv = x.value, weight.value
-    if wv.ndim not in (1, 2) or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[0]:
+    if wv.ndim not in (1, 2) or xv.ndim != 2 or xv.shape[1] != wv.shape[0]:
         raise ValueError(f"dense: shape mismatch {xv.shape} @ {wv.shape}")
     if bias.value.shape != wv.shape[1:]:
         raise ValueError(f"dense: bias shape {bias.value.shape} for weight {wv.shape}")
-    x2 = xv.reshape(-1, wv.shape[0])
     if wv.ndim == 1:  # stacked (1, K) @ (K, 1) products: one dot per row
-        out = (x2[:, None, :] @ wv[:, None])[:, 0, 0].reshape(xv.shape[:-1])
+        out = (xv[:, None, :] @ wv[:, None])[:, 0, 0]
         vjps = (
             lambda g, acc: np.add(acc, np.multiply.outer(g, wv), out=acc),
-            lambda g, acc: np.add(acc, g.reshape(-1) @ x2, out=acc),
+            lambda g, acc: np.add(acc, g @ xv, out=acc),
             lambda g, acc: np.add(acc, g.sum(), out=acc),
         )
     else:
         out = xv @ wv
         vjps = (
             lambda g, acc: np.add(acc, g @ wv.T, out=acc),
-            lambda g, acc: np.add(acc, x2.T @ g.reshape(x2.shape[0], -1), out=acc),
-            lambda g, acc: np.add(acc, g.reshape(-1, wv.shape[1]).sum(axis=0), out=acc),
+            lambda g, acc: np.add(acc, xv.T @ g, out=acc),
+            lambda g, acc: np.add(acc, g.sum(axis=0), out=acc),
         )
     return Tensor(out + bias.value, (x, weight, bias), vjps)
 
@@ -553,13 +525,13 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 class Adam:
     """Adam with global gradient-norm clipping, applied in place."""
 
-    def __init__(self, store: ParameterStore, lr=1e-3, beta1=0.9, beta2=0.999,
-                 eps=1e-8, clip_norm=5.0):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, store: ParameterStore, lr=1e-3, clip_norm=5.0):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
         self._m = {name: np.zeros_like(t.value) for name, t in store}
@@ -569,7 +541,7 @@ class Adam:
         self.t += 1
         norm = self.store.grad_norm()
         factor = 1.0
-        if self.clip_norm is not None and norm > self.clip_norm:
+        if norm > self.clip_norm:
             factor = self.clip_norm / norm
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t

@@ -108,11 +108,10 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     return EmbeddingTable(words, np.vstack(rows))
 
 
-def save_embeddings(table: EmbeddingTable, path: str | Path, header: bool = True) -> None:
+def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"{len(table)} {table.dim}\n")
+        fh.write(f"{len(table)} {table.dim}\n")
         for word, vec in zip(table.words, table.matrix):
             fh.write(word + " " + " ".join(repr(float(v)) for v in vec) + "\n")
 
@@ -160,9 +159,9 @@ class ProjectionMatrix:
         check_orthogonal(self.matrix)
 
 
-def check_orthogonal(w: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> float:
+def check_orthogonal(w: np.ndarray) -> float:
     dev = float(np.abs(w.T @ w - np.eye(w.shape[1])).max())
-    if dev > tol:
+    if dev > ORTHOGONALITY_TOL:
         raise ValueError(f"matrix is not orthogonal (max deviation {dev:.3e})")
     return dev
 

@@ -32,7 +32,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,6 +75,8 @@ class ModelConfig:
             raise ValueError("epochs must be nonnegative")
         if self.vocab_cap < 1:
             raise ValueError("vocab_cap must be positive")
+        if not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
 
 
 @dataclass(frozen=True)
@@ -310,7 +312,7 @@ def document_loss(
     l_structure = None
     if target is not None:
         l_doc = dc.square(dc.sub(dc.reshape(score, ()), dc.constant(target)))
-        margins = dc.matmul(pol_probs, dc.constant(_STRUC_SIGNS))
+        margins = dc.dense(pol_probs, dc.constant(_STRUC_SIGNS), dc.constant(0.0))
         l_structure = dc.square(dc.sub(dc.mean_rows(margins), dc.constant(target)))
     total = combine_losses(l_sentence, l_doc, l_polarity, l_structure,
                            config.alpha, config.beta, config.gamma)
@@ -336,7 +338,6 @@ def train(
     corpus: Corpus,
     config: ModelConfig | None = None,
     embeddings: EmbeddingTable | None = None,
-    trace: Callable[[EpochLog], None] | None = None,
 ) -> tuple[HierParams, list[EpochLog]]:
     """Fit on every document with a usable document-level target.
 
@@ -385,8 +386,6 @@ def train(
         )
         logs.append(entry)
         log.info("epoch %d mean loss %.6f", entry.epoch, entry.mean_loss)
-        if trace is not None:
-            trace(entry)
     return params, logs
 
 

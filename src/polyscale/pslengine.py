@@ -33,7 +33,10 @@ looked up at once, exact prunes apply as masks, and the kept rows are
 written straight into the flat arrays the solver uses (one row per ground
 rule: a constant, a weight, an exponent, and (row, free atom, coefficient)
 entries).  ``GroundRule`` objects are built only when a caller reads
-``GroundNetwork.rules``.
+``GroundNetwork.rules``.  The energy, and the smoothed energy and gradient
+that MAP descends, are computed from those arrays alone; the reference that
+compiles hand-built ``GroundRule`` lists into them lives in the tests
+(``tests/reference_grounder.py``).
 
 Each source rule grounds independently of the others into one block of
 rows, so ``GroundNetwork.select`` can cut any subset of rules out of one
@@ -49,7 +52,7 @@ import itertools
 import logging
 import operator
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -110,11 +113,6 @@ class Rule:
 class PslProgram:
     predicates: dict[str, Predicate]
     rules: list[Rule]
-
-    def __eq__(self, other):
-        if not isinstance(other, PslProgram):
-            return NotImplemented
-        return self.predicates == other.predicates and self.rules == other.rules
 
     def subset(self, indices: Iterable[int]) -> "PslProgram":
         """Same predicates, only the selected rules (ablation support)."""
@@ -360,44 +358,29 @@ class RuleStats:
 
 
 class GroundNetwork:
-    """Ground rules over indexed free atoms, with compiled energy arrays.
+    """Ground rules over indexed free atoms, with their compiled energy arrays.
 
-    ``GroundNetwork(free_atoms, initial, rules)`` compiles hand-built
-    ``GroundRule`` objects on first use.  ``ground`` builds the network from
-    its compiled arrays instead (``from_compiled``); its ``rules`` is then a
-    read-only sequence that builds each ``GroundRule`` only when read.
-    ``stats`` holds one ``RuleStats`` per source rule of a grounded program.
+    ``ground`` builds it from what it writes: ``compiled`` holds one energy
+    row per rule of ``rules``, a read-only sequence that builds each
+    ``GroundRule`` only when read, and ``stats`` holds one ``RuleStats`` per
+    source rule.  ``add_prior`` appends rows to ``compiled`` that ``rules``
+    does not list.
     """
 
     def __init__(self, free_atoms: Sequence[Atom], initial: np.ndarray,
-                 rules: Sequence[GroundRule]):
+                 compiled: "_Compiled", rules: Sequence[GroundRule],
+                 stats: Sequence[RuleStats]):
         self.free_atoms = tuple(free_atoms)
         self.free_index = {a: i for i, a in enumerate(self.free_atoms)}
         self.initial = np.asarray(initial, dtype=np.float64)
-        self.rules = list(rules)
-        self.stats: tuple[RuleStats, ...] = ()
+        self.compiled = compiled
+        self.rules = rules
+        self.stats = tuple(stats)
         self._prior_rows = 0
-        self._compiled = None
-
-    @classmethod
-    def from_compiled(cls, free_atoms: Sequence[Atom], initial: np.ndarray,
-                      compiled: "_Compiled", rules: Sequence[GroundRule],
-                      stats: Sequence[RuleStats]) -> "GroundNetwork":
-        """A network whose energy rows are ``compiled``, one per rule of ``rules``."""
-        network = cls(free_atoms, initial, ())
-        network.rules = rules
-        network.stats = tuple(stats)
-        network._compiled = compiled
-        return network
 
     def __len__(self):
         """Number of hinge rows in the energy: the ground rules, then any prior."""
         return len(self.rules) + self._prior_rows
-
-    def compiled(self):
-        if self._compiled is None:
-            self._compiled = _compile(self)
-        return self._compiled
 
     def add_prior(self, weight: float) -> None:
         """Pull every free atom toward its initial value with a squared hinge.
@@ -418,7 +401,7 @@ class GroundNetwork:
             np.tile([-1.0, 1.0], n),
             n,
         )
-        self._compiled = _concat([self.compiled(), prior], n)
+        self.compiled = _concat([self.compiled, prior], n)
         self._prior_rows += 2 * n
 
     def select(self, rule_indices: Iterable[int]) -> "GroundNetwork":
@@ -431,7 +414,7 @@ class GroundNetwork:
         """
         if self._prior_rows:
             raise ValueError("cannot select rule blocks from a network with prior rows")
-        comp = self.compiled()
+        comp = self.compiled
         row_ends = np.cumsum([s.rows for s in self.stats], dtype=np.intp)
         entry_ends = np.searchsorted(comp.entry_rule, row_ends)
         parts, blocks, stats = [], [], []
@@ -447,7 +430,7 @@ class GroundNetwork:
             blocks.append(self.rules.blocks[k])
             stats.append(self.stats[k])
         n = len(self.free_atoms)
-        return GroundNetwork.from_compiled(
+        return GroundNetwork(
             self.free_atoms, self.initial.copy(), _concat(parts, n), _GroundRules(blocks), stats
         )
 
@@ -459,7 +442,7 @@ class GroundNetwork:
             )
         if len(values) and (values.min() < 0.0 or values.max() > 1.0):
             raise ValueError("assignment values must lie in [0, 1]")
-        return self.compiled().energy(values)
+        return self.compiled.energy(values)
 
     def values_by_atom(self, values: np.ndarray) -> dict[Atom, float]:
         return {atom: float(values[i]) for atom, i in self.free_index.items()}
@@ -505,12 +488,6 @@ class _Compiled:
         d = np.maximum(u, 0.0)
         return float(np.sum(self.weights * np.where(self.is_linear, d, d * d)))
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        d = np.maximum(self.linear(x), 0.0)
-        # d(w * d^rho)/d(linear): rho=1 -> w on the active set, rho=2 -> 2 w d
-        slope = np.where(self.is_linear, self.weights * (d > 0), 2.0 * self.weights * d)
-        return self._pull_back(slope)
-
     def smoothed_energy_at(self, u: np.ndarray, mu: float) -> float:
         """Energy with linear hinges replaced by their Huber smoothing.
 
@@ -540,38 +517,6 @@ class _Compiled:
             weights=self.entry_coef * slope[self.entry_rule],
             minlength=self.n_free,
         )
-
-
-def _compile(network: GroundNetwork) -> _Compiled:
-    consts, weights, rhos = [], [], []
-    entry_rule, entry_free, entry_coef = [], [], []
-    for r, rule in enumerate(network.rules):
-        const = -(len(rule.body) - 1.0)
-        for lit, head in [(l, False) for l in rule.body] + [(rule.head, True)]:
-            sign = -1.0 if head else 1.0
-            if lit.negated:
-                const += sign * 1.0
-                coef = -sign
-            else:
-                coef = sign
-            if lit.free_index is not None:
-                entry_rule.append(r)
-                entry_free.append(lit.free_index)
-                entry_coef.append(coef)
-            else:
-                const += coef * lit.observed_value
-        consts.append(const)
-        weights.append(rule.weight)
-        rhos.append(rule.exponent)
-    return _Compiled(
-        np.asarray(consts, dtype=np.float64),
-        np.asarray(weights, dtype=np.float64),
-        np.asarray(rhos, dtype=np.int64),
-        np.asarray(entry_rule, dtype=np.intp),
-        np.asarray(entry_free, dtype=np.intp),
-        np.asarray(entry_coef, dtype=np.float64),
-        len(network.free_atoms),
-    )
 
 
 def _concat(parts: Sequence[_Compiled], n_free: int) -> _Compiled:
@@ -838,7 +783,7 @@ def _ground_rule(rule: Rule, program: PslProgram, relations: dict, constants: li
 
     free, value = free[keep], value[keep]
     rows = _RuleRows(rule, constants, [a[keep] for a in args], free, value)
-    # the reference arithmetic of _compile, one literal at a time
+    # the arithmetic of tests/reference_grounder.compile_rules, one literal at a time
     const = np.full(len(free), -(len(rule.body) - 1.0))
     coefs = np.empty(len(literals))
     for j, lit in enumerate(literals):
@@ -897,7 +842,7 @@ def ground(program: PslProgram, db: RelationalDatabase) -> GroundNetwork:
         parts.append(compiled)
         blocks.append(rows)
         stats.append(rule_stats)
-    network = GroundNetwork.from_compiled(
+    network = GroundNetwork(
         free_atoms, initial, _concat(parts, len(free_atoms)), _GroundRules(blocks), stats
     )
     pruned = {k: sum(getattr(s, k) for s in stats)
@@ -934,11 +879,7 @@ class MapResult:
     levels: tuple[MapLevel, ...] = ()  # in solving order; the last is where it stopped
 
 
-def map_inference(
-    network: GroundNetwork,
-    config: SolverConfig | None = None,
-    initial: np.ndarray | Mapping[Atom, float] | None = None,
-) -> MapResult:
+def map_inference(network: GroundNetwork, config: SolverConfig | None = None) -> MapResult:
     """Minimize the network energy over [0, 1]^n by projected gradient.
 
     Plain (sub)gradient steps stall on this energy: at a kink where a
@@ -953,21 +894,11 @@ def map_inference(
     the exact (unsmoothed) energy of the best iterate, and one ``MapLevel``
     per level run.  The hinge rows of each iterate are computed once: the
     line search's accepted trial hands its rows to the next gradient.
+    Descent starts from ``network.initial``, the targets' initial values.
     """
     config = config or SolverConfig()
-    n = len(network.free_atoms)
-    if initial is None:
-        x = network.initial.copy()
-    elif isinstance(initial, Mapping):
-        x = network.initial.copy()
-        for atom, value in initial.items():
-            x[network.free_index[atom]] = value
-    else:
-        x = np.asarray(initial, dtype=np.float64).copy()
-        if x.shape != (n,):
-            raise ValueError(f"initial values must have shape ({n},)")
-    np.clip(x, 0.0, 1.0, out=x)
-    if n == 0 or len(network) == 0:
+    x = np.clip(network.initial, 0.0, 1.0)
+    if len(network.free_atoms) == 0 or len(network) == 0:
         return MapResult(x, network.energy(x), 0, True)
     if not (0.0 < config.smoothing_decay < 1.0):
         raise ValueError("smoothing_decay must lie in (0, 1)")
@@ -979,7 +910,7 @@ def map_inference(
         mu *= config.smoothing_decay
     mus.append(config.smoothing_final)
 
-    comp = network.compiled()
+    comp = network.compiled
     u = comp.linear(x)
     best_x, best_f = x.copy(), comp.energy_at(u)
     iterations = 0

@@ -3,9 +3,14 @@
 It extends one dict per substitution and builds a ``GroundLiteral`` for every
 literal of every candidate row.  Tests compare the array grounder's compiled
 arrays, rules and prune counts against the network this builds.
+``compile_rules`` is the reference for the arrays: it compiles a list of
+``GroundRule`` objects one literal at a time, and ``network_of`` builds a
+``GroundNetwork`` from hand-built rules with it.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +25,48 @@ from polyscale.pslengine import (
     RelationalDatabase,
     RuleStats,
     _check_arities,
+    _Compiled,
 )
+
+
+def compile_rules(rules: Sequence[GroundRule], n_free: int) -> _Compiled:
+    """The energy arrays of ``rules``, one hinge row per rule."""
+    consts, weights, rhos = [], [], []
+    entry_rule, entry_free, entry_coef = [], [], []
+    for r, rule in enumerate(rules):
+        const = -(len(rule.body) - 1.0)
+        for lit, head in [(l, False) for l in rule.body] + [(rule.head, True)]:
+            sign = -1.0 if head else 1.0
+            if lit.negated:
+                const += sign * 1.0
+                coef = -sign
+            else:
+                coef = sign
+            if lit.free_index is not None:
+                entry_rule.append(r)
+                entry_free.append(lit.free_index)
+                entry_coef.append(coef)
+            else:
+                const += coef * lit.observed_value
+        consts.append(const)
+        weights.append(rule.weight)
+        rhos.append(rule.exponent)
+    return _Compiled(
+        np.asarray(consts, dtype=np.float64),
+        np.asarray(weights, dtype=np.float64),
+        np.asarray(rhos, dtype=np.int64),
+        np.asarray(entry_rule, dtype=np.intp),
+        np.asarray(entry_free, dtype=np.intp),
+        np.asarray(entry_coef, dtype=np.float64),
+        n_free,
+    )
+
+
+def network_of(free_atoms: Sequence[Atom], initial, rules: Sequence[GroundRule],
+               stats: Sequence[RuleStats] = ()) -> GroundNetwork:
+    """A network of hand-built ground rules, compiled by ``compile_rules``."""
+    return GroundNetwork(free_atoms, initial, compile_rules(rules, len(free_atoms)),
+                         rules, stats)
 
 
 def _binder_pools(program: PslProgram, db: RelationalDatabase):
@@ -184,6 +230,4 @@ def reference_ground(program: PslProgram, db: RelationalDatabase) -> GroundNetwo
                 GroundRule(rule.weight, rule.exponent, tuple(body), head)
             )
         per_rule.append(RuleStats(rows=len(ground_rules) - kept, **stats))
-    network = GroundNetwork(free_atoms, initial, ground_rules)
-    network.stats = tuple(per_rule)
-    return network
+    return network_of(free_atoms, initial, ground_rules, per_rule)

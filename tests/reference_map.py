@@ -58,7 +58,7 @@ def reference_map(network: GroundNetwork, config: SolverConfig | None = None):
         mu *= config.smoothing_decay
     levels.append(config.smoothing_final)
 
-    comp = network.compiled()
+    comp = network.compiled
     best_x, best_f = x.copy(), _energy(comp, x)
     iterations = 0
     converged = True

@@ -1,9 +1,10 @@
 """Per-vector tape ops that only the tests' reference paths use.
 
 ``diffcore`` runs the model on batches of rows; these ops take one vector
-(or one row) at a time.  The per-step LSTM (``reference_lstm``), the
-per-sentence model pass ``test_hiermodel.reference_forward`` and the op
-tests in ``test_diffcore`` build their tapes from them.
+(or one row) at a time, and ``matmul`` takes any pairing of vectors and
+matrices.  The per-step LSTM (``reference_lstm``), the per-sentence model
+pass ``test_hiermodel.reference_forward`` and the op tests in
+``test_diffcore`` build their tapes from them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,34 @@ import numpy as np
 
 from polyscale import diffcore as dc
 from polyscale.diffcore import Tensor
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    av, bv = a.value, b.value
+    out = av @ bv
+    if av.ndim == 1 and bv.ndim == 2:
+        vjps = (
+            lambda g, acc: np.add(acc, bv @ g, out=acc),
+            lambda g, acc: np.add(acc, np.outer(av, g), out=acc),
+        )
+    elif av.ndim == 2 and bv.ndim == 1:
+        vjps = (
+            lambda g, acc: np.add(acc, np.outer(g, bv), out=acc),
+            lambda g, acc: np.add(acc, av.T @ g, out=acc),
+        )
+    elif av.ndim == 2 and bv.ndim == 2:
+        vjps = (
+            lambda g, acc: np.add(acc, g @ bv.T, out=acc),
+            lambda g, acc: np.add(acc, av.T @ g, out=acc),
+        )
+    elif av.ndim == 1 and bv.ndim == 1:
+        vjps = (
+            lambda g, acc: np.add(acc, g * bv, out=acc),
+            lambda g, acc: np.add(acc, g * av, out=acc),
+        )
+    else:
+        raise ValueError(f"matmul: unsupported ndim pair {av.ndim}, {bv.ndim}")
+    return Tensor(out, (a, b), vjps)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

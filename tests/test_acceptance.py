@@ -51,6 +51,7 @@ from polyscale.pslengine import (
     print_program,
 )
 from polyscale.synthetic import make_planted_corpus
+from reference_grounder import network_of
 from reference_hinge import distance_to_satisfaction
 
 RULES_PATH = Path(__file__).resolve().parents[1] / "src/polyscale/assets/position_rules.psl"
@@ -240,7 +241,7 @@ def _random_network(rng: np.random.Generator) -> GroundNetwork:
             body=tuple(literals[:-1]),
             head=literals[-1],
         ))
-    return GroundNetwork(free_atoms, rng.uniform(0.0, 1.0, n_free), rules)
+    return network_of(free_atoms, rng.uniform(0.0, 1.0, n_free), rules)
 
 
 def _rule_affine(rule: GroundRule, n_free: int) -> tuple[np.ndarray, float]:

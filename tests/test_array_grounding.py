@@ -39,13 +39,12 @@ from polyscale.pslengine import (
     RelationalDatabase,
     Rule,
     SolverConfig,
-    _compile,
     ground,
     map_inference,
     parse_program,
 )
 from polyscale.synthetic import make_planted_corpus
-from reference_grounder import reference_ground
+from reference_grounder import network_of, reference_ground
 from reference_hinge import distance_to_satisfaction
 from reference_map import reference_map
 
@@ -53,7 +52,7 @@ ARRAYS = ("consts", "weights", "rhos", "entry_rule", "entry_free", "entry_coef")
 
 
 def assert_bitwise_equal(network, reference):
-    got, want = network.compiled(), _compile(reference)
+    got, want = network.compiled, reference.compiled
     for name in ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
@@ -146,7 +145,7 @@ def assert_select_matches_ground(network, program, db, indices):
     """A cut of ``network`` equals grounding the selected rules alone."""
     cut = network.select(indices)
     want = ground(program.subset(indices), db)
-    got_arrays, want_arrays = cut.compiled(), want.compiled()
+    got_arrays, want_arrays = cut.compiled, want.compiled
     for name in ARRAYS:
         a, b = getattr(got_arrays, name), getattr(want_arrays, name)
         assert a.dtype == b.dtype, name
@@ -466,13 +465,15 @@ def test_a_run_stopped_by_max_iterations_ends_at_the_level_it_stopped_in(full_ma
 def reference_calibration(db, program, prior_weight):
     """Ground with the reference and append the prior as two ground rules per
     target, each with a fixed literal holding the anchor."""
-    network = reference_ground(program, db)
+    grounded = reference_ground(program, db)
+    rules = list(grounded.rules)
     for atom, initial in db.targets.items():
         anchor = 0.5 if initial is None else float(initial)
-        free = GroundLiteral(atom[0], atom[1], False, network.free_index[atom], None)
+        free = GroundLiteral(atom[0], atom[1], False, grounded.free_index[atom], None)
         fixed = GroundLiteral("prior", atom[1], False, None, anchor)
-        network.rules.append(GroundRule(prior_weight, 2, (fixed,), free))
-        network.rules.append(GroundRule(prior_weight, 2, (free,), fixed))
+        rules.append(GroundRule(prior_weight, 2, (fixed,), free))
+        rules.append(GroundRule(prior_weight, 2, (free,), fixed))
+    network = network_of(grounded.free_atoms, grounded.initial, rules)
     return network, map_inference(network)
 
 

@@ -268,6 +268,25 @@ class TestCalibrate:
         assert code == 0
         assert out.exists()
 
+    def test_summary_counts_ground_rules_without_prior_rows(self, workdir, tmp_path,
+                                                              capsys):
+        root, _ = workdir
+        counts = []
+        for prior in ("0", "1"):
+            code = main([
+                "calibrate",
+                "--model", str(root / "model.pscl"),
+                "--corpus", str(root / "corpus.jsonl"),
+                "--party-graph", str(root / "graph.tsv"),
+                "--prior-weight", prior,
+                "--output", str(tmp_path / f"c{prior}.tsv"),
+            ])
+            assert code == 0
+            summary = capsys.readouterr().out
+            counts.append(int(summary.split("(", 1)[1].split(" ground rules")[0]))
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
+
     def test_unknown_group_is_usage_error(self, workdir, tmp_path):
         root, _ = workdir
         code = main([

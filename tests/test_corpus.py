@@ -7,12 +7,10 @@ from polyscale.corpus import (
     CorpusFormatError,
     LabelScheme,
     Polarity,
-    Sentence,
     compute_rile,
     load_corpus,
     save_corpus,
     segment,
-    tokenize,
 )
 
 
@@ -122,13 +120,6 @@ class TestSegment:
         for s in segment("Ja, wir stimmen zu. Nein!", "de"):
             assert s.tokens
 
-    def test_pluggable_segmenter(self):
-        def one_blob(text, language):
-            return [Sentence(text=text, tokens=tokenize(text), position_index=1)]
-
-        got = segment("A. B.", "en", segmenter=one_blob)
-        assert len(got) == 1
-
 
 def write_corpus_file(tmp_path, records):
     path = tmp_path / "corpus.jsonl"
@@ -167,7 +158,6 @@ class TestLoadCorpus:
         assert m.sentences[1].gold_code is None
         assert m.sentences[0].position_index == 1
         assert not m.fully_annotated
-        assert corpus.sentence_annotated == ()
 
     def test_fully_annotated_detection(self, tmp_path):
         rec = make_record(
@@ -178,7 +168,6 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(write_corpus_file(tmp_path, [rec]))
         assert corpus.get("m1").fully_annotated
-        assert len(corpus.sentence_annotated) == 1
 
     def test_unknown_code_names_line(self, tmp_path):
         bad = make_record(mid="m2", sentences=[{"text": "Hello there.", "code": "999"}])

@@ -23,9 +23,9 @@ class TestTapeOps:
         store = make_store_with(rng, a=(4,), w=(4, 3), m=(3, 3), v=(3,))
 
         def loss():
-            x = dc.matmul(store["a"], store["w"])
-            x = dc.matmul(x, store["m"])
-            return dc.matmul(x, store["v"])
+            x = ops.matmul(store["a"], store["w"])
+            x = ops.matmul(x, store["m"])
+            return ops.matmul(x, store["v"])
 
         assert dc.check_gradients(loss, store) <= 1e-6
 
@@ -39,7 +39,7 @@ class TestTapeOps:
             t = dc.tanh(store["y"])
             q = dc.square(dc.sub(ops.mul(s, t), dc.scale(store["z"], 0.7)))
             u = dc.add(q, ops.mul(store["x"], store["x"]))
-            return dc.matmul(u, ones)
+            return ops.matmul(u, ones)
 
         assert dc.check_gradients(loss, store) <= 1e-6
 
@@ -51,7 +51,7 @@ class TestTapeOps:
             pa = ops.softmax(store["a"])
             pb = ops.softmax(store["b"])
             m = ops.mean([dc.concat([pa, pb]), dc.concat([pb, pa])])
-            return dc.matmul(m, store["w"])
+            return ops.matmul(m, store["w"])
 
         assert dc.check_gradients(loss, store) <= 1e-6
 
@@ -61,7 +61,7 @@ class TestTapeOps:
 
         def loss():
             picked = ops.mean([ops.row(store["table"], 1), ops.row(store["table"], 4)])
-            return dc.matmul(picked, store["v"])
+            return ops.matmul(picked, store["v"])
 
         assert dc.check_gradients(loss, store) <= 1e-6
         # untouched rows keep zero gradient
@@ -77,7 +77,7 @@ class TestTapeOps:
 
         def loss():
             y = ops.mul(x, x)  # x^2, both parents are the same node
-            return dc.matmul(y, dc.constant(np.ones(1)))
+            return ops.matmul(y, dc.constant(np.ones(1)))
 
         store.zero_grad()
         dc.backward(loss())
@@ -99,7 +99,7 @@ class TestTapeOps:
         rng = np.random.default_rng(4)
         store = make_store_with(rng, used=(3,), unused=(3,))
         store.zero_grad()
-        dc.backward(dc.matmul(store["used"], dc.constant(np.ones(3))))
+        dc.backward(ops.matmul(store["used"], dc.constant(np.ones(3))))
         assert np.all(store["unused"].grad == 0.0)
 
 
@@ -143,6 +143,26 @@ class TestBatchOps:
             one = dc.dense(dc.constant(x[k:k + 1]), w, b).value
             assert scores[k].tobytes() == one[0].tobytes()
             assert scores[k] == np.dot(x[k], w.value) + 0.3
+        with pytest.raises(ValueError, match="dense: shape mismatch"):
+            dc.dense(dc.constant(x[0]), w, b)
+
+    def test_dense_structure_margins_equal_matmul_bitwise(self):
+        """The model's structure margins: (S, 3) polarity probabilities times
+        the (-1, 1, 0) signs, with a zero bias, in values and gradients."""
+        rng = np.random.default_rng(17)
+        signs = dc.constant(np.array([-1.0, 1.0, 0.0]))
+        for _ in range(300):
+            logits = rng.normal(size=(int(rng.integers(1, 9)), 3)) * 3.0
+            p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+            g = rng.normal(size=len(p))
+            results = []
+            for margins_of in (lambda t: dc.dense(t, signs, dc.constant(0.0)),
+                               lambda t: ops.matmul(t, signs)):
+                probs = dc.ParameterStore().add("probs", p)
+                margins = margins_of(probs)
+                dc.backward(weighted_sum(margins, g))
+                results.append((margins.value.tobytes(), probs.grad.tobytes()))
+            assert results[0] == results[1]
 
     def test_dense_vector_weight_matches_finite_differences(self):
         rng = np.random.default_rng(16)
@@ -268,7 +288,7 @@ class TestLstm:
         def loss():
             seq = [dc.constant(v) for v in vecs]
             _, final = bilstm_encode(seq, pf, pb)
-            return dc.matmul(final, w)
+            return ops.matmul(final, w)
 
         assert dc.check_gradients(loss, store, epsilon=1e-4) <= 1e-4
 
@@ -400,12 +420,12 @@ class TestAdam:
         for _ in range(400):
             store.zero_grad()
             diff = dc.sub(x, target)
-            loss = dc.matmul(diff, diff)
+            loss = ops.matmul(diff, diff)
             if first is None:
                 first = float(loss.value)
             dc.backward(loss)
             opt.step()
-        final = float(dc.matmul(dc.sub(x, target), dc.sub(x, target)).value)
+        final = float(ops.matmul(dc.sub(x, target), dc.sub(x, target)).value)
         assert final < 1e-3 < first
 
     def test_clipping_bounds_update(self):

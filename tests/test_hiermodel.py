@@ -280,8 +280,8 @@ def reference_forward(params, manifesto):
     states, _ = bilstm_encode(vectors, views["sent_fwd"], views["sent_bwd"])
     code_xents, pol_xents, code_probs, pol_probs, pooled = [], [], [], [], []
     for sentence, state in zip(manifesto.sentences, states):
-        logits = dc.add(dc.matmul(state, store["code_head.weight"]), store["code_head.bias"])
-        pol_logits = dc.add(dc.matmul(state, store["pol_head.weight"]), store["pol_head.bias"])
+        logits = dc.add(ops.matmul(state, store["code_head.weight"]), store["code_head.bias"])
+        pol_logits = dc.add(ops.matmul(state, store["pol_head.weight"]), store["pol_head.bias"])
         if sentence.gold_code is None:
             probs, p_probs = ops.softmax(logits), ops.softmax(pol_logits)
         else:
@@ -294,10 +294,10 @@ def reference_forward(params, manifesto):
         pol_probs.append(p_probs)
         pooled.append(dc.concat([probs, state]))
     doc_vector = ops.mean(pooled)
-    rile_hat = dc.tanh(dc.add(dc.matmul(doc_vector, store["doc_head.weight"]),
+    rile_hat = dc.tanh(dc.add(ops.matmul(doc_vector, store["doc_head.weight"]),
                               store["doc_head.bias"]))
     target = constant(effective_rile(manifesto, scheme))
-    margins = [dc.matmul(p, constant(np.array([-1.0, 1.0, 0.0]))) for p in pol_probs]
+    margins = [ops.matmul(p, constant(np.array([-1.0, 1.0, 0.0]))) for p in pol_probs]
     total = combine_losses(
         ops.mean(code_xents) if code_xents else None,
         dc.square(dc.sub(rile_hat, target)),

@@ -1,5 +1,6 @@
 """Source hygiene: no module in ``src/`` or ``tests/`` imports a name it never
-uses, and every top-level function and class of the package has a caller."""
+uses, every top-level function and class of the package has a caller, and
+every method of a package class has one outside the tests."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,8 @@ PACKAGE = sorted((ROOT / "src" / "polyscale").rglob("*.py"))
 # the package's ``__init__`` only re-exports, so it calls nothing
 CALLERS = [p for p in PACKAGE if p.name != "__init__.py"] + [
     p for d in ("tests", "demos", "bench") for p in sorted((ROOT / d).glob("*.py"))]
+# a method that only tests call is a path the program never takes
+PROGRAM_CALLERS = [p for p in CALLERS if p.parent.name != "tests"]
 
 
 def imported_names(tree):
@@ -74,18 +77,30 @@ def named(tree):
             yield node.name
 
 
-def uncalled(defining, calling):
+def methods(tree):
+    """("Class.method", line) of every method of every class, dunders aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item.lineno
+
+
+def uncalled(defining, calling, defined=definitions):
     """(module, line, name) of each definition in ``defining`` (module name
-    to tree) that no tree in ``calling`` names."""
+    to tree) that no tree in ``calling`` names; a method counts as named by
+    its own name."""
     names = {name for tree in calling for name in named(tree)}
     return [(module, line, name) for module, tree in defining.items()
-            for name, line in definitions(tree) if name not in names]
+            for name, line in defined(tree) if name.rsplit(".", 1)[-1] not in names]
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def test_every_package_definition_has_a_caller():
-    def parse(path):
-        return ast.parse(path.read_text(encoding="utf-8"))
-
     defining = {str(p.relative_to(ROOT)): parse(p) for p in PACKAGE}
     missing = uncalled(defining, [parse(p) for p in CALLERS])
     assert not missing, f"nothing in src/, tests/, demos/ or bench/ names {missing}"
@@ -101,3 +116,20 @@ def test_scan_catches_an_uncalled_definition():
                        "# and Box() in a comment\n")
     assert uncalled({"pkg.py": package}, [package, caller]) == [
         ("pkg.py", 7, "Box"), ("pkg.py", 11, "_unused")]
+
+
+def test_every_package_method_has_a_caller_outside_the_tests():
+    defining = {str(p.relative_to(ROOT)): parse(p) for p in PACKAGE}
+    missing = uncalled(defining, [parse(p) for p in PROGRAM_CALLERS], methods)
+    assert not missing, f"only tests, or nothing, name the methods {missing}"
+
+
+def test_scan_catches_a_method_only_tests_call():
+    package = ast.parse(
+        "class Box:\n    def __len__(self):\n        return 0\n\n"
+        "    def used(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        pass\n\n"
+        "    def tested(self):\n        pass\n")
+    demo = ast.parse("from pkg import Box\n\nBox().used()\n")
+    assert uncalled({"pkg.py": package}, [package, demo], methods) == [
+        ("pkg.py", 11, "Box.tested")]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from polyscale.pslengine import (
     GroundingError,
     GroundLiteral,
-    GroundNetwork,
     GroundRule,
     Literal,
     MapResult,
@@ -26,6 +25,7 @@ from polyscale.pslengine import (
     parse_program,
     print_program,
 )
+from reference_grounder import network_of
 from reference_hinge import distance_to_satisfaction
 
 
@@ -39,7 +39,7 @@ def obs_lit(value, negated=False, tag="o"):
 
 def make_network(rules, n_free):
     atoms = [("pos", (f"m{i}",)) for i in range(n_free)]
-    return GroundNetwork(atoms, np.full(n_free, 0.5), rules)
+    return network_of(atoms, np.full(n_free, 0.5), rules)
 
 
 def reference_energy(rules, x):
@@ -333,28 +333,25 @@ class TestEnergy:
             bound = lam * network.energy(x) + (1.0 - lam) * network.energy(y)
             assert network.energy(mid) <= bound + 1e-12
 
-    def test_gradient_matches_finite_differences_off_kink(self):
+    @pytest.mark.parametrize("mu", [0.1, 1e-2, 1e-3])
+    def test_smoothed_gradient_matches_finite_differences(self, mu):
+        """The gradient MAP descends, against central differences of the
+        smoothed energy; that energy is C^1, so no point near a kink is skipped."""
         rng = np.random.default_rng(37)
-        checked = 0
-        while checked < 20:
+        eps = 1e-7
+        for _ in range(100):
             n_free = int(rng.integers(1, 4))
             rules = [random_rule(rng, n_free) for _ in range(int(rng.integers(1, 5)))]
-            network = make_network(rules, n_free)
-            comp = network.compiled()
+            comp = make_network(rules, n_free).compiled
             x = rng.uniform(0.05, 0.95, size=n_free)
-            # skip points within FD reach of a hinge kink
-            linear = comp.linear(x)
-            if np.any(np.abs(linear) < 1e-3):
-                continue
-            g = comp.gradient(x)
-            eps = 1e-6
+            g = comp.smoothed_gradient_at(comp.linear(x), mu)
             for i in range(n_free):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += eps
                 xm[i] -= eps
-                fd = (comp.energy(xp) - comp.energy(xm)) / (2 * eps)
-                assert g[i] == pytest.approx(fd, abs=1e-6)
-            checked += 1
+                fd = (comp.smoothed_energy_at(comp.linear(xp), mu)
+                      - comp.smoothed_energy_at(comp.linear(xm), mu)) / (2 * eps)
+                assert g[i] == pytest.approx(fd, rel=0, abs=1e-6)
 
     def test_energy_validates_shape_and_range(self):
         rule = GroundRule(1.0, 2, (free_lit(0),), free_lit(1))
@@ -534,13 +531,13 @@ class TestGrounding:
 
 
 class TestMapInference:
-    def solve_text(self, text, observations, targets, **solver_kwargs):
+    def solve_text(self, text, observations, targets, initial=None, **solver_kwargs):
         program = parse_program(text)
         db = RelationalDatabase()
         for pred, args, value in observations:
             db.observe(pred, args, value)
         for pred, args in targets:
-            db.add_target(pred, args)
+            db.add_target(pred, args, initial)
         network = ground(program, db)
         config = SolverConfig(**solver_kwargs) if solver_kwargs else None
         return network, map_inference(network, config)
@@ -575,22 +572,24 @@ class TestMapInference:
         assert result.energy == pytest.approx(1.0, abs=1e-6)
 
     def test_warm_start_reaches_same_optimum(self):
-        network, _ = self.solve_text(
-            "open pos/1\n1.0 : Up(x) -> pos(x)\n1.0 : Down(x) -> !pos(x)",
-            [("Up", ("m",), 1.0), ("Down", ("m",), 1.0)],
-            [("pos", ("m",))],
-        )
         for start in (0.0, 0.37, 1.0):
-            result = map_inference(network, initial=np.array([start]))
+            network, result = self.solve_text(
+                "open pos/1\n1.0 : Up(x) -> pos(x)\n1.0 : Down(x) -> !pos(x)",
+                [("Up", ("m",), 1.0), ("Down", ("m",), 1.0)],
+                [("pos", ("m",))],
+                initial=start,
+            )
+            assert network.initial.tolist() == [start]
             assert result.values[0] == pytest.approx(0.5, abs=1e-4)
 
-    def test_warm_start_by_atom_mapping(self):
-        network, _ = self.solve_text(
+    def test_warm_start_from_a_target_initial_value(self):
+        network, result = self.solve_text(
             "open pos/1\n1.0 : Up(x) -> pos(x)",
             [("Up", ("m",), 1.0)],
             [("pos", ("m",))],
+            initial=0.1,
         )
-        result = map_inference(network, initial={("pos", ("m",)): 0.1})
+        assert network.initial.tolist() == [0.1]
         assert result.values[0] == pytest.approx(1.0, abs=1e-4)
 
     def test_empty_network_is_trivially_converged(self):
