@@ -31,7 +31,7 @@ text = (
     "from red tape. Our schools deserve investment. Peace remains the "
     "foundation of our foreign policy."
 )
-sentences = segment(text, language="en")
+sentences = segment(text)
 print(f"\nsegmented into {len(sentences)} sentences:")
 for s in sentences:
     print(f"  [{s.position_index}] {s.text}")

@@ -224,11 +224,11 @@ def _split_semicolons(piece: str) -> list[str]:
     return out
 
 
-def segment(text: str, language: str) -> list[Sentence]:
+def segment(text: str) -> list[Sentence]:
     """Split raw text into coding units with the rule-based heuristic above.
 
     Pre-segmented corpora bypass this.  The heuristic is the same for every
-    ``language``.
+    language.
     """
     if not text or not text.strip():
         raise ValueError("cannot segment empty text")

@@ -7,18 +7,25 @@ concat, reshape, the mean over rows (``mean_rows``) and over runs of rows
 (``segment_mean``), batched row lookup (``gather``), a row-wise fused softmax
 cross-entropy (``softmax_xent_rows``), ``dense`` (a batch of rows times a
 weight, plus a bias broadcast over the rows: the one op that broadcasts) and
-the LSTM below.  No other broadcasting: operand shapes must match exactly
-where elementwise semantics apply.  ``matmul`` and the per-vector ops that
-only the tests' reference paths use live in ``tests/reference_ops.py``.
+the bidirectional LSTM below.  No other broadcasting: operand shapes must
+match exactly where elementwise semantics apply.  ``matmul`` and the
+per-vector ops that only the tests' reference paths use live in
+``tests/reference_ops.py``.
 
 An LSTM direction is two parameters (``init_lstm_params``): one
 (in + hidden, 4 * hidden) weight holding the input and recurrent rows of all
-four gates, and one 4 * hidden bias.  It runs as one tape node per padded
-batch of sequences (``lstm_sequence``, paired up by ``bilstm_batch``) whose
-parents are the input, the weight and the bias: the input projection of every
-step is one matmul, the recurrence runs in numpy, and backpropagation through
-time happens inside the node's vector-Jacobian product.  A per-step reference
-path lives in the tests (``tests/reference_lstm.py``).
+four gates, and one 4 * hidden bias.  A bidirectional layer runs as one tape
+node per padded batch of sequences (``bilstm_batch``) whose parents are the
+input and both directions' weight and bias.  Each direction's input
+projection is one matmul; the two recurrences run in one numpy scan over
+stacked (2, batch, hidden) states, and backpropagation through time runs in
+one reversed scan inside the node's vector-Jacobian products.  The
+per-direction and per-step reference paths live in the tests
+(``tests/reference_lstm.py``).
+
+``ParameterStore`` keeps every parameter value in one flat buffer and every
+gradient in another; each tensor's arrays are views of its segment.
+``Adam`` updates the whole buffer with a fixed number of in-place calls.
 """
 
 from __future__ import annotations
@@ -76,7 +83,10 @@ def backward(root: Tensor) -> None:
         for parent in node.parents:
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
-    root.grad = np.ones(())
+    if root.grad is None:
+        root.grad = np.ones(())
+    else:  # a parameter: add to its slot of the store's gradient buffer
+        root.grad += 1.0
     for node in reversed(order):
         g = node.grad
         if g is None:
@@ -254,18 +264,49 @@ def softmax_xent_rows(logits: Tensor, gold) -> tuple[Tensor, Tensor | None]:
 
 
 class ParameterStore:
-    """Named parameter leaves with persistent gradient slots."""
+    """Named parameter leaves over one flat value buffer and one flat gradient
+    buffer.
+
+    Each tensor's ``value`` and ``grad`` are reshaped views of its segment of
+    the two buffers, segments in the order the tensors were added, so
+    ``zero_grad`` is one fill and ``Adam`` updates every parameter with a
+    fixed number of whole-buffer calls.  Write parameters in place
+    (``t.value[...] = ...``): a rebound ``value`` leaves the buffer.  The
+    buffers double when an ``add`` overflows them, and the views of every
+    tensor move to the new ones, so hold tensors, not their arrays, across an
+    ``add``.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._bounds: list[tuple[int, int]] = []  # each tensor's segment
+        self._values = np.empty(0)
+        self._grads = np.empty(0)
+        self._size = 0
 
     def add(self, name: str, value) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
-        t.grad = np.zeros_like(t.value)
+        value = np.asarray(value, dtype=np.float64)
+        lo, hi = self._size, self._size + value.size
+        if hi > self._values.size:
+            self._grow(max(hi, 2 * self._values.size))
+        self._values[lo:hi] = value.reshape(-1)
+        self._size = hi
+        self._bounds.append((lo, hi))
+        t = Tensor(self._values[lo:hi].reshape(value.shape), requires_grad=True)
+        t.grad = self._grads[lo:hi].reshape(value.shape)
         self._params[name] = t
         return t
+
+    def _grow(self, capacity: int) -> None:
+        values, grads = np.empty(capacity), np.zeros(capacity)
+        values[: self._size] = self.values
+        grads[: self._size] = self.grads
+        self._values, self._grads = values, grads
+        for t, (lo, hi) in zip(self._params.values(), self._bounds):
+            t.value = values[lo:hi].reshape(t.value.shape)
+            t.grad = grads[lo:hi].reshape(t.value.shape)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -283,21 +324,33 @@ class ParameterStore:
     def names(self) -> list[str]:
         return list(self._params)
 
+    @property
+    def values(self) -> np.ndarray:
+        """Every parameter value, flat, in store order (a view)."""
+        return self._values[: self._size]
+
+    @property
+    def grads(self) -> np.ndarray:
+        """Every gradient, flat, in store order (a view)."""
+        return self._grads[: self._size]
+
     def zero_grad(self) -> None:
-        for t in self._params.values():
-            if t.grad is None:
-                t.grad = np.zeros_like(t.value)
-            else:
-                t.grad.fill(0.0)
+        self.grads.fill(0.0)
 
     def n_values(self) -> int:
-        return sum(t.value.size for t in self._params.values())
+        return self._size
 
-    def grad_norm(self) -> float:
+    def grad_norm(self, scratch: np.ndarray) -> float:
+        """The Euclidean norm of every gradient.
+
+        The squares go to ``scratch`` (one slot per value) in one call, and
+        each tensor's squares are summed on their own, in store order, so the
+        norm has the bits of a sum over per-tensor sums.
+        """
+        squares = np.multiply(self.grads, self.grads, out=scratch)
         total = 0.0
-        for t in self._params.values():
-            if t.grad is not None:
-                total += float(np.sum(t.grad * t.grad))
+        for lo, hi in self._bounds:
+            total += float(squares[lo:hi].sum())
         return math.sqrt(total)
 
 
@@ -326,35 +379,45 @@ def init_lstm_params(
     return store.add(f"{prefix}.weight", weight), store.add(f"{prefix}.bias", bias)
 
 
-def lstm_sequence(
-    x: Tensor, params: tuple[Tensor, Tensor], lengths=None, reverse: bool = False
-) -> Tensor:
-    """Hidden states of a padded batch of sequences, as one tape node.
+def bilstm_batch(
+    x: Tensor, forward: tuple[Tensor, Tensor], backward_params: tuple[Tensor, Tensor],
+    lengths=None,
+) -> tuple[Tensor, Tensor]:
+    """Both directions of a bidirectional LSTM over a padded batch, as one node.
 
     ``x`` is (B, T, d) for B sequences padded to T steps, or (T, d) for a
     single sequence; ``lengths`` gives each sequence's true length (all T
-    when omitted).  ``params`` is the (weight, bias) pair that
-    ``init_lstm_params`` makes: rows ``Wx`` over rows ``Wh``, gate blocks in
-    i/f/o/c order.  The input projection ``x @ Wx + b`` runs for every step
-    in one matmul ahead of the recurrence, and the recurrence itself runs in
-    numpy.  A padded step carries its sequence's state unchanged, so the
-    result, (B, T, n) or (T, n), holds each sequence's last state at step
-    T - 1 and, with ``reverse``, at step 0.  The backward pass does
-    backpropagation through time inside one vector-Jacobian product.
+    when omitted).  ``forward`` and ``backward_params`` are (weight, bias)
+    pairs that ``init_lstm_params`` makes: rows ``Wx`` over rows ``Wh``, gate
+    blocks in i/f/o/c order.  Returns the per-step [fwd; bwd] states,
+    (B, T, 2n) or (T, 2n), as one node whose parents are ``x`` and the four
+    parameters, and the final [last fwd; last bwd] state per sequence,
+    (B, 2n) or (2n,), as a small node over it: the backward direction's last
+    state is the one at step 0, after it has consumed the whole sequence.  A
+    padded step carries its sequence's state unchanged, so the forward half
+    at step T - 1 is the sequence's last state; the other per-step states
+    past a sequence's length are filler.
+
+    Both directions share one scan: slot s holds forward step s and backward
+    step T - 1 - s, every state array is (2, B, n), and the recurrent
+    products of both directions are one stacked matmul.  Each direction's
+    input projection ``x @ Wx + b`` is one matmul ahead of the scan.  The
+    backward pass does backpropagation through time in one reversed scan
+    inside the node's vector-Jacobian products.
     """
     xv = x.value
     single = xv.ndim == 2
     xb = xv[None] if single else xv
     if xb.ndim != 3:
-        raise ValueError("lstm_sequence expects (T, d) or (B, T, d) inputs")
+        raise ValueError("bilstm_batch expects (T, d) or (B, T, d) inputs")
     batch, steps, width = xb.shape
-    weight, bias = params
-    n = bias.value.shape[0] // 4
+    n = forward[1].value.shape[0] // 4
     if steps == 0:
         raise ValueError("cannot encode an empty sequence")
-    # time-major from here on: row t of every array is step t of the batch
-    valid = None  # (T, B) mask of real steps; None when nothing is padded
-    ragged = [False] * steps  # steps where some sequence is padding
+    # slot-major from here on: index s of every array is scan slot s, and the
+    # axis after it is the direction (0 forward, 1 backward)
+    valid = None  # (T, 2, B) mask of real steps; None when nothing is padded
+    ragged = [False] * steps  # slots where some sequence is padding
     if lengths is not None:
         lengths = [int(k) for k in lengths]
         shortest = min(lengths, default=0)
@@ -362,39 +425,45 @@ def lstm_sequence(
             raise ValueError(f"lengths must be {batch} values in 1..{steps}; an "
                              "empty sequence cannot be encoded")
         if shortest < steps:
-            valid = np.arange(steps)[:, None] < np.array(lengths)
-            ragged = [t >= shortest for t in range(steps)]
+            real = np.arange(steps)[:, None] < np.array(lengths)
+            valid = np.stack((real, real[::-1]), axis=1)
+            ragged = [s >= shortest or s <= steps - 1 - shortest for s in range(steps)]
+    acts = np.empty((steps, 2, batch, 4 * n))  # sigmoid i, f, o then tanh g
+    wx, wh = [], []
     # Halving the i/f/o pre-activations turns sigmoid into 0.5 + 0.5 tanh(z/2),
     # so one tanh call covers all four gates.  Halving is exact in floating
     # point, and doubling back recovers the weights bit for bit.
-    w = weight.value.copy()
-    b = bias.value.copy()
-    w[:, : 3 * n] *= 0.5
-    b[: 3 * n] *= 0.5
-    wx, wh = w[:width], w[width:]
     xt = xb.transpose(1, 0, 2).reshape(steps * batch, width)
-    zx = (xt @ wx + b).reshape(steps, batch, 4 * n)
+    for d, (weight, bias) in enumerate((forward, backward_params)):
+        w = weight.value.copy()
+        b = bias.value.copy()
+        w[:, : 3 * n] *= 0.5
+        b[: 3 * n] *= 0.5
+        wx.append(w[:width])
+        wh.append(w[width:])
+        z = xt @ w[:width]
+        z += b
+        z = z.reshape(steps, batch, 4 * n)
+        acts[:, d] = z[::-1] if d else z  # the input projection, in slot order
+    wh = np.stack(wh)
 
-    acts = np.empty((steps, batch, 4 * n))  # sigmoid i, f, o then tanh g
-    cells = np.empty((steps, batch, n))
-    hidden = np.empty((steps, batch, n))
-    h = np.zeros((batch, n))
+    cells = np.empty((steps, 2, batch, n))
+    hidden = np.empty((steps, 2, batch, n))
+    h = np.zeros((2, batch, n))
     c = h
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    for t in order:
-        a = acts[t]
-        np.matmul(h, wh, out=a)
-        a += zx[t]
+    for s in range(steps):
+        a = acts[s]
+        a += h @ wh
         np.tanh(a, out=a)
-        sig = a[:, : 3 * n]
+        sig = a[..., : 3 * n]
         sig *= 0.5
         sig += 0.5
-        c_next = np.multiply(a[:, n : 2 * n], c, out=cells[t])
-        c_next += a[:, :n] * a[:, 3 * n :]
-        h_next = np.tanh(c_next, out=hidden[t])
-        h_next *= a[:, 2 * n : 3 * n]
-        if ragged[t]:  # padded sequences keep their state
-            gap = ~valid[t]
+        c_next = np.multiply(a[..., n : 2 * n], c, out=cells[s])
+        c_next += a[..., :n] * a[..., 3 * n :]
+        h_next = np.tanh(c_next, out=hidden[s])
+        h_next *= a[..., 2 * n : 3 * n]
+        if ragged[s]:  # padded sequences keep their state
+            gap = ~valid[s]
             c_next[gap] = c[gap]
             h_next[gap] = h[gap]
         c, h = c_next, h_next
@@ -404,13 +473,15 @@ def lstm_sequence(
     def grads(g):
         if cache and cache[0] is g:
             return cache[1]
-        # state entering each step: its neighbour in scan order, zero first
-        early, late = slice(None, -1), slice(1, None)
-        dst, src = (early, late) if reverse else (late, early)
+        gb = g[None] if single else g
+        gs = np.empty_like(hidden)  # the output gradient in slot order
+        gs[:, 0] = gb[..., :n].transpose(1, 0, 2)
+        gs[:, 1] = gb[:, ::-1, n:].transpose(1, 0, 2)
+        # state entering each slot: the previous slot's, zero first
         h_prev = np.zeros_like(hidden)
         c_prev = np.zeros_like(cells)
-        h_prev[dst] = hidden[src]
-        c_prev[dst] = cells[src]
+        h_prev[1:] = hidden[:-1]
+        c_prev[1:] = cells[:-1]
         i, f, o = acts[..., :n], acts[..., n : 2 * n], acts[..., 2 * n : 3 * n]
         gg = acts[..., 3 * n :]
         tc = np.tanh(cells)
@@ -428,69 +499,61 @@ def lstm_sequence(
             pad = ~valid
             out_gain[pad] = 0.0
             gate_gain[pad] = 0.0
-        gt = g[:, None] if single else g.transpose(1, 0, 2)
-        wx_t = wx.T.copy()
-        wh_t = wh.T.copy()
-        for w in (wx_t, wh_t):
-            w[: 3 * n] *= 2.0
+        wh_t = wh.transpose(0, 2, 1).copy()
+        wh_t[:, : 3 * n] *= 2.0
         dz = np.empty_like(acts)
-        dh = np.zeros((batch, n))
+        dh = np.zeros((2, batch, n))
         dc = dh
-        for t in reversed(order):
-            dh = dh + gt[t]
-            dcn = dh * out_gain[t]
+        for s in range(steps - 1, -1, -1):
+            dh = dh + gs[s]
+            dcn = dh * out_gain[s]
             dcn += dc
-            np.multiply(np.concatenate((dcn, dcn, dh, dcn), axis=1), gate_gain[t], out=dz[t])
-            dc = dcn * f[t]
-            if ragged[t]:
-                dh = dz[t] @ wh_t + dh * pad[t, :, None]
+            np.multiply(np.concatenate((dcn, dcn, dh, dcn), axis=-1), gate_gain[s], out=dz[s])
+            dc = dcn * f[s]
+            if ragged[s]:
+                dh = dz[s] @ wh_t + dh * pad[s, ..., None]
             else:
-                dh = dz[t] @ wh_t
-        dz2 = dz.reshape(steps * batch, 4 * n)
-        dx = (dz2 @ wx_t).reshape(steps, batch, width).transpose(1, 0, 2)
-        dw = np.empty((width + n, 4 * n))
-        np.matmul(xt.T, dz2, out=dw[:width])
-        np.matmul(h_prev.reshape(steps * batch, n).T, dz2, out=dw[width:])
-        cache[:] = [g, (dx[0] if single else dx, dw, dz2.sum(axis=0))]
+                dh = dz[s] @ wh_t
+        # Each direction's input and weight gradients in its own time order,
+        # from C-contiguous operands of a one-direction node's shapes (BLAS
+        # and numpy's sums pick their summation order by shape and strides),
+        # so they keep that node's bits.
+        dx, dw, db = [], [], []
+        for d, order in ((0, slice(None)), (1, slice(None, None, -1))):
+            dz2 = np.ascontiguousarray(dz[order, d]).reshape(steps * batch, 4 * n)
+            h_in = np.ascontiguousarray(h_prev[order, d]).reshape(steps * batch, n)
+            wx_t = wx[d].T.copy()
+            wx_t[: 3 * n] *= 2.0
+            dx.append((dz2 @ wx_t).reshape(steps, batch, width).transpose(1, 0, 2))
+            dw.append(np.empty((width + n, 4 * n)))
+            np.matmul(xt.T, dz2, out=dw[d][:width])
+            np.matmul(h_in.T, dz2, out=dw[d][width:])
+            db.append(dz2.sum(axis=0))
+        dx = dx[0] + dx[1]
+        cache[:] = [g, (dx[0] if single else dx, dw[0], db[0], dw[1], db[1])]
         return cache[1]
 
     def vjp(k):
         return lambda g, acc: np.add(acc, grads(g)[k], out=acc)
 
-    out = hidden[:, 0] if single else hidden.transpose(1, 0, 2)
-    return Tensor(out, (x, weight, bias), (vjp(0), vjp(1), vjp(2)))
+    out = np.empty((batch, steps, 2 * n))
+    out[..., :n] = hidden[:, 0].transpose(1, 0, 2)
+    out[..., n:] = hidden[::-1, 1].transpose(1, 0, 2)
+    states = Tensor(out[0] if single else out, (x, *forward, *backward_params),
+                    tuple(vjp(k) for k in range(5)))
+    return states, _final_states(states)
 
 
-def _last_states(fwd: Tensor, bwd: Tensor) -> Tensor:
+def _final_states(states: Tensor) -> Tensor:
     """[fwd at the last step; bwd at step 0] per sequence, as one node."""
-    fv, bv = fwd.value, bwd.value
-    n = fv.shape[-1]
+    sv = states.value
+    n = sv.shape[-1] // 2
 
-    def vjp_fwd(g, acc):
-        acc[..., -1, :] += g[..., :n]
+    def vjp(g, acc):
+        acc[..., -1, :n] += g[..., :n]
+        acc[..., 0, n:] += g[..., n:]
 
-    def vjp_bwd(g, acc):
-        acc[..., 0, :] += g[..., n:]
-
-    out = np.concatenate((fv[..., -1, :], bv[..., 0, :]), axis=-1)
-    return Tensor(out, (fwd, bwd), (vjp_fwd, vjp_bwd))
-
-
-def bilstm_batch(
-    x: Tensor, forward: tuple[Tensor, Tensor], backward_params: tuple[Tensor, Tensor],
-    lengths=None,
-) -> tuple[Tensor, Tensor]:
-    """Both directions of a bidirectional LSTM over ``lstm_sequence`` nodes.
-
-    Returns the per-step [fwd; bwd] states, (B, T, 2n) or (T, 2n), and the
-    final [last fwd; last bwd] state per sequence, (B, 2n) or (2n,): the
-    backward direction's last state is the one at step 0, after it has
-    consumed the whole sequence.  For a padded sequence the per-step states
-    past its length are filler.
-    """
-    fwd = lstm_sequence(x, forward, lengths)
-    bwd = lstm_sequence(x, backward_params, lengths, reverse=True)
-    return concat([fwd, bwd]), _last_states(fwd, bwd)
+    return Tensor(np.concatenate((sv[..., -1, :n], sv[..., 0, n:]), axis=-1), (states,), (vjp,))
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -523,7 +586,15 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 class Adam:
-    """Adam with global gradient-norm clipping, applied in place."""
+    """Adam with global gradient-norm clipping, applied in place.
+
+    It runs over the store's flat buffers: the moments are two flat arrays,
+    and two preallocated scratch arrays hold every temporary, so a step
+    allocates nothing the size of the store.  The arithmetic is the
+    per-tensor expression in its order of operations, so the update has its
+    bits.  Parameters added to the store after the optimizer are not
+    supported.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
@@ -534,26 +605,38 @@ class Adam:
         self.lr = lr
         self.clip_norm = clip_norm
         self.t = 0
-        self._m = {name: np.zeros_like(t.value) for name, t in store}
-        self._v = {name: np.zeros_like(t.value) for name, t in store}
+        size = store.n_values()
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
 
-    def step(self) -> None:
+    def step(self) -> float:
+        """One update; returns the gradient norm before clipping."""
         self.t += 1
-        norm = self.store.grad_norm()
+        a, b = self._scratch
+        norm = self.store.grad_norm(a)
         factor = 1.0
         if norm > self.clip_norm:
             factor = self.clip_norm / norm
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for name, param in self.store:
-            g = param.grad * factor
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            param.value -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m, v, values = self._m, self._v, self.store.values
+        g = np.multiply(self.store.grads, factor, out=a)
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=b)
+        v *= self.beta2
+        g2 = np.multiply(g, 1.0 - self.beta2, out=b)
+        g2 *= g
+        v += g2
+        # lr * (m / b1c) / (sqrt(v / b2c) + eps)
+        denom = np.divide(v, b2c, out=a)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update = np.divide(m, b1c, out=b)
+        update *= self.lr
+        update /= denom
+        values -= update
+        return norm
 
 
 def check_gradients(

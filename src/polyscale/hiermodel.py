@@ -329,9 +329,14 @@ def document_loss(
 
 @dataclass(frozen=True)
 class EpochLog:
+    """One epoch of ``train``: the mean loss and its components, the mean
+    gradient norm before clipping, and how many steps were clipped."""
+
     epoch: int
     mean_loss: float
     components: dict
+    grad_norm: float
+    clipped: int
 
 
 def train(
@@ -363,7 +368,8 @@ def train(
     order = np.arange(len(docs))
     for epoch in range(config.epochs):
         shuffle_rng.shuffle(order)
-        total = 0.0
+        total = norms = 0.0
+        clipped = 0
         sums: dict[str, float] = {}
         counts: dict[str, int] = {}
         for idx in order:
@@ -374,7 +380,9 @@ def train(
                 raise ValueError(f"epoch {epoch}: the loss of document {doc.id!r} is "
                                  f"{float(loss.value)}; no update was applied for it")
             dc.backward(loss)
-            optimizer.step()
+            norm = optimizer.step()
+            norms += norm
+            clipped += norm > config.grad_clip
             total += float(loss.value)
             for name, value in parts.items():
                 sums[name] = sums.get(name, 0.0) + value
@@ -383,6 +391,8 @@ def train(
             epoch=epoch,
             mean_loss=total / len(docs),
             components={name: sums[name] / counts[name] for name in sums},
+            grad_norm=norms / len(docs),
+            clipped=clipped,
         )
         logs.append(entry)
         log.info("epoch %d mean loss %.6f", entry.epoch, entry.mean_loss)
@@ -398,9 +408,9 @@ class DocPrediction:
     doc_vector: np.ndarray
 
 
-# Values in the word-level gate array of one predict batch (~512 KB): padded
-# word slots times 4 * word_hidden.  Larger batches add little speed and
-# hold more memory at once.
+# Values in each direction's half of the word-level gate array of one predict
+# batch (~512 KB a half): padded word slots times 4 * word_hidden.  Larger
+# batches add little speed and hold more memory at once.
 _BATCH_VALUES = 1 << 16
 
 

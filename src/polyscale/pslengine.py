@@ -50,7 +50,6 @@ import bisect
 import functools
 import itertools
 import logging
-import operator
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -663,12 +662,7 @@ class _GroundRules(Sequence):
     def __len__(self):
         return self._ends[-1] if self._ends else 0
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index = operator.index(index)
-        if index < 0:
-            index += len(self)
+    def __getitem__(self, index: int) -> GroundRule:
         if not 0 <= index < len(self):
             raise IndexError("ground rule index out of range")
         b = bisect.bisect_right(self._ends, index)  # skips empty blocks

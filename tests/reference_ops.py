@@ -1,10 +1,11 @@
-"""Per-vector tape ops that only the tests' reference paths use.
+"""Per-vector tape ops and a per-tensor Adam that only the tests use.
 
 ``diffcore`` runs the model on batches of rows; these ops take one vector
 (or one row) at a time, and ``matmul`` takes any pairing of vectors and
 matrices.  The per-step LSTM (``reference_lstm``), the per-sentence model
 pass ``test_hiermodel.reference_forward`` and the op tests in
-``test_diffcore`` build their tapes from them.
+``test_diffcore`` build their tapes from them.  ``Adam`` is the reference
+for ``diffcore.Adam``, which runs over the store's flat buffers.
 """
 
 from __future__ import annotations
@@ -147,3 +148,43 @@ def softmax_xent(logits: Tensor, gold: int) -> tuple[Tensor, Tensor]:
 
     loss = Tensor(loss_value, (logits,), (vjp_loss,))
     return probs, loss
+
+
+class Adam:
+    """``diffcore.Adam`` one tensor at a time: per-tensor moments and an
+    expression per tensor, with the norm summed tensor by tensor.  The flat
+    optimizer must match it bit for bit."""
+
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, store: dc.ParameterStore, lr=1e-3, clip_norm=5.0):
+        self.store = store
+        self.lr = lr
+        self.clip_norm = clip_norm
+        self.t = 0
+        self._m = {name: np.zeros_like(t.value) for name, t in store}
+        self._v = {name: np.zeros_like(t.value) for name, t in store}
+
+    def step(self) -> float:
+        self.t += 1
+        total = 0.0
+        for _, t in self.store:
+            total += float(np.sum(t.grad * t.grad))
+        norm = math.sqrt(total)
+        factor = 1.0
+        if norm > self.clip_norm:
+            factor = self.clip_norm / norm
+        b1c = 1.0 - self.beta1**self.t
+        b2c = 1.0 - self.beta2**self.t
+        for name, param in self.store:
+            g = param.grad * factor
+            m = self._m[name]
+            v = self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            param.value -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        return norm

@@ -90,13 +90,13 @@ class TestComputeRile:
 
 class TestSegment:
     def test_final_punctuation(self):
-        got = segment("A. B.", "en")
+        got = segment("A. B.")
         assert [s.text for s in got] == ["A.", "B."]
         assert [s.position_index for s in got] == [1, 2]
 
     def test_semicolon_with_verbs_splits(self):
         text = "We are committed to reform; the budget is balanced."
-        got = segment(text, "en")
+        got = segment(text)
         assert [s.text for s in got] == [
             "We are committed to reform",
             "the budget is balanced.",
@@ -104,20 +104,20 @@ class TestSegment:
 
     def test_semicolon_without_verbs_kept(self):
         text = "Growth; jobs; security."
-        got = segment(text, "en")
+        got = segment(text)
         assert len(got) == 1
         assert got[0].tokens == ("Growth", "jobs", "security")
 
     def test_positions_are_one_based_and_contiguous(self):
-        got = segment("One is here. Two is here! Three is here?", "en")
+        got = segment("One is here. Two is here! Three is here?")
         assert [s.position_index for s in got] == [1, 2, 3]
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
-            segment("   ", "en")
+            segment("   ")
 
     def test_tokens_nonempty(self):
-        for s in segment("Ja, wir stimmen zu. Nein!", "de"):
+        for s in segment("Ja, wir stimmen zu. Nein!"):
             assert s.tokens
 
 

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import reference_ops as ops
 from polyscale import diffcore as dc
-from reference_lstm import bilstm_encode, lstm_encode
+from reference_lstm import bilstm_encode, bilstm_pair, lstm_encode, lstm_sequence
 
 
 def make_store_with(rng, **shapes):
@@ -101,6 +104,14 @@ class TestTapeOps:
         store.zero_grad()
         dc.backward(ops.matmul(store["used"], dc.constant(np.ones(3))))
         assert np.all(store["unused"].grad == 0.0)
+
+    def test_parameter_root_accumulates_into_the_store(self):
+        store = dc.ParameterStore()
+        root = store.add("root", np.array(2.0))
+        store.add("other", np.ones(3))
+        dc.backward(root)
+        dc.backward(root)
+        assert store.grads.tolist() == [2.0, 0.0, 0.0, 0.0]
 
 
 class TestBatchOps:
@@ -299,7 +310,8 @@ def weighted_sum(t: dc.Tensor, w: np.ndarray) -> dc.Tensor:
 
 
 class TestLstmSequence:
-    """The fused sequence node against the per-step reference path."""
+    """The fused nodes against the per-step reference path: the
+    per-direction ``lstm_sequence`` of the tests and ``bilstm_batch``."""
 
     LENGTHS = (5, 1, 3)  # padded to 5 steps, with a 1-token sequence
 
@@ -328,7 +340,7 @@ class TestLstmSequence:
     def test_one_direction_matches_reference(self, reverse):
         rng, store, table, pf, _, ids = self.make_case(20 + reverse)
         weights = rng.normal(size=ids.shape + (3,))
-        states = dc.lstm_sequence(dc.gather(table, ids), pf, self.LENGTHS, reverse=reverse)
+        states = lstm_sequence(dc.gather(table, ids), pf, self.LENGTHS, reverse=reverse)
         assert states.parents[1:] == pf and len(states.parents) == 3
         valid = np.arange(ids.shape[1]) < np.array(self.LENGTHS)[:, None]
         fused_loss = weighted_sum(states, weights * valid[..., None])
@@ -400,14 +412,71 @@ class TestLstmSequence:
         self.assert_grads_close(fused, self.grads_of(store, ref_loss))
 
     def test_bad_lengths_rejected(self):
-        _, _, table, pf, _, ids = self.make_case(60)
+        _, _, table, pf, pb, ids = self.make_case(60)
         x = dc.gather(table, ids)
         with pytest.raises(ValueError, match="empty"):
-            dc.lstm_sequence(x, pf, [5, 0, 3])
+            dc.bilstm_batch(x, pf, pb, [5, 0, 3])
         with pytest.raises(ValueError, match="lengths"):
-            dc.lstm_sequence(x, pf, [6, 1, 3])
+            dc.bilstm_batch(x, pf, pb, [6, 1, 3])
         with pytest.raises(ValueError, match="empty"):
-            dc.lstm_sequence(dc.constant(np.zeros((0, 4))), pf)
+            dc.bilstm_batch(dc.constant(np.zeros((0, 4))), pf, pb)
+
+
+@st.composite
+def bilstm_cases(draw):
+    """A padded batch or one (T, d) sequence, its lengths, and a seed."""
+    single = draw(st.booleans())
+    batch = 1 if single else draw(st.integers(1, 6))
+    steps = draw(st.integers(1, 8)) if draw(st.booleans()) else 1
+    if single:
+        lengths = None
+    elif draw(st.booleans()):  # ragged
+        lengths = draw(st.lists(st.integers(1, steps), min_size=batch, max_size=batch))
+    else:
+        lengths = draw(st.sampled_from([None, [steps] * batch]))
+    return (batch, steps, draw(st.integers(1, 5)), draw(st.integers(1, 5)), single,
+            lengths, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestFusedBilstm:
+    """``bilstm_batch`` runs both directions in one scan; a pair of
+    per-direction nodes must give the same bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bilstm_cases())
+    def test_equals_per_direction_pair_bitwise(self, case):
+        batch, steps, width, n, single, lengths, seed = case
+        rng = np.random.default_rng(seed)
+        store = dc.ParameterStore()
+        x = store.add("x", rng.normal(size=(steps, width) if single
+                                      else (batch, steps, width)))
+        pf = dc.init_lstm_params(store, "f", width, n, rng)
+        pb = dc.init_lstm_params(store, "b", width, n, rng)
+        for _, t in store:  # leave the near-linear init regime
+            t.value[...] = rng.uniform(-1.0, 1.0, size=t.value.shape)
+        step_w = rng.normal(size=x.value.shape[:-1] + (2 * n,))
+        final_w = rng.normal(size=x.value.shape[:-2] + (2 * n,))
+        results = []
+        for encode in (dc.bilstm_batch, bilstm_pair):
+            store.zero_grad()
+            steps_t, final = encode(x, pf, pb, lengths)
+            dc.backward(dc.add(weighted_sum(steps_t, step_w), weighted_sum(final, final_w)))
+            results.append([steps_t.value.copy(), final.value.copy()]
+                           + [t.grad.copy() for _, t in store])
+        fused, pair = results
+        assert fused[0].shape == pair[0].shape and fused[1].shape == pair[1].shape
+        for name, a, b in zip(["steps", "final"] + store.names, fused, pair):
+            assert np.array_equal(a, b), name
+
+    def test_is_one_node_over_both_directions(self):
+        rng = np.random.default_rng(70)
+        store = dc.ParameterStore()
+        pf = dc.init_lstm_params(store, "f", 4, 3, rng)
+        pb = dc.init_lstm_params(store, "b", 4, 3, rng)
+        x = dc.constant(rng.normal(size=(2, 5, 4)))
+        steps, final = dc.bilstm_batch(x, pf, pb, [5, 2])
+        assert steps.parents == (x, *pf, *pb)
+        assert final.parents == (steps,)
 
 
 class TestAdam:
@@ -443,3 +512,73 @@ class TestAdam:
         store.add("x", np.zeros(2))
         with pytest.raises(ValueError, match="duplicate"):
             store.add("x", np.zeros(2))
+
+    @staticmethod
+    def random_store(rng):
+        """15 tensors of the model's ranks (a 0-d one last), filled at random."""
+        store = dc.ParameterStore()
+        for k in range(14):
+            shape = tuple(int(s) for s in rng.integers(1, 12, size=k % 3))
+            store.add(f"t{k}", rng.normal(size=shape))
+        store.add("scalar", rng.normal(size=()))
+        return store
+
+    def test_grad_norm_equals_per_tensor_sum_bitwise(self):
+        rng = np.random.default_rng(80)
+        for _ in range(200):
+            store = self.random_store(rng)
+            for _, t in store:
+                t.grad[...] = rng.normal(size=t.grad.shape) * 10.0 ** rng.integers(-3, 4)
+            expected = 0.0
+            for _, t in store:
+                expected += float(np.sum(t.grad * t.grad))
+            assert store.grad_norm(np.empty(store.n_values())) == math.sqrt(expected)
+
+    @pytest.mark.parametrize("clip_norm", [0.5, 1e9])
+    def test_flat_steps_equal_per_tensor_adam_bitwise(self, clip_norm):
+        """50 steps against the per-tensor optimizer, with every step clipped
+        (0.5) and with none clipped (1e9)."""
+        rng = np.random.default_rng(81)
+        flat_store = self.random_store(rng)
+        ref_store = dc.ParameterStore()
+        for name, t in flat_store:
+            ref_store.add(name, t.value.copy())
+        flat = dc.Adam(flat_store, lr=0.01, clip_norm=clip_norm)
+        ref = ops.Adam(ref_store, lr=0.01, clip_norm=clip_norm)
+        for _ in range(50):
+            for (_, a), (_, b) in zip(flat_store, ref_store):
+                a.grad[...] = b.grad[...] = rng.normal(size=a.grad.shape)
+            norm = flat.step()
+            assert norm == ref.step()
+            assert (norm > clip_norm) == (clip_norm == 0.5)
+        for (name, a), (_, b) in zip(flat_store, ref_store):
+            assert a.value.tobytes() == b.value.tobytes(), name
+
+    def test_step_allocates_nothing_the_size_of_the_store(self):
+        import tracemalloc
+
+        store = dc.ParameterStore()
+        store.add("big", np.zeros(200_000))
+        store.add("small", np.zeros(3))
+        store.grads[:] = 1.0
+        opt = dc.Adam(store, lr=0.01, clip_norm=1.0)
+        opt.step()
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * store.n_values() / 4
+
+    def test_tensors_are_views_of_the_flat_buffers(self):
+        rng = np.random.default_rng(82)
+        store = self.random_store(rng)  # grows the buffers several times
+        values = np.concatenate([t.value.reshape(-1) for _, t in store])
+        assert store.values.tobytes() == values.tobytes()
+        for _, t in store:
+            assert np.shares_memory(t.value, store.values)
+            assert np.shares_memory(t.grad, store.grads)
+        store.grads[:] = 1.0
+        store.zero_grad()
+        assert all(not t.grad.any() for _, t in store)

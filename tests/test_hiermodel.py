@@ -166,6 +166,23 @@ class TestForward:
         b = forward(self.params, doc)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
+    def test_each_lstm_level_is_one_node_over_both_directions(self):
+        """A per-direction or per-step LSTM node in the training tape fails."""
+        total, _ = document_loss(self.params, self.corpus.manifestos[0])
+        nodes, stack, seen = [], [total], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node.parents)
+        store = self.params.store
+        for level in ("word", "sent"):
+            lstm = [store[f"{level}_{d}.{k}"] for d in ("fwd", "bwd") for k in ("weight", "bias")]
+            users = [node for node in nodes if any(p in node.parents for p in lstm)]
+            assert len(users) == 1, level
+            assert all(p in users[0].parents for p in lstm), level
+
 
 class TestLosses:
     def test_combined_worked_value(self):
@@ -395,6 +412,31 @@ class TestTrain:
         _, logs = train(small_corpus(), tiny_config(epochs=1))
         assert len(logs) == 1
         assert {"sentence", "doc", "polarity", "structure"} <= set(logs[0].components)
+
+    @pytest.mark.parametrize("grad_clip", [1e-9, 1e9])
+    def test_epoch_logs_record_norms_before_clipping(self, grad_clip, monkeypatch):
+        """Every step is clipped at 1e-9 and none at 1e9; ``grad_norm`` is the
+        mean of the norms the steps saw before clipping."""
+        norms = []
+        step = dc.Adam.step
+
+        def recording_step(self):
+            expected = 0.0
+            for _, t in self.store:
+                expected += float(np.sum(t.grad * t.grad))
+            norms.append(step(self))
+            assert norms[-1] == np.sqrt(expected)
+            return norms[-1]
+
+        monkeypatch.setattr(dc.Adam, "step", recording_step)
+        corpus = small_corpus()
+        _, logs = train(corpus, tiny_config(grad_clip=grad_clip))
+        steps = len(training_documents(corpus))
+        assert len(norms) == steps * len(logs)
+        for log in logs:
+            epoch = norms[log.epoch * steps:(log.epoch + 1) * steps]
+            assert log.grad_norm == sum(epoch) / steps
+            assert log.clipped == (steps if grad_clip < 1 else 0)
 
     def test_non_finite_loss_names_epoch_and_document(self, monkeypatch):
         corpus = small_corpus()
