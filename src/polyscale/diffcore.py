@@ -2,14 +2,11 @@
 
 Everything is float64 numpy.  A ``Tensor`` wraps a value plus closures that
 accumulate vector-Jacobian products into its parents, so a forward pass builds
-the tape and ``backward`` walks it once.  Ops: add, sub, scale, tanh, square,
-concat, reshape, the mean over rows (``mean_rows``) and over runs of rows
-(``segment_mean``), batched row lookup (``gather``), a row-wise fused softmax
-cross-entropy (``softmax_xent_rows``), ``dense`` (a batch of rows times a
-weight, plus a bias broadcast over the rows: the one op that broadcasts) and
-the bidirectional LSTM below.  No other broadcasting: operand shapes must
-match exactly where elementwise semantics apply.  ``matmul`` and the
-per-vector ops that only the tests' reference paths use live in
+the tape and ``backward`` walks it once.  Ops: ``constant``, ``reshape``,
+batched row lookup (``gather``) and the bidirectional LSTM below.  A model
+adds its own larger nodes by building ``Tensor`` directly: ``hiermodel``'s
+heads and losses of a document are one node.  The elementwise, pooling,
+softmax and ``dense`` ops that the tests compose into reference paths live in
 ``tests/reference_ops.py``.
 
 An LSTM direction is two parameters (``init_lstm_params``): one
@@ -31,7 +28,7 @@ gradient in another; each tensor's arrays are views of its segment.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -101,110 +98,6 @@ def backward(root: Tensor) -> None:
             node.grad = None
 
 
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"{op}: shape mismatch {a.value.shape} vs {b.value.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
-    return Tensor(
-        a.value + b.value,
-        (a, b),
-        (
-            lambda g, acc: np.add(acc, g, out=acc),
-            lambda g, acc: np.add(acc, g, out=acc),
-        ),
-    )
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    return Tensor(
-        a.value - b.value,
-        (a, b),
-        (
-            lambda g, acc: np.add(acc, g, out=acc),
-            lambda g, acc: np.subtract(acc, g, out=acc),
-        ),
-    )
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return Tensor(c * a.value, (a,), (lambda g, acc: np.add(acc, c * g, out=acc),))
-
-
-def square(a: Tensor) -> Tensor:
-    av = a.value
-    return Tensor(av * av, (a,), (lambda g, acc: np.add(acc, 2.0 * av * g, out=acc),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.value)
-    return Tensor(out, (a,), (lambda g, acc: np.add(acc, g * (1.0 - out * out), out=acc),))
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Join along the last axis; all other dimensions must agree."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("concat of no tensors")
-    lead = parts[0].value.shape[:-1]
-    for p in parts:
-        if p.value.ndim == 0 or p.value.shape[:-1] != lead:
-            raise ValueError("concat: shape mismatch outside the last axis")
-    out = np.concatenate([p.value for p in parts], axis=-1)
-    vjps = []
-    offset = 0
-    for p in parts:
-        n = p.value.shape[-1]
-
-        def vjp(g, acc, lo=offset, hi=offset + n):
-            np.add(acc, g[..., lo:hi], out=acc)
-
-        vjps.append(vjp)
-        offset += n
-    return Tensor(out, tuple(parts), tuple(vjps))
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over the first axis: (S, K) -> (K,), (S,) -> scalar."""
-    av = a.value
-    if av.ndim == 0 or av.shape[0] == 0:
-        raise ValueError("mean_rows needs at least one row")
-    inv = 1.0 / av.shape[0]
-    out = av.sum(axis=0) * inv
-
-    def vjp(g, acc):
-        np.add(acc, inv * g, out=acc)
-
-    return Tensor(out, (a,), (vjp,))
-
-
-def segment_mean(rows: Tensor, counts) -> Tensor:
-    """Mean of each run of consecutive rows: (sum(counts), K) -> (len(counts), K).
-
-    Each run is summed in order over a zero-padded (runs, longest run, K)
-    array, so a run's mean has the bits ``mean_rows`` gives it alone,
-    whatever runs surround it (``np.add.reduceat`` sums in another order).
-    """
-    av = rows.value
-    if av.ndim != 2 or min(counts, default=0) < 1 or sum(counts) != av.shape[0]:
-        raise ValueError(f"segment_mean: counts {list(counts)} must split the {av.shape[0]} "
-                         "rows of a 2-D tensor into runs of one row or more")
-    counts = np.asarray(counts)
-    real = np.arange(counts.max()) < counts[:, None]
-    padded = np.zeros(real.shape + av.shape[1:])
-    padded[real] = av
-    inv = 1.0 / counts
-
-    def vjp(g, acc):
-        np.add(acc, np.repeat(inv[:, None] * g, counts, axis=0), out=acc)
-
-    return Tensor(padded.sum(axis=1) * inv[:, None], (rows,), (vjp,))
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     """``a`` with a new shape of the same size."""
     out = a.value.reshape(shape)
@@ -223,44 +116,6 @@ def gather(matrix: Tensor, ids) -> Tensor:
         np.add.at(acc, flat, g.reshape(-1, width))
 
     return Tensor(matrix.value[ids], (matrix,), (vjp,))
-
-
-def softmax_xent_rows(logits: Tensor, gold) -> tuple[Tensor, Tensor | None]:
-    """Row-wise ``softmax_xent`` over (S, K) logits in two tape nodes.
-
-    ``gold`` holds one class index per row, or -1 for an unlabeled row.
-    Returns the (S, K) distributions and the mean cross-entropy over the
-    labeled rows, or None when no row is labeled.
-    """
-    zv = logits.value
-    if zv.ndim != 2:
-        raise ValueError("softmax_xent_rows expects 2-D logits")
-    gold = np.asarray(gold, dtype=np.intp)
-    if gold.shape != zv.shape[:1]:
-        raise ValueError(f"need one gold index per row, got shape {gold.shape}")
-    if np.any((gold < -1) | (gold >= zv.shape[1])):
-        raise ValueError(f"gold index out of range for {zv.shape[1]} classes")
-    m = zv.max(axis=1, keepdims=True)
-    e = np.exp(zv - m)
-    total = e.sum(axis=1, keepdims=True)
-    p = e / total
-
-    def vjp_probs(g, acc):
-        np.add(acc, p * (g - np.sum(g * p, axis=1, keepdims=True)), out=acc)
-
-    probs = Tensor(p, (logits,), (vjp_probs,))
-    rows = np.flatnonzero(gold >= 0)
-    if not rows.size:
-        return probs, None
-    cols = gold[rows]
-    inv = 1.0 / rows.size
-    xents = (m[rows, 0] + np.log(total[rows, 0])) - zv[rows, cols]
-
-    def vjp_loss(g, acc):
-        acc[rows] += (g * inv) * p[rows]
-        acc[rows, cols] -= g * inv
-
-    return probs, Tensor(xents.sum() * inv, (logits,), (vjp_loss,))
 
 
 class ParameterStore:
@@ -417,6 +272,7 @@ def bilstm_batch(
     # slot-major from here on: index s of every array is scan slot s, and the
     # axis after it is the direction (0 forward, 1 backward)
     valid = None  # (T, 2, B) mask of real steps; None when nothing is padded
+    keep = None  # (T, 2, B, 1): True where a padded step keeps its state
     ragged = [False] * steps  # slots where some sequence is padding
     if lengths is not None:
         lengths = [int(k) for k in lengths]
@@ -427,6 +283,7 @@ def bilstm_batch(
         if shortest < steps:
             real = np.arange(steps)[:, None] < np.array(lengths)
             valid = np.stack((real, real[::-1]), axis=1)
+            keep = ~valid[..., None]
             ragged = [s >= shortest or s <= steps - 1 - shortest for s in range(steps)]
     acts = np.empty((steps, 2, batch, 4 * n))  # sigmoid i, f, o then tanh g
     wx, wh = [], []
@@ -463,9 +320,8 @@ def bilstm_batch(
         h_next = np.tanh(c_next, out=hidden[s])
         h_next *= a[..., 2 * n : 3 * n]
         if ragged[s]:  # padded sequences keep their state
-            gap = ~valid[s]
-            c_next[gap] = c[gap]
-            h_next[gap] = h[gap]
+            np.copyto(c_next, c, where=keep[s])
+            np.copyto(h_next, h, where=keep[s])
         c, h = c_next, h_next
 
     cache: list = []
@@ -494,9 +350,9 @@ def bilstm_batch(
         if valid is not None:
             # A padded step copies the state: zero gate gains keep dz at zero,
             # a zero output gain keeps the hidden-state gradient out of the
-            # cell, and that gradient passes on through ``pad`` below.  No cell
-            # gradient reaches a padded step, so ``f`` needs no mask.
-            pad = ~valid
+            # cell, and that gradient passes on through ``keep`` below.  No
+            # cell gradient reaches a padded step, so ``f`` needs no mask.
+            pad = keep[..., 0]
             out_gain[pad] = 0.0
             gate_gain[pad] = 0.0
         wh_t = wh.transpose(0, 2, 1).copy()
@@ -511,7 +367,7 @@ def bilstm_batch(
             np.multiply(np.concatenate((dcn, dcn, dh, dcn), axis=-1), gate_gain[s], out=dz[s])
             dc = dcn * f[s]
             if ragged[s]:
-                dh = dz[s] @ wh_t + dh * pad[s, ..., None]
+                dh = dz[s] @ wh_t + dh * keep[s]
             else:
                 dh = dz[s] @ wh_t
         # Each direction's input and weight gradients in its own time order,
@@ -554,35 +410,6 @@ def _final_states(states: Tensor) -> Tensor:
         acc[..., 0, n:] += g[..., n:]
 
     return Tensor(np.concatenate((sv[..., -1, :n], sv[..., 0, n:]), axis=-1), (states,), (vjp,))
-
-
-def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """``x @ weight + bias`` as one node over a (rows, K) batch ``x``.
-
-    A 1-D ``weight`` with a scalar ``bias`` gives one score per row, each
-    row's own dot product, so a row scores the same bits in any batch (a
-    matrix-vector product sums in an order that depends on the batch).
-    """
-    xv, wv = x.value, weight.value
-    if wv.ndim not in (1, 2) or xv.ndim != 2 or xv.shape[1] != wv.shape[0]:
-        raise ValueError(f"dense: shape mismatch {xv.shape} @ {wv.shape}")
-    if bias.value.shape != wv.shape[1:]:
-        raise ValueError(f"dense: bias shape {bias.value.shape} for weight {wv.shape}")
-    if wv.ndim == 1:  # stacked (1, K) @ (K, 1) products: one dot per row
-        out = (xv[:, None, :] @ wv[:, None])[:, 0, 0]
-        vjps = (
-            lambda g, acc: np.add(acc, np.multiply.outer(g, wv), out=acc),
-            lambda g, acc: np.add(acc, g @ xv, out=acc),
-            lambda g, acc: np.add(acc, g.sum(), out=acc),
-        )
-    else:
-        out = xv @ wv
-        vjps = (
-            lambda g, acc: np.add(acc, g @ wv.T, out=acc),
-            lambda g, acc: np.add(acc, xv.T @ g, out=acc),
-            lambda g, acc: np.add(acc, g.sum(axis=0), out=acc),
-        )
-    return Tensor(out + bias.value, (x, weight, bias), vjps)
 
 
 class Adam:

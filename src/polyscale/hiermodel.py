@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,6 +138,9 @@ class HierParams:
     config: ModelConfig
     scheme: LabelScheme
     frozen_embed: np.ndarray | None = None
+    # per-document inputs of ``document_loss`` (``_document_inputs``), which
+    # ``train`` empties before it returns
+    _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def embedding_tensor(self) -> dc.Tensor:
         if self.frozen_embed is not None:
@@ -212,33 +215,38 @@ def _copy_pretrained(matrix, vocab, embeddings, embed_dim):
     log.info("initialized %d of %d vocabulary rows from pretrained vectors", hits, len(vocab.tokens))
 
 
-def _encode_sentences(params: HierParams, manifestos: Sequence[Manifesto]) -> dc.Tensor:
-    """Sentence states of a batch of documents, (sentences, 2 * sentence_hidden).
-
-    Rows run through the documents in order, each document's sentences in
-    order.  The word level is one LSTM node per direction over every sentence
-    of the batch, padded to the longest one.  The sentence level is one node
-    per direction over the documents, padded to the most sentences; a batch
-    of one document runs it over that document's sentences unpadded.
-    """
-    store = params.store
+def _token_ids(vocab: Vocabulary, manifestos: Sequence[Manifesto]) -> tuple[np.ndarray, list[int]]:
+    """One row of token ids per sentence of the documents, in order, zero-padded
+    to the longest sentence, and each sentence's length."""
     sentences = [(m.language, s) for m in manifestos for s in m.sentences]
     lengths = [len(s.tokens) for _, s in sentences]
     ids = np.zeros((len(sentences), max(lengths)), dtype=np.intp)
     for row, (language, sentence) in zip(ids, sentences):
-        row[: len(sentence.tokens)] = [
-            params.vocab.id_of(language, tok) for tok in sentence.tokens
-        ]
+        row[: len(sentence.tokens)] = [vocab.id_of(language, tok) for tok in sentence.tokens]
+    return ids, lengths
+
+
+def _encode_sentences(params: HierParams, ids: np.ndarray, lengths, counts) -> dc.Tensor:
+    """Sentence states of a batch of documents, (sentences, 2 * sentence_hidden).
+
+    ``ids`` and ``lengths`` are ``_token_ids`` of the documents, which have
+    ``counts`` sentences each.  Rows run through the documents in order, each
+    document's sentences in order.  The word level is one LSTM node over every
+    sentence of the batch, padded to the longest one.  The sentence level is
+    one node over the documents, padded to the most sentences; a batch of one
+    document runs it over that document's sentences unpadded.
+    """
+    store = params.store
     words = dc.gather(params.embedding_tensor(), ids)
 
     def lstm(prefix):
         return store[f"{prefix}.weight"], store[f"{prefix}.bias"]
 
     _, sentence_vectors = dc.bilstm_batch(words, lstm("word_fwd"), lstm("word_bwd"), lengths)
-    if len(manifestos) == 1:
+    if len(counts) == 1:
         states, _ = dc.bilstm_batch(sentence_vectors, lstm("sent_fwd"), lstm("sent_bwd"))
         return states
-    counts = np.array([len(m.sentences) for m in manifestos])
+    counts = np.asarray(counts)
     slots = np.arange(counts.max())
     real = slots < counts[:, None]  # (documents, most sentences)
     starts = np.cumsum(counts) - counts
@@ -249,82 +257,202 @@ def _encode_sentences(params: HierParams, manifestos: Sequence[Manifesto]) -> dc
     return dc.gather(flat, np.flatnonzero(real))
 
 
-def _forward(params: HierParams, manifestos: Sequence[Manifesto], code_gold, pol_gold):
-    """The model over a batch of documents as one tape: ``document_loss``
-    runs it on one document, ``predict`` on a batch.
+class _Softmax(NamedTuple):
+    """A head's (rows, classes) logits and row-wise softmax, with each row's
+    max and sum of exponentials for the cross-entropy."""
 
-    ``code_gold`` and ``pol_gold`` give each sentence's class index, -1 when
-    unlabeled.  Returns the code and polarity distributions (one row per
-    sentence), the sentence and polarity losses (mean cross-entropies over
-    the labeled sentences, None without any), and per document the mean
-    [code probabilities; state] row and the score.  The document head is
-    three tape nodes for any number of documents.
+    logits: np.ndarray
+    peak: np.ndarray
+    total: np.ndarray
+    probs: np.ndarray
+
+    @classmethod
+    def of(cls, states: np.ndarray, weight: dc.Tensor, bias: dc.Tensor) -> "_Softmax":
+        logits = states @ weight.value + bias.value
+        peak = logits.max(axis=1, keepdims=True)
+        e = np.exp(logits - peak)
+        total = e.sum(axis=1, keepdims=True)
+        return cls(logits, peak, total, e / total)
+
+    def xent(self, gold: np.ndarray):
+        """Mean cross-entropy over the rows whose ``gold`` index is not -1,
+        with those rows, their indices and 1 / their count; None without any."""
+        rows = np.flatnonzero(gold >= 0)
+        if not rows.size:
+            return None
+        cols = gold[rows]
+        inv = 1.0 / rows.size
+        xents = (self.peak[rows, 0] + np.log(self.total[rows, 0])) - self.logits[rows, cols]
+        return float(xents.sum() * inv), rows, cols, inv
+
+
+def _heads(store: dc.ParameterStore, states: np.ndarray, counts):
+    """The three heads over (sentences, state) ``states`` of documents with
+    ``counts`` sentences each: the code and polarity ``_Softmax``, and per
+    document the mean [code probabilities; state] row and the score.
+
+    A document's mean sums its rows in order over a zero-padded (documents,
+    most sentences, K) array, and its score is its own (1, K) @ (K, 1) dot,
+    so a document gets the same bits in any batch.  ``predict`` reads these
+    values; ``document_loss`` makes them one tape node with its losses.
     """
-    store = params.store
-    states = _encode_sentences(params, manifestos)
-    code_logits = dc.dense(states, store["code_head.weight"], store["code_head.bias"])
-    pol_logits = dc.dense(states, store["pol_head.weight"], store["pol_head.bias"])
-    code_probs, sentence_loss = dc.softmax_xent_rows(code_logits, code_gold)
-    pol_probs, polarity_loss = dc.softmax_xent_rows(pol_logits, pol_gold)
-    doc_vectors = dc.segment_mean(dc.concat([code_probs, states]),
-                                  [len(m.sentences) for m in manifestos])
-    scores = dc.tanh(dc.dense(doc_vectors, store["doc_head.weight"], store["doc_head.bias"]))
-    return code_probs, pol_probs, sentence_loss, polarity_loss, doc_vectors, scores
+    code = _Softmax.of(states, store["code_head.weight"], store["code_head.bias"])
+    pol = _Softmax.of(states, store["pol_head.weight"], store["pol_head.bias"])
+    rows = np.concatenate((code.probs, states), axis=1)
+    counts = np.asarray(counts)
+    real = np.arange(counts.max()) < counts[:, None]
+    padded = np.zeros(real.shape + rows.shape[1:])
+    padded[real] = rows
+    doc_vectors = padded.sum(axis=1) * (1.0 / counts)[:, None]
+    w = store["doc_head.weight"].value
+    scores = np.tanh((doc_vectors[:, None, :] @ w[:, None])[:, 0, 0] + store["doc_head.bias"].value)
+    return code, pol, doc_vectors, scores
 
 
-def combine_losses(l_sentence, l_doc, l_polarity, l_structure,
-                   alpha: float, beta: float, gamma: float) -> dc.Tensor:
-    """Weighted sum that skips absent components and zero coefficients.
+class _DocInputs(NamedTuple):
+    """What ``document_loss`` reads of a document besides the parameters:
+    ``_token_ids``, each sentence's code and polarity index (-1 unlabeled)
+    and the target.  ``source`` holds the document, vocabulary and scheme
+    they were built from, so the ids that key them stay theirs."""
 
-    With alpha=1 and beta=gamma=0 the result's value is bitwise equal to
-    the sentence loss alone.
+    source: tuple
+    ids: np.ndarray
+    lengths: list
+    code_gold: np.ndarray
+    pol_gold: np.ndarray
+    target: float | None
+
+
+def _document_inputs(params: HierParams, manifesto: Manifesto) -> _DocInputs:
+    """The document's inputs, built on the first call for this document,
+    vocabulary and scheme and then read from ``params._inputs``."""
+    source = (manifesto, params.vocab, params.scheme)
+    key = tuple(map(id, source))
+    inputs = params._inputs.get(key)
+    if inputs is None:
+        scheme = params.scheme
+        codes = [s.gold_code for s in manifesto.sentences]
+        inputs = params._inputs[key] = _DocInputs(
+            source,
+            *_token_ids(params.vocab, [manifesto]),
+            np.array([-1 if c is None else scheme.index(c) for c in codes], dtype=np.intp),
+            np.array([-1 if c is None else POLARITY_ORDER.index(scheme.polarity_of(c))
+                      for c in codes], dtype=np.intp),
+            effective_rile(manifesto, scheme),
+        )
+    return inputs
+
+
+def _head_loss(store: dc.ParameterStore, states: dc.Tensor, code_gold, pol_gold,
+               target: float | None, config: ModelConfig) -> tuple[dc.Tensor, dict]:
+    """The heads and losses of one document's sentence ``states`` as one tape
+    node, whose parents are ``states`` and the six head parameters.
+
+    Its value is the weighted sum of the terms in ``parts`` (sentence, doc,
+    polarity, structure: those whose inputs are present) whose coefficient
+    is not zero, added in that order.  The vector-Jacobian products repeat
+    the arithmetic of the per-op tape they replace (``dense``, softmax and
+    cross-entropy per head, concat, segment mean, ``tanh``, and the squared
+    errors), and add each shared gradient's contributions in that tape's
+    order, so values and gradients keep its bits: the states take the
+    concat slice, then the code head's, then the polarity head's; each
+    logits array takes its cross-entropy term, then its softmax term.
     """
-    terms = []
-    if l_sentence is not None and alpha != 0.0:
-        terms.append(dc.scale(l_sentence, alpha))
-    if l_doc is not None and 1.0 - alpha != 0.0:
-        terms.append(dc.scale(l_doc, 1.0 - alpha))
-    if l_polarity is not None and beta != 0.0:
-        terms.append(dc.scale(l_polarity, beta))
-    if l_structure is not None and gamma != 0.0:
-        terms.append(dc.scale(l_structure, gamma))
+    sv = states.value
+    count = sv.shape[0]
+    weights = [store[f"{head}.{k}"] for head in ("code_head", "pol_head", "doc_head")
+               for k in ("weight", "bias")]
+    code, pol, doc_vectors, scores = _heads(store, sv, [count])
+    code_xent = code.xent(code_gold)
+    pol_xent = pol.xent(pol_gold)
+    parts = {}
+    if code_xent is not None:
+        parts["sentence"] = code_xent[0]
+    if target is not None:
+        gap = float(scores[0]) - target
+        parts["doc"] = gap * gap
+    if pol_xent is not None:
+        parts["polarity"] = pol_xent[0]
+    if target is not None:
+        # each row's (-1, 1, 0) dot, plus the zero bias the per-op tape adds
+        margins = (pol.probs[:, None, :] @ _STRUC_SIGNS[:, None])[:, 0, 0] + 0.0
+        struc_gap = float(margins.sum() * (1.0 / count)) - target
+        parts["structure"] = struc_gap * struc_gap
+    coefs = {"sentence": config.alpha, "doc": 1.0 - config.alpha,
+             "polarity": config.beta, "structure": config.gamma}
+    terms = {name: float(coefs[name]) for name in parts if coefs[name] != 0.0}
     if not terms:
         raise ValueError("no loss components to combine")
-    total = terms[0]
-    for term in terms[1:]:
-        total = dc.add(total, term)
-    return total
+    total = None
+    for name, c in terms.items():
+        total = c * parts[name] if total is None else total + c * parts[name]
+
+    def logits_grad(soft, xent, weight, probs_grad):
+        """The cross-entropy term (its loss gradient ``weight``), then the
+        softmax term of ``probs_grad``; a None weight or gradient skips it."""
+        d = np.zeros_like(soft.logits)
+        if weight is not None:
+            _, rows, cols, inv = xent
+            d[rows] += (weight * inv) * soft.probs[rows]
+            d[rows, cols] -= weight * inv
+        if probs_grad is not None:
+            p = soft.probs
+            d += p * (probs_grad - np.sum(probs_grad * p, axis=1, keepdims=True))
+        return d
+
+    cache: list = []
+
+    def grads(g):
+        if cache and cache[0] is g:
+            return cache[1]
+        w = {name: c * g for name, c in terms.items()}  # each term's loss gradient
+        out = [np.zeros_like(sv)] + [None] * 6  # the states', then the head tensors'
+        d_rows = d_pol_probs = d_code = d_pol = None
+        if "doc" in w:  # tanh, the doc head, then the mean over the rows
+            d_score = np.array([2.0 * gap * w["doc"]]) * (1.0 - scores * scores)
+            out[5], out[6] = d_score @ doc_vectors, d_score.sum()
+            d_rows = np.repeat((1.0 / count) * np.multiply.outer(d_score, weights[4].value),
+                               count, axis=0)
+        if "structure" in w:
+            d_margin = np.full(count, (1.0 / count) * (2.0 * struc_gap * w["structure"]))
+            d_pol_probs = np.multiply.outer(d_margin, _STRUC_SIGNS)
+        n_codes = code.logits.shape[1]
+        if "sentence" in w or "doc" in w:
+            d_code = logits_grad(code, code_xent, w.get("sentence"),
+                                 None if d_rows is None else d_rows[:, :n_codes])
+        if "polarity" in w or "structure" in w:
+            d_pol = logits_grad(pol, pol_xent, w.get("polarity"), d_pol_probs)
+        if d_rows is not None:
+            out[0] += d_rows[:, n_codes:]
+        for k, d in ((0, d_code), (2, d_pol)):
+            if d is not None:
+                out[0] += d @ weights[k].value.T
+                out[k + 1], out[k + 2] = sv.T @ d, d.sum(axis=0)
+        cache[:] = [g, out]
+        return out
+
+    def vjp(k):
+        def add(g, acc):
+            d = grads(g)[k]
+            if d is not None:
+                np.add(acc, d, out=acc)
+        return add
+
+    return dc.Tensor(total, (states, *weights), tuple(vjp(k) for k in range(7))), parts
 
 
 def document_loss(
     params: HierParams, manifesto: Manifesto, config: ModelConfig | None = None
 ) -> tuple[dc.Tensor, dict]:
-    """Total loss tensor for one document plus per-component values."""
+    """Total loss tensor for one document plus per-component values.
+
+    The tape is the encoder's nodes and one head node (``_head_loss``).
+    """
     config = config or params.config
-    scheme = params.scheme
-    codes = [s.gold_code for s in manifesto.sentences]
-    code_gold = [-1 if c is None else scheme.index(c) for c in codes]
-    pol_gold = [-1 if c is None else POLARITY_ORDER.index(scheme.polarity_of(c)) for c in codes]
-    _, pol_probs, l_sentence, l_polarity, _, score = _forward(
-        params, [manifesto], code_gold, pol_gold)
-    target = effective_rile(manifesto, scheme)
-    l_doc = None
-    l_structure = None
-    if target is not None:
-        l_doc = dc.square(dc.sub(dc.reshape(score, ()), dc.constant(target)))
-        margins = dc.dense(pol_probs, dc.constant(_STRUC_SIGNS), dc.constant(0.0))
-        l_structure = dc.square(dc.sub(dc.mean_rows(margins), dc.constant(target)))
-    total = combine_losses(l_sentence, l_doc, l_polarity, l_structure,
-                           config.alpha, config.beta, config.gamma)
-    parts = {
-        name: float(t.value)
-        for name, t in (
-            ("sentence", l_sentence), ("doc", l_doc),
-            ("polarity", l_polarity), ("structure", l_structure),
-        )
-        if t is not None
-    }
-    return total, parts
+    inputs = _document_inputs(params, manifesto)
+    states = _encode_sentences(params, inputs.ids, inputs.lengths, [len(manifesto.sentences)])
+    return _head_loss(params.store, states, inputs.code_gold, inputs.pol_gold,
+                      inputs.target, config)
 
 
 @dataclass(frozen=True)
@@ -396,6 +524,8 @@ def train(
         )
         logs.append(entry)
         log.info("epoch %d mean loss %.6f", entry.epoch, entry.mean_loss)
+    # the inputs were built for this call; the returned model keeps none
+    params._inputs.clear()
     return params, logs
 
 
@@ -442,15 +572,15 @@ def predict(params: HierParams, docs: Corpus | Sequence[Manifesto]) -> list[DocP
 
 
 def _predict_batch(params: HierParams, batch: Sequence[Manifesto]) -> list[DocPrediction]:
-    """``_forward`` over the batch, unlabeled; its tape is freed on return,
+    """The encoder and ``_heads`` over the batch; its tape is freed on return,
     before the next batch is built."""
     scheme = params.scheme
-    bounds = np.cumsum([0] + [len(m.sentences) for m in batch])
-    unlabeled = np.full(bounds[-1], -1)
-    code_probs, pol_probs, _, _, doc_vectors, scores = _forward(
-        params, batch, unlabeled, unlabeled)
-    codes = np.argmax(code_probs.value, axis=1)
-    pols = np.argmax(pol_probs.value, axis=1)
+    counts = [len(m.sentences) for m in batch]
+    bounds = np.cumsum([0] + counts)
+    states = _encode_sentences(params, *_token_ids(params.vocab, batch), counts)
+    code, pol, doc_vectors, scores = _heads(params.store, states.value, counts)
+    codes = np.argmax(code.probs, axis=1)
+    pols = np.argmax(pol.probs, axis=1)
     return [
         DocPrediction(
             manifesto_id=manifesto.id,
@@ -460,7 +590,7 @@ def _predict_batch(params: HierParams, batch: Sequence[Manifesto]) -> list[DocPr
             doc_vector=vector.copy(),
         )
         for manifesto, lo, hi, vector, rile in zip(
-            batch, bounds, bounds[1:], doc_vectors.value, scores.value)
+            batch, bounds, bounds[1:], doc_vectors, scores)
     ]
 
 

@@ -897,9 +897,11 @@ def map_inference(network: GroundNetwork, config: SolverConfig | None = None) ->
     if not (0.0 < config.smoothing_decay < 1.0):
         raise ValueError("smoothing_decay must lie in (0, 1)")
 
+    # a level within a relative 1e-9 of the final width would repeat it: the
+    # default decay, multiplied into 0.1 seven times, reaches 1.0000000000000005e-08
     mus = []
     mu = config.smoothing_initial
-    while mu > config.smoothing_final:
+    while mu > config.smoothing_final * (1.0 + 1e-9):
         mus.append(mu)
         mu *= config.smoothing_decay
     mus.append(config.smoothing_final)

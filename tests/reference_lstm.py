@@ -20,7 +20,7 @@ import numpy as np
 
 from polyscale import diffcore as dc
 from polyscale.diffcore import Tensor
-from reference_ops import _stable_sigmoid, row
+from reference_ops import _stable_sigmoid, concat, row
 
 
 def lstm_step(
@@ -110,8 +110,8 @@ def bilstm_encode(
     """
     fwd = lstm_encode(seq, forward)
     bwd = lstm_encode(seq, backward_params, reverse=True)
-    steps = [dc.concat([f, b]) for f, b in zip(fwd, bwd)]
-    final = dc.concat([fwd[-1], bwd[0]])
+    steps = [concat([f, b]) for f, b in zip(fwd, bwd)]
+    final = concat([fwd[-1], bwd[0]])
     return steps, final
 
 
@@ -279,4 +279,4 @@ def bilstm_pair(
     """
     fwd = lstm_sequence(x, forward, lengths)
     bwd = lstm_sequence(x, backward_params, lengths, reverse=True)
-    return dc.concat([fwd, bwd]), _last_states(fwd, bwd)
+    return concat([fwd, bwd]), _last_states(fwd, bwd)

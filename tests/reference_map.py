@@ -53,7 +53,7 @@ def reference_map(network: GroundNetwork, config: SolverConfig | None = None):
 
     levels = []
     mu = config.smoothing_initial
-    while mu > config.smoothing_final:
+    while mu > config.smoothing_final * (1.0 + 1e-9):  # no near copy of the final level
         levels.append(mu)
         mu *= config.smoothing_decay
     levels.append(config.smoothing_final)

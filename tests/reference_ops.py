@@ -1,11 +1,14 @@
-"""Per-vector tape ops and a per-tensor Adam that only the tests use.
+"""Tape ops and a per-tensor Adam that only the tests use.
 
-``diffcore`` runs the model on batches of rows; these ops take one vector
-(or one row) at a time, and ``matmul`` takes any pairing of vectors and
-matrices.  The per-step LSTM (``reference_lstm``), the per-sentence model
-pass ``test_hiermodel.reference_forward`` and the op tests in
-``test_diffcore`` build their tapes from them.  ``Adam`` is the reference
-for ``diffcore.Adam``, which runs over the store's flat buffers.
+``diffcore`` keeps the ops the model's tape is built from; these are the
+ones the tests compose into reference paths.  The per-vector ops take one
+vector (or one row) at a time, and ``matmul`` takes any pairing of vectors
+and matrices: the per-step LSTM (``reference_lstm``) and the per-sentence
+model pass ``test_hiermodel.reference_forward`` are built from them.  The
+batch ops (``dense``, ``softmax_xent_rows``, ``concat``, ``segment_mean``,
+``tanh`` and the scalar arithmetic) compose the heads and losses that
+``hiermodel`` runs as one node (``reference_model``).  ``Adam`` is the
+reference for ``diffcore.Adam``, which runs over the store's flat buffers.
 """
 
 from __future__ import annotations
@@ -17,6 +20,177 @@ import numpy as np
 
 from polyscale import diffcore as dc
 from polyscale.diffcore import Tensor
+
+
+def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.value.shape != b.value.shape:
+        raise ValueError(f"{op}: shape mismatch {a.value.shape} vs {b.value.shape}")
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "add")
+    return Tensor(
+        a.value + b.value,
+        (a, b),
+        (
+            lambda g, acc: np.add(acc, g, out=acc),
+            lambda g, acc: np.add(acc, g, out=acc),
+        ),
+    )
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "sub")
+    return Tensor(
+        a.value - b.value,
+        (a, b),
+        (
+            lambda g, acc: np.add(acc, g, out=acc),
+            lambda g, acc: np.subtract(acc, g, out=acc),
+        ),
+    )
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    return Tensor(c * a.value, (a,), (lambda g, acc: np.add(acc, c * g, out=acc),))
+
+
+def square(a: Tensor) -> Tensor:
+    av = a.value
+    return Tensor(av * av, (a,), (lambda g, acc: np.add(acc, 2.0 * av * g, out=acc),))
+
+
+def tanh(a: Tensor) -> Tensor:
+    out = np.tanh(a.value)
+    return Tensor(out, (a,), (lambda g, acc: np.add(acc, g * (1.0 - out * out), out=acc),))
+
+
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join along the last axis; all other dimensions must agree."""
+    parts = list(parts)
+    if not parts:
+        raise ValueError("concat of no tensors")
+    lead = parts[0].value.shape[:-1]
+    for p in parts:
+        if p.value.ndim == 0 or p.value.shape[:-1] != lead:
+            raise ValueError("concat: shape mismatch outside the last axis")
+    out = np.concatenate([p.value for p in parts], axis=-1)
+    vjps = []
+    offset = 0
+    for p in parts:
+        n = p.value.shape[-1]
+
+        def vjp(g, acc, lo=offset, hi=offset + n):
+            np.add(acc, g[..., lo:hi], out=acc)
+
+        vjps.append(vjp)
+        offset += n
+    return Tensor(out, tuple(parts), tuple(vjps))
+
+
+def mean_rows(a: Tensor) -> Tensor:
+    """Mean over the first axis: (S, K) -> (K,), (S,) -> scalar."""
+    av = a.value
+    if av.ndim == 0 or av.shape[0] == 0:
+        raise ValueError("mean_rows needs at least one row")
+    inv = 1.0 / av.shape[0]
+    out = av.sum(axis=0) * inv
+
+    def vjp(g, acc):
+        np.add(acc, inv * g, out=acc)
+
+    return Tensor(out, (a,), (vjp,))
+
+
+def segment_mean(rows: Tensor, counts) -> Tensor:
+    """Mean of each run of consecutive rows: (sum(counts), K) -> (len(counts), K).
+
+    Each run is summed in order over a zero-padded (runs, longest run, K)
+    array, so a run's mean has the bits ``mean_rows`` gives it alone,
+    whatever runs surround it (``np.add.reduceat`` sums in another order).
+    """
+    av = rows.value
+    if av.ndim != 2 or min(counts, default=0) < 1 or sum(counts) != av.shape[0]:
+        raise ValueError(f"segment_mean: counts {list(counts)} must split the {av.shape[0]} "
+                         "rows of a 2-D tensor into runs of one row or more")
+    counts = np.asarray(counts)
+    real = np.arange(counts.max()) < counts[:, None]
+    padded = np.zeros(real.shape + av.shape[1:])
+    padded[real] = av
+    inv = 1.0 / counts
+
+    def vjp(g, acc):
+        np.add(acc, np.repeat(inv[:, None] * g, counts, axis=0), out=acc)
+
+    return Tensor(padded.sum(axis=1) * inv[:, None], (rows,), (vjp,))
+
+
+def softmax_xent_rows(logits: Tensor, gold) -> tuple[Tensor, Tensor | None]:
+    """Row-wise ``softmax_xent`` over (S, K) logits in two tape nodes.
+
+    ``gold`` holds one class index per row, or -1 for an unlabeled row.
+    Returns the (S, K) distributions and the mean cross-entropy over the
+    labeled rows, or None when no row is labeled.
+    """
+    zv = logits.value
+    if zv.ndim != 2:
+        raise ValueError("softmax_xent_rows expects 2-D logits")
+    gold = np.asarray(gold, dtype=np.intp)
+    if gold.shape != zv.shape[:1]:
+        raise ValueError(f"need one gold index per row, got shape {gold.shape}")
+    if np.any((gold < -1) | (gold >= zv.shape[1])):
+        raise ValueError(f"gold index out of range for {zv.shape[1]} classes")
+    m = zv.max(axis=1, keepdims=True)
+    e = np.exp(zv - m)
+    total = e.sum(axis=1, keepdims=True)
+    p = e / total
+
+    def vjp_probs(g, acc):
+        np.add(acc, p * (g - np.sum(g * p, axis=1, keepdims=True)), out=acc)
+
+    probs = Tensor(p, (logits,), (vjp_probs,))
+    rows = np.flatnonzero(gold >= 0)
+    if not rows.size:
+        return probs, None
+    cols = gold[rows]
+    inv = 1.0 / rows.size
+    xents = (m[rows, 0] + np.log(total[rows, 0])) - zv[rows, cols]
+
+    def vjp_loss(g, acc):
+        acc[rows] += (g * inv) * p[rows]
+        acc[rows, cols] -= g * inv
+
+    return probs, Tensor(xents.sum() * inv, (logits,), (vjp_loss,))
+
+
+def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` as one node over a (rows, K) batch ``x``.
+
+    A 1-D ``weight`` with a scalar ``bias`` gives one score per row, each
+    row's own dot product, so a row scores the same bits in any batch (a
+    matrix-vector product sums in an order that depends on the batch).
+    """
+    xv, wv = x.value, weight.value
+    if wv.ndim not in (1, 2) or xv.ndim != 2 or xv.shape[1] != wv.shape[0]:
+        raise ValueError(f"dense: shape mismatch {xv.shape} @ {wv.shape}")
+    if bias.value.shape != wv.shape[1:]:
+        raise ValueError(f"dense: bias shape {bias.value.shape} for weight {wv.shape}")
+    if wv.ndim == 1:  # stacked (1, K) @ (K, 1) products: one dot per row
+        out = (xv[:, None, :] @ wv[:, None])[:, 0, 0]
+        vjps = (
+            lambda g, acc: np.add(acc, np.multiply.outer(g, wv), out=acc),
+            lambda g, acc: np.add(acc, g @ xv, out=acc),
+            lambda g, acc: np.add(acc, g.sum(), out=acc),
+        )
+    else:
+        out = xv @ wv
+        vjps = (
+            lambda g, acc: np.add(acc, g @ wv.T, out=acc),
+            lambda g, acc: np.add(acc, xv.T @ g, out=acc),
+            lambda g, acc: np.add(acc, g.sum(axis=0), out=acc),
+        )
+    return Tensor(out + bias.value, (x, weight, bias), vjps)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -48,7 +222,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    dc._same_shape(a, b, "mul")
+    _same_shape(a, b, "mul")
     av, bv = a.value, b.value
     return Tensor(
         av * bv,

@@ -40,7 +40,7 @@ from polyscale.evaluation import (
     run_experiment,
     spearman,
 )
-from polyscale.hiermodel import ModelConfig, combine_losses, document_loss, predict, train
+from polyscale.hiermodel import ModelConfig, document_loss, predict, train
 from polyscale.pslengine import (
     GroundLiteral,
     GroundNetwork,
@@ -50,9 +50,11 @@ from polyscale.pslengine import (
     parse_program,
     print_program,
 )
+import reference_ops as ops
 from polyscale.synthetic import make_planted_corpus
 from reference_grounder import network_of
 from reference_hinge import distance_to_satisfaction
+from reference_model import combine_losses
 
 RULES_PATH = Path(__file__).resolve().parents[1] / "src/polyscale/assets/position_rules.psl"
 
@@ -111,7 +113,7 @@ def test_c01_gradient_fidelity():
         total = None
         for doc in corpus.manifestos:
             loss, _ = document_loss(params, doc)
-            total = loss if total is None else dc.add(total, loss)
+            total = loss if total is None else ops.add(total, loss)
         return total
 
     start = time.perf_counter()

@@ -449,6 +449,16 @@ def test_map_levels_follow_the_smoothing_schedule(full_map):
         0.5, 0.25, 0.125, 0.0625]
 
 
+def test_default_schedule_ends_at_the_final_width_without_a_near_copy(full_map):
+    """0.1 decayed seven times is 1.0000000000000005e-08; that level would
+    repeat the final 1e-08 one."""
+    _, result = full_map
+    mus = [level.mu for level in result.levels]
+    assert len(mus) == 8
+    assert mus[-1] == 1e-08
+    assert all(abs(a - b) > 1e-9 * max(a, b) for i, a in enumerate(mus) for b in mus[i + 1:])
+
+
 def test_a_run_stopped_by_max_iterations_ends_at_the_level_it_stopped_in(full_map):
     network, result = full_map
     # stop two iterations into the first level with at least three

@@ -39,9 +39,9 @@ class TestTapeOps:
 
         def loss():
             s = ops.sigmoid(store["x"])
-            t = dc.tanh(store["y"])
-            q = dc.square(dc.sub(ops.mul(s, t), dc.scale(store["z"], 0.7)))
-            u = dc.add(q, ops.mul(store["x"], store["x"]))
+            t = ops.tanh(store["y"])
+            q = ops.square(ops.sub(ops.mul(s, t), ops.scale(store["z"], 0.7)))
+            u = ops.add(q, ops.mul(store["x"], store["x"]))
             return ops.matmul(u, ones)
 
         assert dc.check_gradients(loss, store) <= 1e-6
@@ -53,7 +53,7 @@ class TestTapeOps:
         def loss():
             pa = ops.softmax(store["a"])
             pb = ops.softmax(store["b"])
-            m = ops.mean([dc.concat([pa, pb]), dc.concat([pb, pa])])
+            m = ops.mean([ops.concat([pa, pb]), ops.concat([pb, pa])])
             return ops.matmul(m, store["w"])
 
         assert dc.check_gradients(loss, store) <= 1e-6
@@ -90,13 +90,13 @@ class TestTapeOps:
         a = dc.constant(np.ones(3))
         b = dc.constant(np.ones(4))
         with pytest.raises(ValueError, match="shape"):
-            dc.add(a, b)
+            ops.add(a, b)
 
     def test_backward_needs_scalar_root(self):
         store = dc.ParameterStore()
         v = store.add("v", np.ones(3))
         with pytest.raises(ValueError, match="scalar"):
-            dc.backward(dc.scale(v, 2.0))
+            dc.backward(ops.scale(v, 2.0))
 
     def test_unreachable_parameter_keeps_zero_grad(self):
         rng = np.random.default_rng(4)
@@ -125,7 +125,7 @@ class TestBatchOps:
         w = rng.normal(size=(len(self.COUNTS), 5))
 
         def loss():
-            return weighted_sum(dc.segment_mean(store["x"], self.COUNTS), w)
+            return weighted_sum(ops.segment_mean(store["x"], self.COUNTS), w)
 
         assert dc.check_gradients(loss, store, epsilon=3e-3) <= 1e-4
 
@@ -133,29 +133,29 @@ class TestBatchOps:
     def test_each_segment_equals_mean_rows_of_its_rows_bitwise(self, counts):
         rng = np.random.default_rng(13)
         rows = rng.normal(size=(sum(counts), 5))
-        means = dc.segment_mean(dc.constant(rows), counts).value
+        means = ops.segment_mean(dc.constant(rows), counts).value
         for k, (lo, n) in enumerate(zip(np.cumsum((0,) + counts), counts)):
-            alone = dc.mean_rows(dc.constant(rows[lo:lo + n])).value
+            alone = ops.mean_rows(dc.constant(rows[lo:lo + n])).value
             assert means[k].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("counts", [(3, 0, 5), (), (4, 3), (9,)])
     def test_segment_mean_rejects_bad_counts(self, counts):
         x = dc.constant(np.zeros((8, 2)))
         with pytest.raises(ValueError, match="segment"):
-            dc.segment_mean(x, counts)
+            ops.segment_mean(x, counts)
 
     def test_dense_vector_weight_scores_each_row_by_its_own_dot(self):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(9, 40))
         w, b = dc.constant(rng.normal(size=40)), dc.constant(np.array(0.3))
-        scores = dc.dense(dc.constant(x), w, b).value
+        scores = ops.dense(dc.constant(x), w, b).value
         assert scores.shape == (9,)
         for k in range(9):
-            one = dc.dense(dc.constant(x[k:k + 1]), w, b).value
+            one = ops.dense(dc.constant(x[k:k + 1]), w, b).value
             assert scores[k].tobytes() == one[0].tobytes()
             assert scores[k] == np.dot(x[k], w.value) + 0.3
         with pytest.raises(ValueError, match="dense: shape mismatch"):
-            dc.dense(dc.constant(x[0]), w, b)
+            ops.dense(dc.constant(x[0]), w, b)
 
     def test_dense_structure_margins_equal_matmul_bitwise(self):
         """The model's structure margins: (S, 3) polarity probabilities times
@@ -167,7 +167,7 @@ class TestBatchOps:
             p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
             g = rng.normal(size=len(p))
             results = []
-            for margins_of in (lambda t: dc.dense(t, signs, dc.constant(0.0)),
+            for margins_of in (lambda t: ops.dense(t, signs, dc.constant(0.0)),
                                lambda t: ops.matmul(t, signs)):
                 probs = dc.ParameterStore().add("probs", p)
                 margins = margins_of(probs)
@@ -181,7 +181,7 @@ class TestBatchOps:
         v = rng.normal(size=4)
 
         def loss():
-            return weighted_sum(dc.tanh(dc.dense(store["x"], store["w"], store["b"])), v)
+            return weighted_sum(ops.tanh(ops.dense(store["x"], store["w"], store["b"])), v)
 
         assert dc.check_gradients(loss, store) <= 1e-6
 
@@ -353,7 +353,7 @@ class TestLstmSequence:
             for t, h in enumerate(ref_states):
                 np.testing.assert_allclose(states.value[b, t], h.value, rtol=0, atol=1e-10)
                 term = weighted_sum(h, weights[b, t])
-                ref_loss = term if ref_loss is None else dc.add(ref_loss, term)
+                ref_loss = term if ref_loss is None else ops.add(ref_loss, term)
             # padding: the forward scan carries its last state, the reverse
             # scan has not started yet
             for t in range(length, ids.shape[1]):
@@ -368,7 +368,7 @@ class TestLstmSequence:
         final_w = rng.normal(size=(len(self.LENGTHS), 6))
         steps, final = dc.bilstm_batch(dc.gather(table, ids), pf, pb, self.LENGTHS)
         valid = np.arange(ids.shape[1]) < np.array(self.LENGTHS)[:, None]
-        fused_loss = dc.add(weighted_sum(steps, step_w * valid[..., None]),
+        fused_loss = ops.add(weighted_sum(steps, step_w * valid[..., None]),
                             weighted_sum(final, final_w))
         fused = self.grads_of(store, fused_loss)
 
@@ -382,7 +382,7 @@ class TestLstmSequence:
                 np.testing.assert_allclose(steps.value[b, t], s.value, rtol=0, atol=1e-10)
                 terms.append(weighted_sum(s, step_w[b, t]))
             for term in terms:
-                ref_loss = term if ref_loss is None else dc.add(ref_loss, term)
+                ref_loss = term if ref_loss is None else ops.add(ref_loss, term)
         assert float(fused_loss.value) == pytest.approx(float(ref_loss.value), abs=1e-10)
         self.assert_grads_close(fused, self.grads_of(store, ref_loss))
 
@@ -399,7 +399,7 @@ class TestLstmSequence:
         final_w = rng.normal(size=6)
         steps, final = dc.bilstm_batch(x, pf, pb)
         assert steps.value.shape == (length, 6) and final.value.shape == (6,)
-        fused_loss = dc.add(weighted_sum(steps, step_w), weighted_sum(final, final_w))
+        fused_loss = ops.add(weighted_sum(steps, step_w), weighted_sum(final, final_w))
         fused = self.grads_of(store, fused_loss)
 
         ref_steps, ref_final = bilstm_encode([ops.row(x, t) for t in range(length)], pf, pb)
@@ -407,7 +407,7 @@ class TestLstmSequence:
         ref_loss = weighted_sum(ref_final, final_w)
         for t, s in enumerate(ref_steps):
             np.testing.assert_allclose(steps.value[t], s.value, rtol=0, atol=1e-10)
-            ref_loss = dc.add(ref_loss, weighted_sum(s, step_w[t]))
+            ref_loss = ops.add(ref_loss, weighted_sum(s, step_w[t]))
         assert float(fused_loss.value) == pytest.approx(float(ref_loss.value), abs=1e-10)
         self.assert_grads_close(fused, self.grads_of(store, ref_loss))
 
@@ -460,7 +460,7 @@ class TestFusedBilstm:
         for encode in (dc.bilstm_batch, bilstm_pair):
             store.zero_grad()
             steps_t, final = encode(x, pf, pb, lengths)
-            dc.backward(dc.add(weighted_sum(steps_t, step_w), weighted_sum(final, final_w)))
+            dc.backward(ops.add(weighted_sum(steps_t, step_w), weighted_sum(final, final_w)))
             results.append([steps_t.value.copy(), final.value.copy()]
                            + [t.grad.copy() for _, t in store])
         fused, pair = results
@@ -488,13 +488,13 @@ class TestAdam:
         first = None
         for _ in range(400):
             store.zero_grad()
-            diff = dc.sub(x, target)
+            diff = ops.sub(x, target)
             loss = ops.matmul(diff, diff)
             if first is None:
                 first = float(loss.value)
             dc.backward(loss)
             opt.step()
-        final = float(ops.matmul(dc.sub(x, target), dc.sub(x, target)).value)
+        final = float(ops.matmul(ops.sub(x, target), ops.sub(x, target)).value)
         assert final < 1e-3 < first
 
     def test_clipping_bounds_update(self):

@@ -1,9 +1,12 @@
 """Tests for the hierarchical document scaler."""
 
+import dataclasses
 import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyscale.diffcore as dc
 import polyscale.hiermodel as hm
@@ -17,7 +20,6 @@ from polyscale.hiermodel import (
     DocPrediction,
     ModelConfig,
     Vocabulary,
-    combine_losses,
     document_loss,
     effective_rile,
     load_checkpoint,
@@ -27,6 +29,8 @@ from polyscale.hiermodel import (
     training_documents,
 )
 from reference_lstm import bilstm_encode
+import reference_model as rm
+from reference_model import combine_losses
 
 SCHEME = LabelScheme.default()
 
@@ -77,13 +81,18 @@ def np_softmax(z):
     return e / e.sum()
 
 
+def encode(params, docs):
+    """Sentence states of a batch of documents, as an array."""
+    counts = [len(doc.sentences) for doc in docs]
+    return hm._encode_sentences(params, *hm._token_ids(params.vocab, docs), counts).value
+
+
 def forward(params, doc):
-    """The shared forward over one unlabeled document: its code and polarity
-    probabilities, document vector and score, as arrays."""
-    unlabeled = np.full(len(doc.sentences), -1)
-    code_probs, pol_probs, _, _, doc_vectors, scores = hm._forward(
-        params, [doc], unlabeled, unlabeled)
-    return code_probs.value, pol_probs.value, doc_vectors.value[0], scores.value[0]
+    """The head values ``predict`` reads for one document: its code and
+    polarity probabilities, document vector and score."""
+    code, pol, doc_vectors, scores = hm._heads(params.store, encode(params, [doc]),
+                                               [len(doc.sentences)])
+    return code.probs, pol.probs, doc_vectors[0], scores[0]
 
 
 class TestVocabulary:
@@ -132,20 +141,18 @@ class TestForward:
     def test_output_shapes(self):
         docs = self.corpus.manifestos[:3]
         n = sum(len(doc.sentences) for doc in docs)
-        unlabeled = np.full(n, -1)
-        code_probs, pol_probs, sentence_loss, polarity_loss, doc_vectors, scores = (
-            hm._forward(self.params, docs, unlabeled, unlabeled))
-        assert code_probs.value.shape == (n, 57)
-        assert pol_probs.value.shape == (n, 3)
-        assert sentence_loss is None and polarity_loss is None
-        assert doc_vectors.value.shape == (3, 57 + 8)
-        assert scores.value.shape == (3,)
-        assert np.all(np.abs(scores.value) < 1.0)
+        code, pol, doc_vectors, scores = hm._heads(
+            self.params.store, encode(self.params, docs), [len(d.sentences) for d in docs])
+        assert code.probs.shape == (n, 57)
+        assert pol.probs.shape == (n, 3)
+        assert doc_vectors.shape == (3, 57 + 8)
+        assert scores.shape == (3,)
+        assert np.all(np.abs(scores) < 1.0)
 
     def test_doc_vector_is_mean_of_prob_state_blocks(self):
         doc = self.corpus.manifestos[0]
         code_probs, _, doc_vector, _ = forward(self.params, doc)
-        states = hm._encode_sentences(self.params, [doc]).value
+        states = encode(self.params, [doc])
         store = self.params.store
         logits = states @ store["code_head.weight"].value + store["code_head.bias"].value
         for row, probs in zip(logits, code_probs):
@@ -182,6 +189,103 @@ class TestForward:
             users = [node for node in nodes if any(p in node.parents for p in lstm)]
             assert len(users) == 1, level
             assert all(p in users[0].parents for p in lstm), level
+
+
+HEADS = [f"{head}.{k}" for head in ("code_head", "pol_head", "doc_head") for k in ("weight", "bias")]
+
+
+def head_store(rng, rows, state_dim=6):
+    """Random sentence states (``states``) and head parameters, in a store."""
+    n_codes = len(SCHEME.codes)
+    store = dc.ParameterStore()
+    for name, shape in (("states", (rows, state_dim)),
+                        ("code_head.weight", (state_dim, n_codes)), ("code_head.bias", (n_codes,)),
+                        ("pol_head.weight", (state_dim, 3)), ("pol_head.bias", (3,)),
+                        ("doc_head.weight", (n_codes + state_dim,)), ("doc_head.bias", ())):
+        store.add(name, rng.uniform(-2.0, 2.0, size=shape))
+    return store
+
+
+@st.composite
+def head_cases(draw):
+    """One document's states and head parameters, its labels and target, and
+    the loss coefficients."""
+    rows = draw(st.integers(1, 7))
+    labels = draw(st.one_of(
+        st.just([None] * rows),
+        st.lists(st.one_of(st.none(), st.integers(0, len(SCHEME.codes) - 1)),
+                 min_size=rows, max_size=rows)))
+    target = draw(st.one_of(st.none(), st.floats(-1.0, 1.0)))
+    config = ModelConfig(alpha=draw(st.sampled_from([0.0, 0.3, 1.0])),
+                         beta=draw(st.sampled_from([0.0, 0.1])),
+                         gamma=draw(st.sampled_from([0.0, 0.7])))
+    return draw(st.integers(0, 2**32 - 1)), labels, target, config
+
+
+class TestHeadNode:
+    """The heads and losses of a document as one tape node, against the
+    composed per-op tape of ``reference_model``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(head_cases())
+    def test_loss_node_equals_composed_tape_bitwise(self, case):
+        seed, labels, target, config = case
+        store = head_store(np.random.default_rng(seed), len(labels))
+        code_gold = np.array([-1 if k is None else k for k in labels])
+        pol_gold = np.array([-1 if k is None else POLARITY_ORDER.index(
+            SCHEME.polarity_of(SCHEME.codes[k])) for k in labels])
+        results = []
+        for head_loss in (hm._head_loss, rm.head_loss):
+            store.zero_grad()
+            try:
+                total, parts = head_loss(store, store["states"], code_gold, pol_gold, target, config)
+            except ValueError as err:
+                results.append(str(err))
+                continue
+            dc.backward(total)
+            results.append((total.value, parts, store.grads.copy()))
+        fused, composed = results
+        if isinstance(composed, str):
+            assert fused == composed == "no loss components to combine"
+            return
+        assert np.array_equal(fused[0], composed[0])
+        assert fused[1] == composed[1]
+        assert np.array_equal(fused[2], composed[2])  # the states and the six head tensors
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    def test_head_values_equal_composed_forward_bitwise(self, seed, counts):
+        store = head_store(np.random.default_rng(seed), sum(counts))
+        states = store["states"].value
+        code, pol, doc_vectors, scores = hm._heads(store, states, counts)
+        unlabeled = np.full(sum(counts), -1)
+        ref = rm.heads(store, constant(states), counts, unlabeled, unlabeled)
+        for fused, composed in zip((code.probs, pol.probs, doc_vectors, scores),
+                                   (ref[0], ref[1], ref[4], ref[5])):
+            assert np.array_equal(fused, composed.value)
+
+    def test_document_loss_tape_is_the_encoder_and_one_head_node(self):
+        corpus = small_corpus()
+        params, _ = train(corpus, tiny_config(epochs=0))
+        store = params.store
+        total, _ = document_loss(params, corpus.manifestos[0])
+        nodes, stack = {id(total): total}, [total]
+        while stack:
+            for parent in stack.pop().parents:
+                if id(parent) not in nodes:
+                    nodes[id(parent)] = parent
+                    stack.append(parent)
+        assert len(nodes) == 20
+        assert sum(id(t) in nodes for _, t in store) == 15
+        assert total.parents[1:] == tuple(store[name] for name in HEADS)
+        # sentence level, word-level final states, word level, gather, embeddings
+        states = total.parents[0]
+        assert states.parents[1:] == tuple(
+            store[f"sent_{d}.{k}"] for d in ("fwd", "bwd") for k in ("weight", "bias"))
+        word = states.parents[0].parents[0]
+        assert word.parents[1:] == tuple(
+            store[f"word_{d}.{k}"] for d in ("fwd", "bwd") for k in ("weight", "bias"))
+        assert word.parents[0].parents == (store["embed.matrix"],)
 
 
 class TestLosses:
@@ -297,8 +401,8 @@ def reference_forward(params, manifesto):
     states, _ = bilstm_encode(vectors, views["sent_fwd"], views["sent_bwd"])
     code_xents, pol_xents, code_probs, pol_probs, pooled = [], [], [], [], []
     for sentence, state in zip(manifesto.sentences, states):
-        logits = dc.add(ops.matmul(state, store["code_head.weight"]), store["code_head.bias"])
-        pol_logits = dc.add(ops.matmul(state, store["pol_head.weight"]), store["pol_head.bias"])
+        logits = ops.add(ops.matmul(state, store["code_head.weight"]), store["code_head.bias"])
+        pol_logits = ops.add(ops.matmul(state, store["pol_head.weight"]), store["pol_head.bias"])
         if sentence.gold_code is None:
             probs, p_probs = ops.softmax(logits), ops.softmax(pol_logits)
         else:
@@ -309,17 +413,17 @@ def reference_forward(params, manifesto):
             pol_xents.append(p_xent)
         code_probs.append(probs)
         pol_probs.append(p_probs)
-        pooled.append(dc.concat([probs, state]))
+        pooled.append(ops.concat([probs, state]))
     doc_vector = ops.mean(pooled)
-    rile_hat = dc.tanh(dc.add(ops.matmul(doc_vector, store["doc_head.weight"]),
+    rile_hat = ops.tanh(ops.add(ops.matmul(doc_vector, store["doc_head.weight"]),
                               store["doc_head.bias"]))
     target = constant(effective_rile(manifesto, scheme))
     margins = [ops.matmul(p, constant(np.array([-1.0, 1.0, 0.0]))) for p in pol_probs]
     total = combine_losses(
         ops.mean(code_xents) if code_xents else None,
-        dc.square(dc.sub(rile_hat, target)),
+        ops.square(ops.sub(rile_hat, target)),
         ops.mean(pol_xents) if pol_xents else None,
-        dc.square(dc.sub(ops.mean(margins), target)),
+        ops.square(ops.sub(ops.mean(margins), target)),
         params.config.alpha, params.config.beta, params.config.gamma,
     )
     return doc_vector, rile_hat, total, code_probs, pol_probs
@@ -400,6 +504,35 @@ class TestTrain:
             assert np.array_equal(
                 params_a.store[name].value, params_b.store[name].value
             )
+
+    def test_inputs_are_built_per_call_and_not_kept(self):
+        """Training on A and then on B, which shares A's documents under
+        another vocabulary, gives B's result alone; no model keeps inputs."""
+        a = small_corpus()
+        fresh = make_doc("n1", ["brand new words lead", "new words again"],
+                         codes=["401", "504"], rile=0.1)
+        b = Corpus(manifestos=(fresh,) + a.manifestos, scheme=SCHEME)
+        # the same documents as new objects, trained before anything saw B's
+        copies = Corpus(manifestos=tuple(dataclasses.replace(m) for m in b.manifestos),
+                        scheme=SCHEME)
+        alone, logs_alone = train(copies, tiny_config())
+        params_a, _ = train(a, tiny_config())
+        params_b, logs_b = train(b, tiny_config())
+        shared = a.manifestos[0]
+        assert not np.array_equal(hm._token_ids(params_a.vocab, [shared])[0],
+                                  hm._token_ids(params_b.vocab, [shared])[0])
+        assert logs_b == logs_alone
+        assert np.array_equal(params_b.store.values, alone.store.values)
+        assert params_a._inputs == params_b._inputs == alone._inputs == {}
+
+    def test_inputs_follow_a_new_vocabulary(self):
+        params, _ = train(small_corpus(), tiny_config(epochs=0))
+        doc = small_corpus().manifestos[0]
+        first, _ = document_loss(params, doc)
+        params.vocab = Vocabulary.from_tokens(params.vocab.tokens[::-1])
+        second, _ = document_loss(params, doc)
+        expected, _ = rm.document_loss(params, doc)
+        assert second.value == expected.value != first.value
 
     def test_no_trainable_documents_raises(self):
         corpus = Corpus(

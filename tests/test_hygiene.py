@@ -1,6 +1,7 @@
 """Source hygiene: no module in ``src/`` or ``tests/`` imports a name it never
-uses, every top-level function and class of the package has a caller, and
-every method of a package class has one outside the tests."""
+uses, every top-level function and class of the package has a caller, every
+method of a package class has one outside the tests, and no function of the
+package keeps state in a module-level container or a ``functools`` cache."""
 
 import ast
 from pathlib import Path
@@ -133,3 +134,84 @@ def test_scan_catches_a_method_only_tests_call():
     demo = ast.parse("from pkg import Box\n\nBox().used()\n")
     assert uncalled({"pkg.py": package}, [package, demo], methods) == [
         ("pkg.py", 11, "Box.tested")]
+
+
+# calls that change a list, dict or set in place
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "clear", "update",
+            "setdefault", "add", "discard", "remove", "sort", "reverse"}
+CONTAINER_CALLS = {"list", "dict", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def module_containers(tree):
+    """Names a module binds at top level to a list, dict or set."""
+    names = set()
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or value is None:
+            continue
+        call = value.func if isinstance(value, ast.Call) else None
+        if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
+                              ast.SetComp)) or (
+                call is not None and getattr(call, "id", getattr(call, "attr", None))
+                in CONTAINER_CALLS):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def module_state(tree):
+    """(line, what) for each function that changes a module-level container,
+    and each use of ``functools.lru_cache`` or ``functools.cache``: both keep
+    state for the life of the process, shared by every caller."""
+    shared = module_containers(tree)
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        declared = {n for node in ast.walk(func) if isinstance(node, ast.Global)
+                    for n in node.names}
+        local = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)} | {
+            node.id for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)} - declared
+        for node in ast.walk(func):
+            targets = []
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS:
+                targets = [node.func.value]
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+                targets = [t.value if isinstance(t, ast.Subscript) else t
+                           for t in getattr(node, "targets", None) or [node.target]]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id in shared - local:
+                    found.append((node.lineno, f"{func.name} changes {target.id}"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            cached = [a.name for a in node.names if a.name in ("lru_cache", "cache")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache") \
+                and getattr(node.value, "id", None) == "functools":
+            cached = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, f"functools.{name}") for name in cached]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_level_state(path):
+    found = module_state(parse(path))
+    assert not found, f"{path.relative_to(ROOT)} keeps state at module level: {found}"
+
+
+def test_scan_catches_module_level_state():
+    tree = ast.parse(
+        "import functools\nfrom functools import lru_cache, partial\n"
+        "CACHE = {}\nSEEN: list = []\nNAMES = ('a',)\nCOUNTS = dict()\n\n"
+        "def remember(k, v):\n    CACHE[k] = v\n\n"
+        "def note(x):\n    SEEN.append(x)\n    NAMES.count(x)\n\n"
+        "def own(x, SEEN=()):\n    CACHE = {}\n    CACHE[x] = x\n    return SEEN\n\n"
+        "def reads():\n    return CACHE.get('a'), len(SEEN), COUNTS['a']\n\n"
+        "def rebinds():\n    global COUNTS\n    COUNTS = {}\n    del CACHE['a']\n\n"
+        "@functools.cache\ndef slow(x):\n    return partial(x)\n")
+    assert module_state(tree) == [
+        (2, "functools.lru_cache"), (9, "remember changes CACHE"), (12, "note changes SEEN"),
+        (25, "rebinds changes COUNTS"), (26, "rebinds changes CACHE"), (28, "functools.cache")]
