@@ -85,7 +85,13 @@ def group_rules(groups: Sequence[str]) -> list[int]:
 
 
 def program_for_groups(program: PslProgram, groups: Sequence[str]) -> PslProgram:
-    return program.subset(group_rules(groups))
+    """The rules of the named groups, at their indices in the default layout."""
+    indices = group_rules(groups)
+    short = [name for name in groups if RULE_GROUPS[name][-1] >= len(program.rules)]
+    if short:
+        raise ValueError(f"rule group(s) {', '.join(map(repr, short))} index past the "
+                         f"program's {len(program.rules)} rule(s)")
+    return program.subset(indices)
 
 
 def squash(value: float) -> float:

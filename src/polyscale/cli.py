@@ -277,11 +277,6 @@ def _load_atoms(path):
     return db
 
 
-def _format_ground_literal(lit) -> str:
-    bang = "!" if lit.negated else ""
-    return f"{bang}{lit.predicate}({', '.join(lit.args)})"
-
-
 def _cmd_ground(args) -> int:
     from .pslengine import ground, load_program
 
@@ -293,9 +288,8 @@ def _cmd_ground(args) -> int:
         f"# free atoms: {len(network.free_atoms)}",
     ]
     for rule in network.rules:
-        body = " & ".join(_format_ground_literal(lit) for lit in rule.body)
-        head = _format_ground_literal(rule.head)
-        lines.append(f"{rule.weight!r} ^{rule.exponent} : {body} -> {head}")
+        body = " & ".join(str(lit) for lit in rule.body)
+        lines.append(f"{rule.weight!r} ^{rule.exponent} : {body} -> {rule.head}")
     text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")

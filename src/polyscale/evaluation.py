@@ -144,13 +144,6 @@ class Split:
     dev: tuple
     test: tuple
 
-    def ids(self):
-        return {
-            "train": [m.id for m in self.train],
-            "dev": [m.id for m in self.dev],
-            "test": [m.id for m in self.test],
-        }
-
 
 def make_split(corpus: Corpus, spec: SplitSpec, seed: int = 0) -> Split:
     """Deterministic train/dev/test partition of a corpus.

@@ -32,10 +32,10 @@ on the variables already bound, all literals of all candidate rows are
 looked up at once, exact prunes apply as masks, and the kept rows are
 written straight into the flat arrays the solver uses (one row per ground
 rule: a constant, a weight, an exponent, and (row, free atom, coefficient)
-entries).  ``GroundRule`` objects are built only when a caller reads
-``GroundNetwork.rules``.  The energy, and the smoothed energy and gradient
-that MAP descends, are computed from those arrays alone; the reference that
-compiles hand-built ``GroundRule`` lists into them lives in the tests
+entries).  A ground rule is a ``Rule`` over constants, built only when a
+caller reads ``GroundNetwork.rules``.  The energy, and the smoothed energy
+and gradient that MAP descends, are computed from those arrays alone; the
+reference that compiles hand-built ground rules into them lives in the tests
 (``tests/reference_grounder.py``).
 
 Each source rule grounds independently of the others into one block of
@@ -319,27 +319,6 @@ class RelationalDatabase:
 
 
 @dataclass(frozen=True)
-class GroundLiteral:
-    predicate: str
-    args: tuple[str, ...]
-    negated: bool
-    free_index: int | None  # index into the network's free atoms, or None
-    observed_value: float | None  # fixed value when not free
-
-    @property
-    def atom(self) -> Atom:
-        return (self.predicate, self.args)
-
-
-@dataclass(frozen=True)
-class GroundRule:
-    weight: float
-    exponent: int
-    body: tuple[GroundLiteral, ...]
-    head: GroundLiteral
-
-
-@dataclass(frozen=True)
 class RuleStats:
     """What grounding one source rule produced: kept rows and exact prunes.
 
@@ -360,14 +339,14 @@ class GroundNetwork:
     """Ground rules over indexed free atoms, with their compiled energy arrays.
 
     ``ground`` builds it from what it writes: ``compiled`` holds one energy
-    row per rule of ``rules``, a read-only sequence that builds each
-    ``GroundRule`` only when read, and ``stats`` holds one ``RuleStats`` per
-    source rule.  ``add_prior`` appends rows to ``compiled`` that ``rules``
-    does not list.
+    row per rule of ``rules``, a read-only sequence of ``Rule``s over
+    constants that builds each one only when read, and ``stats`` holds one
+    ``RuleStats`` per source rule.  ``add_prior`` appends rows to
+    ``compiled`` that ``rules`` does not list.
     """
 
     def __init__(self, free_atoms: Sequence[Atom], initial: np.ndarray,
-                 compiled: "_Compiled", rules: Sequence[GroundRule],
+                 compiled: "_Compiled", rules: Sequence[Rule],
                  stats: Sequence[RuleStats]):
         self.free_atoms = tuple(free_atoms)
         self.free_index = {a: i for i, a in enumerate(self.free_atoms)}
@@ -470,15 +449,11 @@ class _Compiled:
         return self.rhos == 1
 
     def linear(self, x: np.ndarray) -> np.ndarray:
-        if len(self.entry_rule):
-            sums = np.bincount(
-                self.entry_rule,
-                weights=self.entry_coef * x[self.entry_free],
-                minlength=len(self.consts),
-            )
-        else:
-            sums = np.zeros(len(self.consts))
-        return self.consts + sums
+        return self.consts + np.bincount(
+            self.entry_rule,
+            weights=self.entry_coef * x[self.entry_free],
+            minlength=len(self.consts),
+        )
 
     def energy(self, x: np.ndarray) -> float:
         return self.energy_at(self.linear(x))
@@ -509,8 +484,6 @@ class _Compiled:
 
     def _pull_back(self, slope: np.ndarray) -> np.ndarray:
         """Gradient over the free atoms from the energy's slope per row."""
-        if not len(self.entry_rule):
-            return np.zeros(self.n_free)
         return np.bincount(
             self.entry_free,
             weights=self.entry_coef * slope[self.entry_rule],
@@ -626,30 +599,19 @@ def _relations(program: PslProgram, db: RelationalDatabase):
 class _RuleRows:
     """The kept rows of one source rule, as constant codes per literal."""
 
-    def __init__(self, rule: Rule, constants: list, args: list, free: np.ndarray,
-                 value: np.ndarray):
+    def __init__(self, rule: Rule, constants: list, args: list):
         self.rule = rule
         self.constants = constants
         self.args = args  # per literal (body, then head): (rows, arity) codes
-        self.free = free  # (rows, literals): free-atom index, or -1
-        self.value = value  # (rows, literals): observed value where not free
 
     def __len__(self):
-        return len(self.free)
+        return len(self.args[0])
 
-    def __getitem__(self, i: int) -> GroundRule:
-        literals = []
-        for j, lit in enumerate(self.rule.body + (self.rule.head,)):
-            args = tuple(self.constants[c] for c in self.args[j][i])
-            free = int(self.free[i, j])
-            if free >= 0:
-                literals.append(GroundLiteral(lit.predicate, args, lit.negated, free, None))
-            else:
-                literals.append(GroundLiteral(
-                    lit.predicate, args, lit.negated, None, float(self.value[i, j])
-                ))
-        return GroundRule(self.rule.weight, self.rule.exponent,
-                          tuple(literals[:-1]), literals[-1])
+    def __getitem__(self, i: int) -> Rule:
+        literals = [Literal(lit.predicate, tuple(self.constants[c] for c in self.args[j][i]),
+                            lit.negated)
+                    for j, lit in enumerate(self.rule.body + (self.rule.head,))]
+        return Rule(self.rule.weight, tuple(literals[:-1]), literals[-1], self.rule.exponent)
 
 
 class _GroundRules(Sequence):
@@ -662,7 +624,7 @@ class _GroundRules(Sequence):
     def __len__(self):
         return self._ends[-1] if self._ends else 0
 
-    def __getitem__(self, index: int) -> GroundRule:
+    def __getitem__(self, index: int) -> Rule:
         if not 0 <= index < len(self):
             raise IndexError("ground rule index out of range")
         b = bisect.bisect_right(self._ends, index)  # skips empty blocks
@@ -776,7 +738,7 @@ def _ground_rule(rule: Rule, program: PslProgram, relations: dict, constants: li
                       int(body_zero.sum()), int(constant.sum()))
 
     free, value = free[keep], value[keep]
-    rows = _RuleRows(rule, constants, [a[keep] for a in args], free, value)
+    rows = _RuleRows(rule, constants, [a[keep] for a in args])
     # the arithmetic of tests/reference_grounder.compile_rules, one literal at a time
     const = np.full(len(free), -(len(rule.body) - 1.0))
     coefs = np.empty(len(literals))

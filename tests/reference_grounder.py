@@ -1,8 +1,10 @@
 """Dict-per-substitution grounder: the reference for ``pslengine.ground``.
 
 It extends one dict per substitution and builds a ``GroundLiteral`` for every
-literal of every candidate row.  Tests compare the array grounder's compiled
-arrays, rules and prune counts against the network this builds.
+literal of every candidate row.  Each literal carries where its value comes
+from, a free-atom index or an observed value, which ``pslengine`` keeps only
+in its compiled arrays.  Tests compare the array grounder's compiled arrays,
+rules (through ``as_rule``) and prune counts against the network this builds.
 ``compile_rules`` is the reference for the arrays: it compiles a list of
 ``GroundRule`` objects one literal at a time, and ``network_of`` builds a
 ``GroundNetwork`` from hand-built rules with it.
@@ -10,6 +12,7 @@ arrays, rules and prune counts against the network this builds.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,16 +20,45 @@ import numpy as np
 from polyscale.pslengine import (
     Atom,
     GroundingError,
-    GroundLiteral,
     GroundNetwork,
-    GroundRule,
     Literal,
     PslProgram,
     RelationalDatabase,
+    Rule,
     RuleStats,
     _check_arities,
     _Compiled,
 )
+
+
+@dataclass(frozen=True)
+class GroundLiteral:
+    predicate: str
+    args: tuple[str, ...]
+    negated: bool
+    free_index: int | None  # index into the network's free atoms, or None
+    observed_value: float | None  # fixed value when not free
+
+    def __str__(self):
+        return str(Literal(self.predicate, self.args, self.negated))
+
+
+@dataclass(frozen=True)
+class GroundRule:
+    weight: float
+    exponent: int
+    body: tuple[GroundLiteral, ...]
+    head: GroundLiteral
+
+
+def as_rule(rule: GroundRule) -> Rule:
+    """``rule`` as ``pslengine.GroundNetwork.rules`` holds it: a ``Rule`` over
+    constants, without the literals' free indices and observed values."""
+    def literal(lit: GroundLiteral) -> Literal:
+        return Literal(lit.predicate, lit.args, lit.negated)
+
+    return Rule(rule.weight, tuple(literal(lit) for lit in rule.body), literal(rule.head),
+                rule.exponent)
 
 
 def compile_rules(rules: Sequence[GroundRule], n_free: int) -> _Compiled:
@@ -211,7 +243,9 @@ def reference_ground(program: PslProgram, db: RelationalDatabase) -> GroundNetwo
                 stats["missing"] += 1
                 continue
             if any(
-                gl.atom == head.atom and gl.negated == head.negated for gl in body
+                (gl.predicate, gl.args, gl.negated)
+                == (head.predicate, head.args, head.negated)
+                for gl in body
             ):
                 stats["tautology"] += 1
                 continue

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from polyscale.pslengine import GroundLiteral, GroundRule
+from reference_grounder import GroundLiteral, GroundRule
 
 
 def _effective(lit: GroundLiteral, values: np.ndarray) -> float:

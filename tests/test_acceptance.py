@@ -42,9 +42,7 @@ from polyscale.evaluation import (
 )
 from polyscale.hiermodel import ModelConfig, document_loss, predict, train
 from polyscale.pslengine import (
-    GroundLiteral,
     GroundNetwork,
-    GroundRule,
     load_program,
     map_inference,
     parse_program,
@@ -52,7 +50,7 @@ from polyscale.pslengine import (
 )
 import reference_ops as ops
 from polyscale.synthetic import make_planted_corpus
-from reference_grounder import network_of
+from reference_grounder import GroundLiteral, GroundRule, network_of
 from reference_hinge import distance_to_satisfaction
 from reference_model import combine_losses
 

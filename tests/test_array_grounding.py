@@ -31,8 +31,6 @@ from polyscale.calibration import (
 from polyscale.hiermodel import DocPrediction
 from polyscale.pslengine import (
     GroundingError,
-    GroundLiteral,
-    GroundRule,
     Literal,
     Predicate,
     PslProgram,
@@ -44,7 +42,7 @@ from polyscale.pslengine import (
     parse_program,
 )
 from polyscale.synthetic import make_planted_corpus
-from reference_grounder import network_of, reference_ground
+from reference_grounder import GroundLiteral, GroundRule, as_rule, network_of, reference_ground
 from reference_hinge import distance_to_satisfaction
 from reference_map import reference_map
 
@@ -73,7 +71,7 @@ def assert_matches_reference(program, db):
     assert_bitwise_equal(network, reference)
     assert network.stats == reference.stats
     assert len(network.rules) == len(reference.rules)
-    assert list(network.rules) == reference.rules
+    assert list(network.rules) == [as_rule(rule) for rule in reference.rules]
     assert network.free_atoms == reference.free_atoms
     assert network.initial.tobytes() == reference.initial.tobytes()
     return network
@@ -169,11 +167,16 @@ def test_random_selections_match_grounding_the_subset(program_rules, db, data):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(rules(), min_size=1, max_size=4), databases(), st.data())
 def test_energy_is_the_weighted_sum_of_rule_hinges(program_rules, db, data):
-    network = ground_or_reject(PslProgram(dict(PREDICATES), program_rules), db)
+    """The array energy against the reference grounder's rules, walked one
+    literal at a time: the oracle shares no code with the path under test."""
+    program = PslProgram(dict(PREDICATES), program_rules)
+    network = ground_or_reject(program, db)
+    reference = reference_ground(program, db)
+    assert reference.free_atoms == network.free_atoms
     n = len(network.free_atoms)
     x = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     expected = sum(rule.weight * distance_to_satisfaction(rule, x) ** rule.exponent
-                   for rule in network.rules)
+                   for rule in reference.rules)
     assert network.energy(x) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
@@ -535,6 +538,7 @@ def test_rule_sequence_indexing(planted_db):
     network = ground(program, planted_db)
     rules = list(network.rules)
     n = len(rules)
+    assert all(type(rule) is Rule for rule in rules)
     assert network.rules[0] == rules[0]
     assert network.rules[n // 2] == rules[n // 2]
     with pytest.raises(IndexError):

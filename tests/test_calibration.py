@@ -21,6 +21,8 @@ from polyscale.calibration import (
 )
 from polyscale.corpus import Corpus, LabelScheme, Manifesto, Sentence
 from polyscale.hiermodel import DocPrediction, ModelConfig
+from polyscale.pslengine import parse_program
+from reference_grounder import reference_ground
 
 SCHEME = LabelScheme.default()
 
@@ -278,6 +280,15 @@ class TestProgramGroups:
         with pytest.raises(ValueError, match="unknown rule group"):
             program_for_groups(default_program(), ["coal", "wild"])
 
+    def test_group_past_a_short_program_rejected(self):
+        program = parse_program("open pos/1\n1.0 : A(x) -> pos(x)\n")
+        with pytest.raises(ValueError, match=r"'esim' index past the program's 1 rule"):
+            program_for_groups(program, ["esim"])
+        nine = default_program().subset(range(9))
+        assert len(program_for_groups(nine, ["coal"]).rules) == 8
+        with pytest.raises(ValueError, match=r"'esim', 'temp' index past .* 9 rule"):
+            program_for_groups(nine, ["coal", "esim", "temp"])
+
 
 class TestCalibrate:
     def test_coalition_pulls_partners_together(self):
@@ -298,9 +309,13 @@ class TestCalibrate:
         assert result.map_result.converged
 
     def test_full_program_matches_grid_oracle(self):
+        """The grid scans the reference grounder's rules, so the oracle does
+        not share the array grounder under test."""
         _, _, _, db = fixture_db()
         result = calibrate(db)
-        rules = result.network.rules
+        reference = reference_ground(default_program(), db)
+        assert reference.free_atoms == result.network.free_atoms
+        rules = reference.rules
         n = len(result.network.free_atoms)
         axis = np.linspace(0.0, 1.0, 101)
         grids = np.meshgrid(*([axis] * n), indexing="ij")

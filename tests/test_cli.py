@@ -173,6 +173,19 @@ class TestGroundInfer:
         assert "# ground rules: 2" in out
         assert "Friend(a, b) & pos(a) -> pos(b)" in out
 
+    def test_negated_literals_print_like_the_program(self, tmp_path, capsys):
+        (tmp_path / "rules.psl").write_text(
+            "open pos/1\n0.5 : Grudge(x, y) & !Calm(x) & pos(x) -> !pos(y) ^1\n",
+            encoding="utf-8")
+        (tmp_path / "atoms.txt").write_text(
+            "obs Grudge a b 1.0\nobs Calm a 0.25\ntarget pos a\ntarget pos b\n",
+            encoding="utf-8")
+        code = main(["ground", "--rules", str(tmp_path / "rules.psl"),
+                     "--atoms", str(tmp_path / "atoms.txt")])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "0.5 ^1 : Grudge(a, b) & !Calm(a) & pos(a) -> !pos(b)"]
+
     def test_infer_reaches_the_anchored_fixpoint(self, logic_files, tmp_path):
         out = tmp_path / "values.tsv"
         code = main([
@@ -298,6 +311,22 @@ class TestCalibrate:
             "--output", str(tmp_path / "c.tsv"),
         ])
         assert code == 2
+
+    def test_group_past_a_custom_program_is_usage_error(self, workdir, tmp_path, capsys):
+        root, _ = workdir
+        rules = tmp_path / "short.psl"
+        rules.write_text("open pos/1\n1.0 : A(x) -> pos(x)\n", encoding="utf-8")
+        code = main([
+            "calibrate",
+            "--model", str(root / "model.pscl"),
+            "--corpus", str(root / "corpus.jsonl"),
+            "--party-graph", str(root / "graph.tsv"),
+            "--rules", str(rules),
+            "--groups", "esim",
+            "--output", str(tmp_path / "c.tsv"),
+        ])
+        assert code == 2
+        assert "'esim' index past the program's 1 rule(s)" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

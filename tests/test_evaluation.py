@@ -141,6 +141,11 @@ def planted():
     )
 
 
+def ids_of(split):
+    """The manifesto ids of each partition, in order."""
+    return [[m.id for m in part] for part in (split.train, split.dev, split.test)]
+
+
 class TestSplit:
     def test_temporal_honours_cutoff(self, planted):
         split = make_split(planted.corpus, SplitSpec(kind="temporal"), seed=1)
@@ -153,8 +158,7 @@ class TestSplit:
     def test_partitions_are_disjoint_and_cover(self, planted):
         spec = SplitSpec(kind="random_stratified", test_fraction=0.25)
         split = make_split(planted.corpus, spec, seed=3)
-        ids = split.ids()
-        all_ids = ids["train"] + ids["dev"] + ids["test"]
+        all_ids = [m.id for m in split.train + split.dev + split.test]
         assert len(all_ids) == len(set(all_ids)) == len(planted.corpus)
 
     def test_stratified_test_counts_per_country(self, planted):
@@ -173,13 +177,13 @@ class TestSplit:
         spec = SplitSpec(kind="random_stratified", test_fraction=0.3)
         a = make_split(planted.corpus, spec, seed=8)
         b = make_split(planted.corpus, spec, seed=8)
-        assert a.ids() == b.ids()
+        assert ids_of(a) == ids_of(b)
 
     def test_different_seed_changes_split(self, planted):
         spec = SplitSpec(kind="random_stratified", test_fraction=0.3)
         a = make_split(planted.corpus, spec, seed=8)
         b = make_split(planted.corpus, spec, seed=9)
-        assert a.ids() != b.ids()
+        assert ids_of(a) != ids_of(b)
 
     def test_dev_fraction_zero_gives_empty_dev(self, planted):
         spec = SplitSpec(kind="temporal", dev_fraction=0.0)

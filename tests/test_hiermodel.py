@@ -758,7 +758,7 @@ class TestCheckpoint:
         table = EmbeddingTable(tuple(words), rng.normal(size=(len(words), 6)))
         config = tiny_config(trainable_embeddings=False)
         params, _ = train(corpus, config, embeddings=table)
-        assert "embed.matrix" not in params.store
+        assert "embed.matrix" not in params.store.names
         assert params.frozen_embed is not None
         path = tmp_path / "model.pscl"
         save_checkpoint(params, path)

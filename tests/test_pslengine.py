@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from polyscale.pslengine import (
     GroundingError,
-    GroundLiteral,
-    GroundRule,
     Literal,
     MapResult,
     Predicate,
@@ -25,7 +23,7 @@ from polyscale.pslengine import (
     parse_program,
     print_program,
 )
-from reference_grounder import network_of
+from reference_grounder import GroundLiteral, GroundRule, network_of
 from reference_hinge import distance_to_satisfaction
 
 
