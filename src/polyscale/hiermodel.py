@@ -220,9 +220,17 @@ def _token_ids(vocab: Vocabulary, manifestos: Sequence[Manifesto]) -> tuple[np.n
     to the longest sentence, and each sentence's length."""
     sentences = [(m.language, s) for m in manifestos for s in m.sentences]
     lengths = [len(s.tokens) for _, s in sentences]
+    known: dict[str, dict[str, int]] = {}  # language -> token -> id, each looked up once
+    flat = []
+    for language, sentence in sentences:
+        ids_of = known.setdefault(language, {})
+        for tok in sentence.tokens:
+            tid = ids_of.get(tok)
+            if tid is None:
+                tid = ids_of[tok] = vocab.id_of(language, tok)
+            flat.append(tid)
     ids = np.zeros((len(sentences), max(lengths)), dtype=np.intp)
-    for row, (language, sentence) in zip(ids, sentences):
-        row[: len(sentence.tokens)] = [vocab.id_of(language, tok) for tok in sentence.tokens]
+    ids[np.arange(ids.shape[1]) < np.array(lengths)[:, None]] = flat
     return ids, lengths
 
 

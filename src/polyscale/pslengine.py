@@ -23,7 +23,8 @@ b_1..b_n and head h is scored by its distance to satisfaction
 minus its atom value).  This equals clamping the Lukasiewicz AND of the body
 first, since h >= 0.  The MAP state minimizes the energy
 ``sum_r weight_r * d_r ** exponent_r`` over the free atoms, a convex box
-problem solved by projected gradient descent.
+problem solved by accelerated projected gradient descent (FISTA) over the
+rows with equal rows merged.
 
 Grounding works on arrays, as database joins that produce hinge rows.
 Every constant gets an integer code; each predicate's atoms become code
@@ -342,7 +343,10 @@ class GroundNetwork:
     row per rule of ``rules``, a read-only sequence of ``Rule``s over
     constants that builds each one only when read, and ``stats`` holds one
     ``RuleStats`` per source rule.  ``add_prior`` appends rows to
-    ``compiled`` that ``rules`` does not list.
+    ``compiled`` that ``rules`` does not list.  ``map_inference`` solves on
+    ``compiled.merged()``, the same energy with equal rows merged, which it
+    builds for each solve; ``compiled``, ``rules`` and ``stats`` keep one row
+    per ground rule.
     """
 
     def __init__(self, free_atoms: Sequence[Atom], initial: np.ndarray,
@@ -444,9 +448,11 @@ class _Compiled:
         self.n_free = n_free
 
     @functools.cached_property
-    def is_linear(self) -> np.ndarray:
-        """Rows whose hinge has exponent 1."""
-        return self.rhos == 1
+    def _weights_by_exponent(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's weight in the array of its exponent, squared or linear,
+        and 0 in the other: one expression then scores both kinds of row."""
+        linear = self.rhos == 1
+        return np.where(linear, 0.0, self.weights), np.where(linear, self.weights, 0.0)
 
     def linear(self, x: np.ndarray) -> np.ndarray:
         return self.consts + np.bincount(
@@ -460,7 +466,8 @@ class _Compiled:
 
     def energy_at(self, u: np.ndarray) -> float:
         d = np.maximum(u, 0.0)
-        return float(np.sum(self.weights * np.where(self.is_linear, d, d * d)))
+        squared, linear = self._weights_by_exponent
+        return float(np.sum(squared * (d * d) + linear * d))
 
     def smoothed_energy_at(self, u: np.ndarray, mu: float) -> float:
         """Energy with linear hinges replaced by their Huber smoothing.
@@ -471,16 +478,13 @@ class _Compiled:
         """
         d = np.maximum(u, 0.0)
         huber = np.where(u <= mu, d * d / (2.0 * mu), u - mu / 2.0)
-        return float(np.sum(self.weights * np.where(self.is_linear, huber, d * d)))
+        squared, linear = self._weights_by_exponent
+        return float(np.sum(squared * (d * d) + linear * huber))
 
     def smoothed_gradient_at(self, u: np.ndarray, mu: float) -> np.ndarray:
         d = np.maximum(u, 0.0)
-        slope = np.where(
-            self.is_linear,
-            self.weights * np.minimum(d / mu, 1.0),
-            2.0 * self.weights * d,
-        )
-        return self._pull_back(slope)
+        squared, linear = self._weights_by_exponent
+        return self._pull_back(2.0 * squared * d + linear * np.minimum(d / mu, 1.0))
 
     def _pull_back(self, slope: np.ndarray) -> np.ndarray:
         """Gradient over the free atoms from the energy's slope per row."""
@@ -488,6 +492,51 @@ class _Compiled:
             self.entry_free,
             weights=self.entry_coef * slope[self.entry_rule],
             minlength=self.n_free,
+        )
+
+    def merged(self) -> "_Compiled":
+        """The same energy over fewer rows: equal rows become one.
+
+        Rows are equal when they have the same exponent, the same constant
+        and the same (free atom, coefficient) entries in any order.  Each
+        term of the energy is its row's weight times a function of the row
+        alone, so equal rows add up to one row carrying the sum of their
+        weights.  The groups come in the order of their sort keys, and each
+        keeps the constant and entries of its first row and sums its weights
+        in row order, so the result depends only on these arrays, not on how
+        they were built.
+        """
+        n_rows = len(self.consts)
+        counts = np.bincount(self.entry_rule, minlength=n_rows)
+        coef_values, coef_codes = np.unique(self.entry_coef, return_inverse=True)
+        # one row of the table per hinge row: its exponent, then its entries as
+        # codes sorted within the row, padded with 0 (no code is 0)
+        table = np.zeros((n_rows, 1 + (int(counts.max()) if n_rows else 0)), dtype=np.int64)
+        table[:, 0] = self.rhos
+        order = np.argsort(self.entry_rule, kind="stable")
+        rows = self.entry_rule[order]
+        slots = 1 + np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        table[rows, slots] = (self.entry_free * len(coef_values) + coef_codes + 1)[order]
+        table[:, 1:].sort(axis=1)
+        key, _ = _joint_keys(table, table[:0], max(self.n_free * len(coef_values) + 1, 3))
+        by_row = np.lexsort((self.consts, key))  # stable: a group's first row leads it
+        key, consts = key[by_row], self.consts[by_row]
+        starts = np.ones(n_rows, dtype=bool)
+        starts[1:] = (key[1:] != key[:-1]) | (consts[1:] != consts[:-1])
+        kept = by_row[starts]
+        group = np.empty(n_rows, dtype=np.intp)
+        group[by_row] = np.cumsum(starts) - 1
+        is_kept = np.zeros(n_rows, dtype=bool)
+        is_kept[kept] = True
+        entries = is_kept[self.entry_rule]
+        return _Compiled(
+            self.consts[kept],
+            np.bincount(group, weights=self.weights, minlength=len(kept)),
+            self.rhos[kept],
+            group[self.entry_rule[entries]],
+            self.entry_free[entries],
+            self.entry_coef[entries],
+            self.n_free,
         )
 
 
@@ -836,7 +885,7 @@ class MapResult:
 
 
 def map_inference(network: GroundNetwork, config: SolverConfig | None = None) -> MapResult:
-    """Minimize the network energy over [0, 1]^n by projected gradient.
+    """Minimize the network energy over [0, 1]^n by accelerated projected gradient.
 
     Plain (sub)gradient steps stall on this energy: at a kink where a
     high-weight hinge is exactly tight, the negative subgradient crosses
@@ -845,12 +894,27 @@ def map_inference(network: GroundNetwork, config: SolverConfig | None = None) ->
     with width mu), shrinking mu geometrically and warm-starting each
     level.  The smoothed energy underestimates the true one by at most
     mu/2 per linear rule, so the final level pins the gap well below any
-    reported tolerance.  Each level runs monotone backtracking descent
-    until the improvement falls under the tolerance; the result reports
-    the exact (unsmoothed) energy of the best iterate, and one ``MapLevel``
-    per level run.  The hinge rows of each iterate are computed once: the
-    line search's accepted trial hands its rows to the next gradient.
-    Descent starts from ``network.initial``, the targets' initial values.
+    reported tolerance.
+
+    It solves on the network's rows with equal rows merged
+    (``_Compiled.merged``), the same energy over fewer rows.  Each level
+    runs FISTA (Beck & Teboulle 2009) from the level's starting point: a
+    projected gradient step from an extrapolated point, backtracking on a
+    Lipschitz estimate that starts at ``1 / initial_step``, doubles until
+    the step's quadratic bound holds and shrinks after every accepted step.
+    The extrapolation stops at the first kink where a row that the new
+    iterate pays for, and that alone holds one of its atoms, comes free:
+    past it the energy is flat along that atom, and momentum would carry
+    the atom across a set of equal minima, away from the one that plain
+    descent reaches.
+    A step that does not lower the smoothed energy is dropped and the
+    momentum restarts from the last iterate (O'Donoghue & Candes 2015);
+    when the step already came from that iterate, the level ends.  A level
+    also ends after three improvements in a row below the tolerance.
+    ``iterations`` counts gradient evaluations.  The result reports the
+    exact (unsmoothed) energy of the best iterate, and one ``MapLevel`` per
+    level run.  Descent starts from ``network.initial``, the targets'
+    initial values.
     """
     config = config or SolverConfig()
     x = np.clip(network.initial, 0.0, 1.0)
@@ -868,7 +932,11 @@ def map_inference(network: GroundNetwork, config: SolverConfig | None = None) ->
         mu *= config.smoothing_decay
     mus.append(config.smoothing_final)
 
-    comp = network.compiled
+    comp = network.compiled.merged()
+    # rows holding an atom that no other row holds
+    held = np.bincount(comp.entry_free, minlength=comp.n_free)
+    sole = np.bincount(comp.entry_rule, weights=held[comp.entry_free] == 1,
+                       minlength=len(comp.consts)) > 0
     u = comp.linear(x)
     best_x, best_f = x.copy(), comp.energy_at(u)
     iterations = 0
@@ -876,34 +944,51 @@ def map_inference(network: GroundNetwork, config: SolverConfig | None = None) ->
     levels = []
     for mu in mus:
         f = comp.smoothed_energy_at(u, mu)
-        step = config.initial_step
+        lipschitz = 1.0 / config.initial_step
+        # the extrapolated point y, its hinge rows and smoothed energy, and
+        # the momentum t; y is x itself after a restart
+        y, uy, fy, t = x, u, f, 1.0
         stall_count = 0
         start = iterations
         while True:
             if iterations >= config.max_iterations:
                 converged = False
                 break
-            g = comp.smoothed_gradient_at(u, mu)
+            g = comp.smoothed_gradient_at(uy, mu)
             iterations += 1
-            if float(np.linalg.norm(g)) == 0.0:
-                break
-            s = step
-            accepted = False
+            descended = False
             for _ in range(40):
-                xn = np.clip(x - s * g, 0.0, 1.0)
-                if not np.any(xn != x):
+                xn = np.clip(y - g / lipschitz, 0.0, 1.0)
+                step = xn - y
+                if not np.any(step):
                     break
                 un = comp.linear(xn)
                 fn = comp.smoothed_energy_at(un, mu)
-                if fn < f - 1e-15:
-                    accepted = True
+                if fn <= fy + g @ step + 0.5 * lipschitz * (step @ step):
+                    descended = fn < f
                     break
-                s *= 0.5
-            if not accepted:
-                break  # projected stationary point of the smoothed energy
+                lipschitz *= 2.0
+            if not descended:
+                if y is x:
+                    break  # projected stationary point of the smoothed energy
+                y, uy, fy, t = x, u, f, 1.0
+                continue
             delta = f - fn
-            x, u, f = xn, un, fn
-            step = min(s * 2.0, 4.0)
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            freed = sole & (un > 0.0) & (beta * (un - u) <= -un)
+            if freed.any():
+                # stop at the first kink where such a row, paid for at xn,
+                # comes free: past it the energy is flat along its sole atom,
+                # and momentum carried there meets nothing that stops it
+                beta = float(np.min(un[freed] / (u - un)[freed]))
+            if beta:
+                y, uy = xn + beta * (xn - x), un + beta * (un - u)  # rows are affine in x
+                fy = comp.smoothed_energy_at(uy, mu)
+            else:  # no momentum yet: y is the new iterate itself
+                y, uy, fy = xn, un, fn
+            x, u, f, t = xn, un, fn, t_next
+            lipschitz *= 0.8
             if delta < config.tolerance:
                 stall_count += 1
                 if stall_count >= 3:

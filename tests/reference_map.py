@@ -1,9 +1,17 @@
-"""The MAP solver loop as it ran before hinge rows were reused: a test oracle.
+"""The monotone MAP descent the solver used before FISTA: an energy oracle.
 
-Each smoothed energy and gradient here computes the hinge rows from the
-assignment again, straight from the compiled arrays, so nothing is shared
-with the solver in ``pslengine``.  The arithmetic is the solver's, operation
-for operation, so its results must agree bit for bit.
+It runs backtracking projected gradient descent on each smoothing level,
+over the network's own rows, unmerged, and computes each smoothed energy and
+gradient from the assignment again, straight from the compiled arrays.  It
+shares the smoothing schedule and the stopping rule with ``map_inference``
+but neither its rows nor its steps, so the two agree on the energy they
+reach, not bit for bit.  Tests require the solver to converge wherever this
+loop does, and to end no more than a relative 1e-9 above this loop's energy
+on the networks they draw.  That margin holds there, but it is not a bound
+on every network: both loops stop near the optimum of the last smoothed
+energy (mu = 1e-8), whose exact energy can lie above the true minimum by up
+to mu/2 per linear row, and which of the two lands lower depends on its
+path.  Over wider draws a few solves end up to 3e-9 (relative) above it.
 """
 
 from __future__ import annotations

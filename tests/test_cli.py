@@ -186,6 +186,16 @@ class TestGroundInfer:
         assert capsys.readouterr().out.splitlines()[2:] == [
             "0.5 ^1 : Grudge(a, b) & !Calm(a) & pos(a) -> !pos(b)"]
 
+    def test_ground_output_writes_what_stdout_shows(self, logic_files, tmp_path, capsys):
+        argv = ["ground", "--rules", str(logic_files / "rules.psl"),
+                "--atoms", str(logic_files / "atoms.txt")]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "ground.txt"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == printed
+        assert capsys.readouterr().out == f"2 ground rules over 2 free atoms -> {out}\n"
+
     def test_infer_reaches_the_anchored_fixpoint(self, logic_files, tmp_path):
         out = tmp_path / "values.tsv"
         code = main([

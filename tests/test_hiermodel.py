@@ -132,6 +132,27 @@ class TestVocabulary:
         docs = list(small_corpus().manifestos)
         assert Vocabulary.build(docs, 50).tokens == Vocabulary.build(docs, 50).tokens
 
+    def test_token_ids_equal_id_of_per_token(self):
+        vocab = Vocabulary.build(list(small_corpus().manifestos), cap=100)
+        docs = [
+            make_doc("n1", ["Taxes MUST fall zeppelin", "taxes", "Zeppelin markets now"]),
+            make_doc("n2", ["STEUERN runter", "taxes must fall", "unbekannt jetzt JETZT"],
+                     lang="bb"),
+        ]
+        ids, lengths = hm._token_ids(vocab, docs)
+        expected = np.zeros((6, 4), dtype=np.intp)
+        row = 0
+        for doc in docs:
+            for sentence in doc.sentences:
+                expected[row, : len(sentence.tokens)] = [
+                    vocab.id_of(doc.language, tok) for tok in sentence.tokens]
+                row += 1
+        assert lengths == [4, 1, 3, 2, 3, 3]
+        assert ids.dtype == expected.dtype
+        assert ids.tobytes() == expected.tobytes()
+        assert ids[0, 3] == vocab.index["aa:<unk>"] and ids[4, 0] == vocab.index["bb:<unk>"]
+        assert ids[0, 0] == ids[1, 0] == vocab.index["aa:taxes"]
+
 
 class TestForward:
     def setup_method(self):
