@@ -10,9 +10,10 @@ A corpus file is UTF-8 JSON lines, one manifesto per line::
 gold category of a sentence.  RILE is held in the scaled [-1, 1] convention
 everywhere inside the package; the raw convention exists only in files.
 
-A scheme file is UTF-8 text with one ``code<TAB>major_category<TAB>polarity``
-row per category code; ``#`` starts a comment.  A valid scheme has exactly 57
-codes, 13 of them left and 13 right.
+The coding scheme is the packaged ``assets/cmp_scheme.tsv``: UTF-8 text
+with one ``code<TAB>major_category<TAB>polarity`` row per category code;
+``#`` starts a comment.  A valid scheme has exactly 57 codes, 13 of them
+left and 13 right.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ _TOKEN = re.compile(r"\w+", re.UNICODE)
 
 
 class CorpusFormatError(ValueError):
-    """Raised for malformed corpus or scheme files."""
+    """Raised for malformed corpus files or label schemes."""
 
 
 class Polarity(Enum):
@@ -74,21 +75,10 @@ class LabelScheme:
             )
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "LabelScheme":
-        path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"scheme file not found: {path}")
-        return cls._parse(path.read_text(encoding="utf-8"), str(path))
-
-    @classmethod
     def default(cls) -> "LabelScheme":
-        text = (
-            resources.files("polyscale").joinpath("assets/cmp_scheme.tsv").read_text("utf-8")
-        )
-        return cls._parse(text, "<default scheme>")
-
-    @classmethod
-    def _parse(cls, text: str, origin: str) -> "LabelScheme":
+        """The packaged scheme, ``assets/cmp_scheme.tsv``."""
+        origin = "<default scheme>"
+        text = resources.files("polyscale").joinpath("assets/cmp_scheme.tsv").read_text("utf-8")
         codes: list[str] = []
         categories: dict[str, str] = {}
         polarities: dict[str, Polarity] = {}

@@ -2,21 +2,23 @@
 
 Everything is float64 numpy.  A ``Tensor`` wraps a value plus closures that
 accumulate vector-Jacobian products into its parents, so a forward pass builds
-the tape and ``backward`` walks it once.  Ops: ``constant``, ``reshape``,
-batched row lookup (``gather``) and the bidirectional LSTM below.  A model
-adds its own larger nodes by building ``Tensor`` directly: ``hiermodel``'s
-heads and losses of a document are one node.  The elementwise, pooling,
-softmax and ``dense`` ops that the tests compose into reference paths live in
-``tests/reference_ops.py``.
+the tape and ``backward`` walks it once.  Ops: ``constant``, batched row
+lookup (``gather``) and the bidirectional LSTM below.  A model adds its own
+larger nodes by building ``Tensor`` directly: ``hiermodel``'s heads and
+losses of a document are one node.  The elementwise, pooling, softmax,
+``dense`` and ``reshape`` ops that the tests compose into reference paths
+live in ``tests/reference_ops.py``.
 
 An LSTM direction is two parameters (``init_lstm_params``): one
 (in + hidden, 4 * hidden) weight holding the input and recurrent rows of all
 four gates, and one 4 * hidden bias.  A bidirectional layer runs as one tape
-node per padded batch of sequences (``bilstm_batch``) whose parents are the
-input and both directions' weight and bias.  Each direction's input
-projection is one matmul; the two recurrences run in one numpy scan over
-stacked (2, batch, hidden) states, and backpropagation through time runs in
-one reversed scan inside the node's vector-Jacobian products.  The
+node per batch of sequences (``bilstm_batch``) whose parents are the input
+and both directions' weight and bias.  Sequences go in and come out as
+packed rows, one sequence after another; the node pads them to its scan
+layout and back inside itself.  Each direction's input projection is one
+matmul; the two recurrences run in one numpy scan over stacked
+(2, batch, hidden) states, and backpropagation through time runs in one
+reversed scan inside the node's vector-Jacobian products.  The
 per-direction and per-step reference paths live in the tests
 (``tests/reference_lstm.py``).
 
@@ -96,12 +98,6 @@ def backward(root: Tensor) -> None:
             vjp(g, parent.grad)
         if node.parents:
             node.grad = None
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    """``a`` with a new shape of the same size."""
-    out = a.value.reshape(shape)
-    return Tensor(out, (a,), (lambda g, acc: np.add(acc, g.reshape(acc.shape), out=acc),))
 
 
 def gather(matrix: Tensor, ids) -> Tensor:
@@ -232,62 +228,69 @@ def init_lstm_params(
 
 
 def bilstm_batch(
-    x: Tensor, forward: tuple[Tensor, Tensor], backward_params: tuple[Tensor, Tensor],
-    lengths=None,
+    x: Tensor, forward: tuple[Tensor, Tensor], backward_params: tuple[Tensor, Tensor], lengths
 ) -> tuple[Tensor, Tensor]:
-    """Both directions of a bidirectional LSTM over a padded batch, as one node.
+    """Both directions of a bidirectional LSTM over a batch of sequences, as
+    one node.
 
-    ``x`` is (B, T, d) for B sequences padded to T steps, or (T, d) for a
-    single sequence; ``lengths`` gives each sequence's true length (all T
-    when omitted).  ``forward`` and ``backward_params`` are (weight, bias)
-    pairs that ``init_lstm_params`` makes: rows ``Wx`` over rows ``Wh``, gate
-    blocks in i/f/o/c order.  Returns the per-step [fwd; bwd] states,
-    (B, T, 2n) or (T, 2n), as one node whose parents are ``x`` and the four
-    parameters, and the final [last fwd; last bwd] state per sequence,
-    (B, 2n) or (2n,), as a small node over it: the backward direction's last
-    state is the one at step 0, after it has consumed the whole sequence.  A
-    padded step carries its sequence's state unchanged, so the forward half
-    at step T - 1 is the sequence's last state; the other per-step states
-    past a sequence's length are filler.
+    ``x`` is packed: (sum(lengths), d), the rows of one sequence after
+    another, each in step order.  ``forward`` and ``backward_params`` are
+    (weight, bias) pairs that ``init_lstm_params`` makes: rows ``Wx`` over
+    rows ``Wh``, gate blocks in i/f/o/c order.  Returns the per-step
+    [fwd; bwd] states, packed like ``x`` as (sum(lengths), 2n), in one node
+    whose parents are ``x`` and the four parameters, and the final
+    [last fwd; last bwd] state per sequence, (len(lengths), 2n), as a small
+    node over it (``_final_states``).
 
-    Both directions share one scan: slot s holds forward step s and backward
-    step T - 1 - s, every state array is (2, B, n), and the recurrent
-    products of both directions are one stacked matmul.  Each direction's
-    input projection ``x @ Wx + b`` is one matmul ahead of the scan.  The
-    backward pass does backpropagation through time in one reversed scan
-    inside the node's vector-Jacobian products.
+    Inside, the node scans a slot-major layout: the B sequences padded to
+    the longest, T steps.  Slot s holds forward step s and backward step
+    T - 1 - s, every state array is (2, B, n), and the recurrent products of
+    both directions are one stacked matmul.  A padded step carries its
+    sequence's state unchanged and gets no gradient.  Each direction's input
+    projection ``x @ Wx + b`` is one matmul ahead of the scan.  The backward
+    pass does backpropagation through time in one reversed scan inside the
+    node's vector-Jacobian products.
     """
     xv = x.value
-    single = xv.ndim == 2
-    xb = xv[None] if single else xv
-    if xb.ndim != 3:
-        raise ValueError("bilstm_batch expects (T, d) or (B, T, d) inputs")
-    batch, steps, width = xb.shape
+    if xv.ndim != 2:
+        raise ValueError("bilstm_batch expects packed (rows, d) inputs")
+    lengths = [int(k) for k in lengths]
+    steps, shortest = max(lengths, default=0), min(lengths, default=0)
+    if shortest < 1:
+        raise ValueError("cannot encode an empty batch or an empty sequence")
+    if sum(lengths) != xv.shape[0]:
+        raise ValueError(f"lengths sum to {sum(lengths)}, not to the {xv.shape[0]} input rows")
+    batch, width = len(lengths), xv.shape[1]
     n = forward[1].value.shape[0] // 4
-    if steps == 0:
-        raise ValueError("cannot encode an empty sequence")
-    # slot-major from here on: index s of every array is scan slot s, and the
-    # axis after it is the direction (0 forward, 1 backward)
+    # ``rows`` is each packed row's place in the step-major (T * B) layout of
+    # the sequences padded to T steps; a batch of one is already in it.
+    # From the scan on, index s of every array is scan slot s, and the axis
+    # after it is the direction (0 forward, 1 backward).
+    rows = slice(None)
     valid = None  # (T, 2, B) mask of real steps; None when nothing is padded
     keep = None  # (T, 2, B, 1): True where a padded step keeps its state
     ragged = [False] * steps  # slots where some sequence is padding
-    if lengths is not None:
-        lengths = [int(k) for k in lengths]
-        shortest = min(lengths, default=0)
-        if len(lengths) != batch or shortest < 1 or max(lengths) > steps:
-            raise ValueError(f"lengths must be {batch} values in 1..{steps}; an "
-                             "empty sequence cannot be encoded")
+    if batch > 1:
+        real = np.arange(steps) < np.array(lengths)[:, None]  # (B, T)
+        rows = np.arange(steps * batch).reshape(steps, batch).T[real]
         if shortest < steps:
-            real = np.arange(steps)[:, None] < np.array(lengths)
-            valid = np.stack((real, real[::-1]), axis=1)
+            valid = np.stack((real.T, real.T[::-1]), axis=1)
             keep = ~valid[..., None]
             ragged = [s >= shortest or s <= steps - 1 - shortest for s in range(steps)]
+
+    def step_major(a):  # packed rows as (T * B, width), zero past each length
+        if batch == 1:
+            return a
+        out = np.zeros((steps * batch, a.shape[1]))
+        out[rows] = a
+        return out
+
     acts = np.empty((steps, 2, batch, 4 * n))  # sigmoid i, f, o then tanh g
     wx, wh = [], []
     # Halving the i/f/o pre-activations turns sigmoid into 0.5 + 0.5 tanh(z/2),
     # so one tanh call covers all four gates.  Halving is exact in floating
     # point, and doubling back recovers the weights bit for bit.
-    xt = xb.transpose(1, 0, 2).reshape(steps * batch, width)
+    xt = step_major(xv)
     for d, (weight, bias) in enumerate((forward, backward_params)):
         w = weight.value.copy()
         b = bias.value.copy()
@@ -326,10 +329,10 @@ def bilstm_batch(
     def grads(g):
         if cache and cache[0] is g:
             return cache[1]
-        gb = g[None] if single else g
+        gt = step_major(g).reshape(steps, batch, 2 * n)
         gs = np.empty_like(hidden)  # the output gradient in slot order
-        gs[:, 0] = gb[..., :n].transpose(1, 0, 2)
-        gs[:, 1] = gb[:, ::-1, n:].transpose(1, 0, 2)
+        gs[:, 0] = gt[..., :n]
+        gs[:, 1] = gt[::-1, :, n:]
         # state entering each slot: the previous slot's, zero first
         h_prev = np.zeros_like(hidden)
         c_prev = np.zeros_like(cells)
@@ -377,36 +380,42 @@ def bilstm_batch(
             h_in = np.ascontiguousarray(h_prev[order, d]).reshape(steps * batch, n)
             wx_t = wx[d].T.copy()
             wx_t[: 3 * n] *= 2.0
-            dx.append((dz2 @ wx_t).reshape(steps, batch, width).transpose(1, 0, 2))
+            dx.append(dz2 @ wx_t)
             dw.append(np.empty((width + n, 4 * n)))
             np.matmul(xt.T, dz2, out=dw[d][:width])
             np.matmul(h_in.T, dz2, out=dw[d][width:])
             db.append(dz2.sum(axis=0))
         dx = dx[0] + dx[1]
-        cache[:] = [g, (dx[0] if single else dx, dw[0], db[0], dw[1], db[1])]
+        cache[:] = [g, (dx[rows], dw[0], db[0], dw[1], db[1])]
         return cache[1]
 
     def vjp(k):
         return lambda g, acc: np.add(acc, grads(g)[k], out=acc)
 
-    out = np.empty((batch, steps, 2 * n))
-    out[..., :n] = hidden[:, 0].transpose(1, 0, 2)
-    out[..., n:] = hidden[::-1, 1].transpose(1, 0, 2)
-    states = Tensor(out[0] if single else out, (x, *forward, *backward_params),
+    out = np.empty((steps, batch, 2 * n))
+    out[..., :n] = hidden[:, 0]
+    out[..., n:] = hidden[::-1, 1]
+    states = Tensor(out.reshape(steps * batch, 2 * n)[rows], (x, *forward, *backward_params),
                     tuple(vjp(k) for k in range(5)))
-    return states, _final_states(states)
+    # a padded step carries its sequence's state, so the forward half at step
+    # T - 1 is each sequence's last state
+    final = np.concatenate((out[-1, :, :n], out[0, :, n:]), axis=1)
+    return states, _final_states(states, final, lengths)
 
 
-def _final_states(states: Tensor) -> Tensor:
-    """[fwd at the last step; bwd at step 0] per sequence, as one node."""
-    sv = states.value
-    n = sv.shape[-1] // 2
+def _final_states(states: Tensor, value: np.ndarray, lengths: list[int]) -> Tensor:
+    """``value``, the [fwd at the last step; bwd at step 0] state of each
+    sequence, as a node over the packed ``states``: its gradient goes to each
+    sequence's last row (forward half) and first row (backward half)."""
+    n = value.shape[1] // 2
 
     def vjp(g, acc):
-        acc[..., -1, :n] += g[..., :n]
-        acc[..., 0, n:] += g[..., n:]
+        ends = np.cumsum(lengths)
+        first = ends - lengths
+        acc[ends - 1, :n] += g[:, :n]
+        acc[first, n:] += g[:, n:]
 
-    return Tensor(np.concatenate((sv[..., -1, :n], sv[..., 0, n:]), axis=-1), (states,), (vjp,))
+    return Tensor(value, (states,), (vjp,))
 
 
 class Adam:

@@ -216,10 +216,9 @@ def _copy_pretrained(matrix, vocab, embeddings, embed_dim):
 
 
 def _token_ids(vocab: Vocabulary, manifestos: Sequence[Manifesto]) -> tuple[np.ndarray, list[int]]:
-    """One row of token ids per sentence of the documents, in order, zero-padded
-    to the longest sentence, and each sentence's length."""
+    """The token ids of every sentence of the documents, in order, one
+    sentence after another, and each sentence's length."""
     sentences = [(m.language, s) for m in manifestos for s in m.sentences]
-    lengths = [len(s.tokens) for _, s in sentences]
     known: dict[str, dict[str, int]] = {}  # language -> token -> id, each looked up once
     flat = []
     for language, sentence in sentences:
@@ -229,9 +228,7 @@ def _token_ids(vocab: Vocabulary, manifestos: Sequence[Manifesto]) -> tuple[np.n
             if tid is None:
                 tid = ids_of[tok] = vocab.id_of(language, tok)
             flat.append(tid)
-    ids = np.zeros((len(sentences), max(lengths)), dtype=np.intp)
-    ids[np.arange(ids.shape[1]) < np.array(lengths)[:, None]] = flat
-    return ids, lengths
+    return np.array(flat, dtype=np.intp), [len(s.tokens) for _, s in sentences]
 
 
 def _encode_sentences(params: HierParams, ids: np.ndarray, lengths, counts) -> dc.Tensor:
@@ -240,9 +237,9 @@ def _encode_sentences(params: HierParams, ids: np.ndarray, lengths, counts) -> d
     ``ids`` and ``lengths`` are ``_token_ids`` of the documents, which have
     ``counts`` sentences each.  Rows run through the documents in order, each
     document's sentences in order.  The word level is one LSTM node over every
-    sentence of the batch, padded to the longest one.  The sentence level is
-    one node over the documents, padded to the most sentences; a batch of one
-    document runs it over that document's sentences unpadded.
+    sentence of the batch, and its final states are the sentence vectors, in
+    the same order.  The sentence level is one LSTM node over those vectors,
+    one sequence per document, and its states are the result.
     """
     store = params.store
     words = dc.gather(params.embedding_tensor(), ids)
@@ -251,18 +248,8 @@ def _encode_sentences(params: HierParams, ids: np.ndarray, lengths, counts) -> d
         return store[f"{prefix}.weight"], store[f"{prefix}.bias"]
 
     _, sentence_vectors = dc.bilstm_batch(words, lstm("word_fwd"), lstm("word_bwd"), lengths)
-    if len(counts) == 1:
-        states, _ = dc.bilstm_batch(sentence_vectors, lstm("sent_fwd"), lstm("sent_bwd"))
-        return states
-    counts = np.asarray(counts)
-    slots = np.arange(counts.max())
-    real = slots < counts[:, None]  # (documents, most sentences)
-    starts = np.cumsum(counts) - counts
-    # padded slots read row 0; the LSTM carries each document's state over them
-    padded = dc.gather(sentence_vectors, np.where(real, starts[:, None] + slots, 0))
-    states, _ = dc.bilstm_batch(padded, lstm("sent_fwd"), lstm("sent_bwd"), counts)
-    flat = dc.reshape(states, (-1, states.value.shape[-1]))
-    return dc.gather(flat, np.flatnonzero(real))
+    states, _ = dc.bilstm_batch(sentence_vectors, lstm("sent_fwd"), lstm("sent_bwd"), counts)
+    return states
 
 
 class _Softmax(NamedTuple):
@@ -319,9 +306,10 @@ def _heads(store: dc.ParameterStore, states: np.ndarray, counts):
 
 class _DocInputs(NamedTuple):
     """What ``document_loss`` reads of a document besides the parameters:
-    ``_token_ids``, each sentence's code and polarity index (-1 unlabeled)
-    and the target.  ``source`` holds the document, vocabulary and scheme
-    they were built from, so the ids that key them stay theirs."""
+    ``_token_ids`` (the flat token ids and each sentence's length), each
+    sentence's code and polarity index (-1 unlabeled) and the target.
+    ``source`` holds the document, vocabulary and scheme they were built
+    from, so the ids that key them stay theirs."""
 
     source: tuple
     ids: np.ndarray

@@ -6,10 +6,11 @@ input, the state it starts from, and the direction's (weight, bias) pair from
 tape, so it shares no backward code with the fused nodes.
 
 The per-direction path: ``lstm_sequence`` runs one direction over a padded
-batch as one tape node, and ``bilstm_pair`` pairs two of them up with the
-same outputs as ``bilstm_batch``, which runs both directions in one scan.
-The pair is the bitwise reference for ``bilstm_batch``; ``lstm_sequence`` is
-itself checked against the per-step path.
+batch as one tape node, and ``bilstm_pair`` pairs two of them up.  The pair
+is the bitwise reference for ``bilstm_batch``, which runs both directions in
+one scan over packed rows: its states are the pair's at the real steps, in
+packed order.  ``lstm_sequence`` is itself checked against the per-step
+path.
 """
 
 from __future__ import annotations
@@ -120,22 +121,19 @@ def lstm_sequence(
 ) -> Tensor:
     """Hidden states of a padded batch of sequences, as one tape node.
 
-    ``x`` is (B, T, d) for B sequences padded to T steps, or (T, d) for a
-    single sequence; ``lengths`` gives each sequence's true length (all T
-    when omitted).  ``params`` is the (weight, bias) pair that
+    ``x`` is (B, T, d) for B sequences padded to T steps; ``lengths`` gives
+    each sequence's true length (all T when omitted).  ``params`` is the (weight, bias) pair that
     ``init_lstm_params`` makes: rows ``Wx`` over rows ``Wh``, gate blocks in
     i/f/o/c order.  The input projection ``x @ Wx + b`` runs for every step
     in one matmul ahead of the recurrence, and the recurrence itself runs in
     numpy.  A padded step carries its sequence's state unchanged, so the
-    result, (B, T, n) or (T, n), holds each sequence's last state at step
-    T - 1 and, with ``reverse``, at step 0.  The backward pass does
+    result, (B, T, n), holds each sequence's last state at step T - 1 and,
+    with ``reverse``, at step 0.  The backward pass does
     backpropagation through time inside one vector-Jacobian product.
     """
-    xv = x.value
-    single = xv.ndim == 2
-    xb = xv[None] if single else xv
+    xb = x.value
     if xb.ndim != 3:
-        raise ValueError("lstm_sequence expects (T, d) or (B, T, d) inputs")
+        raise ValueError("lstm_sequence expects (B, T, d) inputs")
     batch, steps, width = xb.shape
     weight, bias = params
     n = bias.value.shape[0] // 4
@@ -217,7 +215,7 @@ def lstm_sequence(
             pad = ~valid
             out_gain[pad] = 0.0
             gate_gain[pad] = 0.0
-        gt = g[:, None] if single else g.transpose(1, 0, 2)
+        gt = g.transpose(1, 0, 2)
         wx_t = wx.T.copy()
         wh_t = wh.T.copy()
         for w in (wx_t, wh_t):
@@ -240,14 +238,13 @@ def lstm_sequence(
         dw = np.empty((width + n, 4 * n))
         np.matmul(xt.T, dz2, out=dw[:width])
         np.matmul(h_prev.reshape(steps * batch, n).T, dz2, out=dw[width:])
-        cache[:] = [g, (dx[0] if single else dx, dw, dz2.sum(axis=0))]
+        cache[:] = [g, (dx, dw, dz2.sum(axis=0))]
         return cache[1]
 
     def vjp(k):
         return lambda g, acc: np.add(acc, grads(g)[k], out=acc)
 
-    out = hidden[:, 0] if single else hidden.transpose(1, 0, 2)
-    return Tensor(out, (x, weight, bias), (vjp(0), vjp(1), vjp(2)))
+    return Tensor(hidden.transpose(1, 0, 2), (x, weight, bias), (vjp(0), vjp(1), vjp(2)))
 
 
 def _last_states(fwd: Tensor, bwd: Tensor) -> Tensor:
@@ -269,13 +266,14 @@ def bilstm_pair(
     x: Tensor, forward: tuple[Tensor, Tensor], backward_params: tuple[Tensor, Tensor],
     lengths=None,
 ) -> tuple[Tensor, Tensor]:
-    """``diffcore.bilstm_batch`` as one ``lstm_sequence`` node per direction.
+    """``diffcore.bilstm_batch`` over a padded (B, T, d) batch, as one
+    ``lstm_sequence`` node per direction.
 
-    Returns the per-step [fwd; bwd] states, (B, T, 2n) or (T, 2n), and the
-    final [last fwd; last bwd] state per sequence, (B, 2n) or (2n,): the
-    backward direction's last state is the one at step 0, after it has
-    consumed the whole sequence.  For a padded sequence the per-step states
-    past its length are filler.
+    Returns the per-step [fwd; bwd] states, (B, T, 2n), and the final
+    [last fwd; last bwd] state per sequence, (B, 2n): the backward
+    direction's last state is the one at step 0, after it has consumed the
+    whole sequence.  For a padded sequence the per-step states past its
+    length are filler.
     """
     fwd = lstm_sequence(x, forward, lengths)
     bwd = lstm_sequence(x, backward_params, lengths, reverse=True)

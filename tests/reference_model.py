@@ -73,7 +73,7 @@ def head_loss(store, states: dc.Tensor, code_gold, pol_gold, target, config):
     l_doc = None
     l_structure = None
     if target is not None:
-        l_doc = ops.square(ops.sub(dc.reshape(score, ()), dc.constant(target)))
+        l_doc = ops.square(ops.sub(ops.reshape(score, ()), dc.constant(target)))
         margins = ops.dense(pol_probs, dc.constant(hm._STRUC_SIGNS), dc.constant(0.0))
         l_structure = ops.square(ops.sub(ops.mean_rows(margins), dc.constant(target)))
     total = combine_losses(l_sentence, l_doc, l_polarity, l_structure,

@@ -6,9 +6,10 @@ vector (or one row) at a time, and ``matmul`` takes any pairing of vectors
 and matrices: the per-step LSTM (``reference_lstm``) and the per-sentence
 model pass ``test_hiermodel.reference_forward`` are built from them.  The
 batch ops (``dense``, ``softmax_xent_rows``, ``concat``, ``segment_mean``,
-``tanh`` and the scalar arithmetic) compose the heads and losses that
-``hiermodel`` runs as one node (``reference_model``).  ``Adam`` is the
-reference for ``diffcore.Adam``, which runs over the store's flat buffers.
+``tanh``, ``reshape`` and the scalar arithmetic) compose the heads and
+losses that ``hiermodel`` runs as one node (``reference_model``).  ``Adam``
+is the reference for ``diffcore.Adam``, which runs over the store's flat
+buffers.
 """
 
 from __future__ import annotations
@@ -278,6 +279,12 @@ def mean(parts: Sequence[Tensor]) -> Tensor:
         np.add(acc, inv * g, out=acc)
 
     return Tensor(out, tuple(parts), (vjp,) * len(parts))
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    """``a`` with a new shape of the same size."""
+    out = a.value.reshape(shape)
+    return Tensor(out, (a,), (lambda g, acc: np.add(acc, g.reshape(acc.shape), out=acc),))
 
 
 def row(matrix: Tensor, index: int) -> Tensor:

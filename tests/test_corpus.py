@@ -43,20 +43,12 @@ class TestLabelScheme:
         with pytest.raises(ValueError, match="999"):
             scheme.polarity_of("999")
 
-    def test_wrong_cardinality_rejected(self, tmp_path):
+    def test_wrong_cardinality_rejected(self):
         scheme = LabelScheme.default()
-        lines = [
-            f"{c}\t{scheme.categories[c]}\t{scheme.polarities[c].value}" for c in scheme.codes
-        ]
         # flip one right code to neutral: 12/13 split must be rejected
-        lines = [
-            line.replace("right", "neutral") if line.startswith("104\t") else line
-            for line in lines
-        ]
-        bad = tmp_path / "scheme.tsv"
-        bad.write_text("\n".join(lines), encoding="utf-8")
+        polarities = {**scheme.polarities, "104": Polarity.NEUTRAL}
         with pytest.raises(CorpusFormatError, match="13"):
-            LabelScheme.from_file(bad)
+            LabelScheme(scheme.codes, scheme.categories, polarities)
 
     def test_code_index_is_stable(self):
         scheme = LabelScheme.default()

@@ -364,47 +364,49 @@ class TestLstmSequence:
 
     def test_bilstm_batch_matches_reference(self):
         rng, store, table, pf, pb, ids = self.make_case(30)
-        step_w = rng.normal(size=ids.shape + (6,))
-        final_w = rng.normal(size=(len(self.LENGTHS), 6))
-        steps, final = dc.bilstm_batch(dc.gather(table, ids), pf, pb, self.LENGTHS)
         valid = np.arange(ids.shape[1]) < np.array(self.LENGTHS)[:, None]
-        fused_loss = ops.add(weighted_sum(steps, step_w * valid[..., None]),
-                            weighted_sum(final, final_w))
+        step_w = rng.normal(size=ids.shape + (6,))[valid]  # one row per packed step
+        final_w = rng.normal(size=(len(self.LENGTHS), 6))
+        steps, final = dc.bilstm_batch(dc.gather(table, ids[valid]), pf, pb, self.LENGTHS)
+        assert steps.value.shape == (sum(self.LENGTHS), 6)
+        fused_loss = ops.add(weighted_sum(steps, step_w), weighted_sum(final, final_w))
         fused = self.grads_of(store, fused_loss)
 
         ref_loss = None
+        start = 0
         for b, length in enumerate(self.LENGTHS):
             seq = [ops.row(table, i) for i in ids[b, :length]]
             ref_steps, ref_final = bilstm_encode(seq, pf, pb)
             np.testing.assert_allclose(final.value[b], ref_final.value, rtol=0, atol=1e-10)
             terms = [weighted_sum(ref_final, final_w[b])]
             for t, s in enumerate(ref_steps):
-                np.testing.assert_allclose(steps.value[b, t], s.value, rtol=0, atol=1e-10)
-                terms.append(weighted_sum(s, step_w[b, t]))
+                np.testing.assert_allclose(steps.value[start + t], s.value, rtol=0, atol=1e-10)
+                terms.append(weighted_sum(s, step_w[start + t]))
             for term in terms:
                 ref_loss = term if ref_loss is None else ops.add(ref_loss, term)
+            start += length
         assert float(fused_loss.value) == pytest.approx(float(ref_loss.value), abs=1e-10)
         self.assert_grads_close(fused, self.grads_of(store, ref_loss))
 
     @pytest.mark.parametrize("length", [1, 4])
     def test_single_sequence_matches_reference(self, length):
-        """The sentence-level layout: one unpadded (T, d) sequence, down to a
-        one-sentence document."""
+        """The sentence-level layout of one document: a batch of one
+        sequence, down to a one-sentence document."""
         rng = np.random.default_rng(40 + length)
         store = dc.ParameterStore()
         x = store.add("x", rng.normal(size=(length, 4)))
         pf = dc.init_lstm_params(store, "f", 4, 3, rng)
         pb = dc.init_lstm_params(store, "b", 4, 3, rng)
         step_w = rng.normal(size=(length, 6))
-        final_w = rng.normal(size=6)
-        steps, final = dc.bilstm_batch(x, pf, pb)
-        assert steps.value.shape == (length, 6) and final.value.shape == (6,)
+        final_w = rng.normal(size=(1, 6))
+        steps, final = dc.bilstm_batch(x, pf, pb, [length])
+        assert steps.value.shape == (length, 6) and final.value.shape == (1, 6)
         fused_loss = ops.add(weighted_sum(steps, step_w), weighted_sum(final, final_w))
         fused = self.grads_of(store, fused_loss)
 
         ref_steps, ref_final = bilstm_encode([ops.row(x, t) for t in range(length)], pf, pb)
-        np.testing.assert_allclose(final.value, ref_final.value, rtol=0, atol=1e-10)
-        ref_loss = weighted_sum(ref_final, final_w)
+        np.testing.assert_allclose(final.value[0], ref_final.value, rtol=0, atol=1e-10)
+        ref_loss = weighted_sum(ref_final, final_w[0])
         for t, s in enumerate(ref_steps):
             np.testing.assert_allclose(steps.value[t], s.value, rtol=0, atol=1e-10)
             ref_loss = ops.add(ref_loss, weighted_sum(s, step_w[t]))
@@ -413,70 +415,81 @@ class TestLstmSequence:
 
     def test_bad_lengths_rejected(self):
         _, _, table, pf, pb, ids = self.make_case(60)
-        x = dc.gather(table, ids)
-        with pytest.raises(ValueError, match="empty"):
-            dc.bilstm_batch(x, pf, pb, [5, 0, 3])
-        with pytest.raises(ValueError, match="lengths"):
+        x = dc.gather(table, ids[:, :3].reshape(-1))  # 9 packed rows
+        with pytest.raises(ValueError, match="empty sequence"):
+            dc.bilstm_batch(x, pf, pb, [5, 0, 4])
+        with pytest.raises(ValueError, match="empty sequence"):
+            dc.bilstm_batch(x, pf, pb, [5, -1, 5])
+        with pytest.raises(ValueError, match="sum to 10, not to the 9"):
             dc.bilstm_batch(x, pf, pb, [6, 1, 3])
-        with pytest.raises(ValueError, match="empty"):
-            dc.bilstm_batch(dc.constant(np.zeros((0, 4))), pf, pb)
+        with pytest.raises(ValueError, match="sum to 8, not to the 9"):
+            dc.bilstm_batch(x, pf, pb, [5, 1, 2])
+        with pytest.raises(ValueError, match="empty batch"):
+            dc.bilstm_batch(dc.constant(np.zeros((0, 4))), pf, pb, [])
+        with pytest.raises(ValueError, match="packed"):
+            dc.bilstm_batch(dc.gather(table, ids), pf, pb, self.LENGTHS)
 
 
 @st.composite
 def bilstm_cases(draw):
-    """A padded batch or one (T, d) sequence, its lengths, and a seed."""
-    single = draw(st.booleans())
-    batch = 1 if single else draw(st.integers(1, 6))
+    """Sequence lengths (a batch of one in half the cases, else ragged or
+    all equal), input width, hidden width and a seed."""
+    batch = 1 if draw(st.booleans()) else draw(st.integers(2, 6))
     steps = draw(st.integers(1, 8)) if draw(st.booleans()) else 1
-    if single:
-        lengths = None
-    elif draw(st.booleans()):  # ragged
+    if draw(st.booleans()):  # ragged
         lengths = draw(st.lists(st.integers(1, steps), min_size=batch, max_size=batch))
     else:
-        lengths = draw(st.sampled_from([None, [steps] * batch]))
-    return (batch, steps, draw(st.integers(1, 5)), draw(st.integers(1, 5)), single,
-            lengths, draw(st.integers(0, 2**32 - 1)))
+        lengths = [steps] * batch
+    return lengths, draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(
+        st.integers(0, 2**32 - 1))
 
 
 class TestFusedBilstm:
-    """``bilstm_batch`` runs both directions in one scan; a pair of
-    per-direction nodes must give the same bits."""
+    """``bilstm_batch`` runs both directions in one scan over packed rows; a
+    pair of per-direction nodes over the padded batch must give the same
+    bits."""
 
     @settings(max_examples=150, deadline=None)
     @given(bilstm_cases())
     def test_equals_per_direction_pair_bitwise(self, case):
-        batch, steps, width, n, single, lengths, seed = case
+        lengths, width, n, seed = case
         rng = np.random.default_rng(seed)
         store = dc.ParameterStore()
-        x = store.add("x", rng.normal(size=(steps, width) if single
-                                      else (batch, steps, width)))
+        x = store.add("x", rng.normal(size=(sum(lengths), width)))
         pf = dc.init_lstm_params(store, "f", width, n, rng)
         pb = dc.init_lstm_params(store, "b", width, n, rng)
         for _, t in store:  # leave the near-linear init regime
             t.value[...] = rng.uniform(-1.0, 1.0, size=t.value.shape)
-        step_w = rng.normal(size=x.value.shape[:-1] + (2 * n,))
-        final_w = rng.normal(size=x.value.shape[:-2] + (2 * n,))
-        results = []
-        for encode in (dc.bilstm_batch, bilstm_pair):
-            store.zero_grad()
-            steps_t, final = encode(x, pf, pb, lengths)
-            dc.backward(ops.add(weighted_sum(steps_t, step_w), weighted_sum(final, final_w)))
-            results.append([steps_t.value.copy(), final.value.copy()]
-                           + [t.grad.copy() for _, t in store])
-        fused, pair = results
-        assert fused[0].shape == pair[0].shape and fused[1].shape == pair[1].shape
+        step_w = rng.normal(size=(sum(lengths), 2 * n))
+        final_w = rng.normal(size=(len(lengths), 2 * n))
+        # the pair's (B, T, d) batch: padded steps read row 0 and weigh nothing
+        real = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        padded_ids = np.zeros(real.shape, dtype=np.intp)
+        padded_ids[real] = np.arange(sum(lengths))
+        padded_w = np.zeros(real.shape + (2 * n,))
+        padded_w[real] = step_w
+
+        store.zero_grad()
+        steps_t, final = dc.bilstm_batch(x, pf, pb, lengths)
+        dc.backward(ops.add(weighted_sum(steps_t, step_w), weighted_sum(final, final_w)))
+        fused = [steps_t.value, final.value] + [t.grad.copy() for _, t in store]
+        store.zero_grad()
+        steps_t, final = bilstm_pair(dc.gather(x, padded_ids), pf, pb, lengths)
+        dc.backward(ops.add(weighted_sum(steps_t, padded_w), weighted_sum(final, final_w)))
+        pair = [steps_t.value[real], final.value] + [t.grad.copy() for _, t in store]
         for name, a, b in zip(["steps", "final"] + store.names, fused, pair):
-            assert np.array_equal(a, b), name
+            assert a.shape == b.shape and np.array_equal(a, b), name
 
     def test_is_one_node_over_both_directions(self):
         rng = np.random.default_rng(70)
         store = dc.ParameterStore()
         pf = dc.init_lstm_params(store, "f", 4, 3, rng)
         pb = dc.init_lstm_params(store, "b", 4, 3, rng)
-        x = dc.constant(rng.normal(size=(2, 5, 4)))
+        x = dc.constant(rng.normal(size=(7, 4)))
         steps, final = dc.bilstm_batch(x, pf, pb, [5, 2])
         assert steps.parents == (x, *pf, *pb)
         assert final.parents == (steps,)
+        assert steps.value.shape == (7, 6) and final.value.shape == (2, 6)
 
 
 class TestAdam:

@@ -140,18 +140,14 @@ class TestVocabulary:
                      lang="bb"),
         ]
         ids, lengths = hm._token_ids(vocab, docs)
-        expected = np.zeros((6, 4), dtype=np.intp)
-        row = 0
-        for doc in docs:
-            for sentence in doc.sentences:
-                expected[row, : len(sentence.tokens)] = [
-                    vocab.id_of(doc.language, tok) for tok in sentence.tokens]
-                row += 1
+        expected = np.array([vocab.id_of(doc.language, tok) for doc in docs
+                             for sentence in doc.sentences for tok in sentence.tokens],
+                            dtype=np.intp)
         assert lengths == [4, 1, 3, 2, 3, 3]
         assert ids.dtype == expected.dtype
-        assert ids.tobytes() == expected.tobytes()
-        assert ids[0, 3] == vocab.index["aa:<unk>"] and ids[4, 0] == vocab.index["bb:<unk>"]
-        assert ids[0, 0] == ids[1, 0] == vocab.index["aa:taxes"]
+        assert ids.tobytes() == expected.tobytes()  # flat: no padding between sentences
+        assert ids[3] == vocab.index["aa:<unk>"] and ids[10] == vocab.index["bb:<unk>"]
+        assert ids[0] == ids[4] == vocab.index["aa:taxes"]
 
 
 class TestForward:
@@ -210,6 +206,19 @@ class TestForward:
             users = [node for node in nodes if any(p in node.parents for p in lstm)]
             assert len(users) == 1, level
             assert all(p in users[0].parents for p in lstm), level
+
+    def test_a_batch_of_documents_encodes_to_the_sentence_lstm_node(self):
+        """Documents of different lengths get the sentence level's node itself,
+        with no gather or reshape above it."""
+        docs = self.corpus.manifestos[:3] + (make_doc("n1", ["taxes must fall"]),)
+        counts = [len(doc.sentences) for doc in docs]
+        assert len(set(counts)) > 1
+        states = hm._encode_sentences(
+            self.params, *hm._token_ids(self.params.vocab, docs), counts)
+        store = self.params.store
+        assert states.parents[1:] == tuple(
+            store[f"sent_{d}.{k}"] for d in ("fwd", "bwd") for k in ("weight", "bias"))
+        assert states.value.shape == (sum(counts), 8)
 
 
 HEADS = [f"{head}.{k}" for head in ("code_head", "pol_head", "doc_head") for k in ("weight", "bias")]

@@ -67,13 +67,16 @@ def definitions(tree):
             yield node.name, node.lineno
 
 
-def named(tree):
-    """Every name a module reads, looks up as an attribute or imports."""
+def named(tree, classes=frozenset()):
+    """Every name a module reads, looks up as an attribute or imports.  An
+    attribute looked up on a name in ``classes`` (``Box.load``,
+    ``pkg.Box.load``) comes as "Box.load"."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+            yield f"{owner}.{node.attr}" if owner in classes else node.attr
         elif isinstance(node, ast.alias):
             yield node.name
 
@@ -90,11 +93,15 @@ def methods(tree):
 
 def uncalled(defining, calling, defined=definitions):
     """(module, line, name) of each definition in ``defining`` (module name
-    to tree) that no tree in ``calling`` names; a method counts as named by
-    its own name."""
-    names = {name for tree in calling for name in named(tree)}
+    to tree) that no tree in ``calling`` names.  A method counts as named by
+    its own name, or through its class's name, but not through another class
+    of ``defining``: ``Graph.load`` does not name ``Scheme.load``."""
+    classes = {node.name for tree in defining.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    names = {name for tree in calling for name in named(tree, classes)}
     return [(module, line, name) for module, tree in defining.items()
-            for name, line in defined(tree) if name.rsplit(".", 1)[-1] not in names]
+            for name, line in defined(tree)
+            if name not in names and name.rsplit(".", 1)[-1] not in names]
 
 
 def parse(path):
@@ -134,6 +141,18 @@ def test_scan_catches_a_method_only_tests_call():
     demo = ast.parse("from pkg import Box\n\nBox().used()\n")
     assert uncalled({"pkg.py": package}, [package, demo], methods) == [
         ("pkg.py", 11, "Box.tested")]
+
+
+def test_scan_counts_a_method_named_through_a_class_for_that_class_only():
+    package = ast.parse(
+        "class Graph:\n    @classmethod\n    def load(cls, path):\n        return cls()\n\n"
+        "class Scheme:\n    @classmethod\n    def load(cls, path):\n        return cls()\n\n"
+        "    @classmethod\n    def default(cls):\n        return cls()\n\n"
+        "    def size(self):\n        return 0\n")
+    demo = ast.parse("import pkg\nfrom pkg import Graph\n\n"
+                     "Graph.load('g.tsv')\npkg.Scheme.default().size()\n")
+    assert uncalled({"pkg.py": package}, [package, demo], methods) == [
+        ("pkg.py", 8, "Scheme.load")]
 
 
 # calls that change a list, dict or set in place
