@@ -207,11 +207,6 @@ class CalibrationConfig:
             raise ValueError("prior_weight must be nonnegative")
 
 
-def _cosine_clamped(u: np.ndarray, v: np.ndarray) -> float:
-    value = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
-    return min(1.0, max(0.0, value))
-
-
 def build_database(
     corpus: Corpus,
     predictions: Mapping[str, DocPrediction] | Sequence[DocPrediction],
@@ -300,10 +295,12 @@ def build_database(
                 db.observe("EUCoalition", (a, b), value)
                 db.observe("EUCoalition", (b, a), value)
 
+    # cosine of the document vectors, clamped to [0, 1]
+    norms = {doc.id: np.linalg.norm(predictions[doc.id].doc_vector) for doc in test_docs}
     for x, y in recent_pairs:
-        sim = _cosine_clamped(
-            predictions[x.id].doc_vector, predictions[y.id].doc_vector
-        )
+        cosine = float(np.dot(predictions[x.id].doc_vector, predictions[y.id].doc_vector)
+                       / (norms[x.id] * norms[y.id]))
+        sim = min(1.0, max(0.0, cosine))
         if sim > 0.0:
             db.observe("Similarity", (x.id, y.id), sim)
             db.observe("Similarity", (y.id, x.id), sim)

@@ -286,43 +286,41 @@ def bilstm_batch(
         return out
 
     acts = np.empty((steps, 2, batch, 4 * n))  # sigmoid i, f, o then tanh g
-    wx, wh = [], []
     # Halving the i/f/o pre-activations turns sigmoid into 0.5 + 0.5 tanh(z/2),
     # so one tanh call covers all four gates.  Halving is exact in floating
-    # point, and doubling back recovers the weights bit for bit.
+    # point, so halving a product or a sum has the bits of halving its terms.
+    # the backward pass reads the weights again: they change only after it
+    weights = (forward[0].value, backward_params[0].value)
     xt = step_major(xv)
     for d, (weight, bias) in enumerate((forward, backward_params)):
-        w = weight.value.copy()
-        b = bias.value.copy()
-        w[:, : 3 * n] *= 0.5
-        b[: 3 * n] *= 0.5
-        wx.append(w[:width])
-        wh.append(w[width:])
-        z = xt @ w[:width]
-        z += b
+        z = xt @ weight.value[:width]
+        z += bias.value
+        z[:, : 3 * n] *= 0.5
         z = z.reshape(steps, batch, 4 * n)
         acts[:, d] = z[::-1] if d else z  # the input projection, in slot order
-    wh = np.stack(wh)
+    wh = np.stack([w[width:] for w in weights])
+    wh[..., : 3 * n] *= 0.5
 
-    cells = np.empty((steps, 2, batch, n))
-    hidden = np.empty((steps, 2, batch, n))
-    h = np.zeros((2, batch, n))
-    c = h
+    # index s + 1 holds the state scan slot s ends with, and index 0 the zero
+    # state the scan starts from, so the states entering the slots are views
+    cells = np.empty((steps + 1, 2, batch, n))
+    hidden = np.empty((steps + 1, 2, batch, n))
+    cells[0] = hidden[0] = 0.0
     for s in range(steps):
+        h, c = hidden[s], cells[s]
         a = acts[s]
         a += h @ wh
         np.tanh(a, out=a)
         sig = a[..., : 3 * n]
         sig *= 0.5
         sig += 0.5
-        c_next = np.multiply(a[..., n : 2 * n], c, out=cells[s])
+        c_next = np.multiply(a[..., n : 2 * n], c, out=cells[s + 1])
         c_next += a[..., :n] * a[..., 3 * n :]
-        h_next = np.tanh(c_next, out=hidden[s])
+        h_next = np.tanh(c_next, out=hidden[s + 1])
         h_next *= a[..., 2 * n : 3 * n]
         if ragged[s]:  # padded sequences keep their state
             np.copyto(c_next, c, where=keep[s])
             np.copyto(h_next, h, where=keep[s])
-        c, h = c_next, h_next
 
     cache: list = []
 
@@ -330,17 +328,13 @@ def bilstm_batch(
         if cache and cache[0] is g:
             return cache[1]
         gt = step_major(g).reshape(steps, batch, 2 * n)
-        gs = np.empty_like(hidden)  # the output gradient in slot order
+        gs = np.empty((steps, 2, batch, n))  # the output gradient in slot order
         gs[:, 0] = gt[..., :n]
         gs[:, 1] = gt[::-1, :, n:]
-        # state entering each slot: the previous slot's, zero first
-        h_prev = np.zeros_like(hidden)
-        c_prev = np.zeros_like(cells)
-        h_prev[1:] = hidden[:-1]
-        c_prev[1:] = cells[:-1]
+        h_prev, c_prev = hidden[:-1], cells[:-1]  # the states entering each slot
         i, f, o = acts[..., :n], acts[..., n : 2 * n], acts[..., 2 * n : 3 * n]
         gg = acts[..., 3 * n :]
-        tc = np.tanh(cells)
+        tc = np.tanh(cells[1:])
         out_gain = o * (1.0 - tc * tc)
         gate_gain = np.concatenate(
             (gg * i * (1.0 - i), c_prev * f * (1.0 - f),
@@ -355,8 +349,7 @@ def bilstm_batch(
             pad = keep[..., 0]
             out_gain[pad] = 0.0
             gate_gain[pad] = 0.0
-        wh_t = wh.transpose(0, 2, 1).copy()
-        wh_t[:, : 3 * n] *= 2.0
+        wh_t = np.stack([w[width:] for w in weights]).transpose(0, 2, 1).copy()
         dz = np.empty_like(acts)
         dh = np.zeros((2, batch, n))
         dc = dh
@@ -378,9 +371,7 @@ def bilstm_batch(
         for d, order in ((0, slice(None)), (1, slice(None, None, -1))):
             dz2 = np.ascontiguousarray(dz[order, d]).reshape(steps * batch, 4 * n)
             h_in = np.ascontiguousarray(h_prev[order, d]).reshape(steps * batch, n)
-            wx_t = wx[d].T.copy()
-            wx_t[: 3 * n] *= 2.0
-            dx.append(dz2 @ wx_t)
+            dx.append(dz2 @ weights[d][:width].T.copy())
             dw.append(np.empty((width + n, 4 * n)))
             np.matmul(xt.T, dz2, out=dw[d][:width])
             np.matmul(h_in.T, dz2, out=dw[d][width:])
@@ -393,8 +384,8 @@ def bilstm_batch(
         return lambda g, acc: np.add(acc, grads(g)[k], out=acc)
 
     out = np.empty((steps, batch, 2 * n))
-    out[..., :n] = hidden[:, 0]
-    out[..., n:] = hidden[::-1, 1]
+    out[..., :n] = hidden[1:, 0]
+    out[..., n:] = hidden[:0:-1, 1]
     states = Tensor(out.reshape(steps * batch, 2 * n)[rows], (x, *forward, *backward_params),
                     tuple(vjp(k) for k in range(5)))
     # a padded step carries its sequence's state, so the forward half at step
@@ -454,7 +445,7 @@ class Adam:
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         m, v, values = self._m, self._v, self.store.values
-        g = np.multiply(self.store.grads, factor, out=a)
+        g = self.store.grads if factor == 1.0 else np.multiply(self.store.grads, factor, out=a)
         m *= self.beta1
         m += np.multiply(g, 1.0 - self.beta1, out=b)
         v *= self.beta2

@@ -288,8 +288,11 @@ def _heads(store: dc.ParameterStore, states: np.ndarray, counts):
 
     A document's mean sums its rows in order over a zero-padded (documents,
     most sentences, K) array, and its score is its own (1, K) @ (K, 1) dot,
-    so a document gets the same bits in any batch.  ``predict`` reads these
-    values; ``document_loss`` makes them one tape node with its losses.
+    so from the same states a document gets the same heads in any batch.
+    The states themselves can differ in the last bits between batches: the
+    encoder's BLAS products pick their summation order by operand shape.
+    ``predict`` reads these values; ``document_loss`` makes them one tape
+    node with its losses.
     """
     code = _Softmax.of(states, store["code_head.weight"], store["code_head.bias"])
     pol = _Softmax.of(states, store["pol_head.weight"], store["pol_head.bias"])

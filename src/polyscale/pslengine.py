@@ -33,7 +33,9 @@ on the variables already bound, all literals of all candidate rows are
 looked up at once, exact prunes apply as masks, and the kept rows are
 written straight into the flat arrays the solver uses (one row per ground
 rule: a constant, a weight, an exponent, and (row, free atom, coefficient)
-entries).  A ground rule is a ``Rule`` over constants, built only when a
+entries).  Rules whose literals match up to the negation of open literals,
+such as a rule and its twin over negated ``pos`` atoms, share one join and
+one lookup per literal; each applies its own prunes and writes its own rows.  A ground rule is a ``Rule`` over constants, built only when a
 caller reads ``GroundNetwork.rules``.  The energy, and the smoothed energy
 and gradient that MAP descends, are computed from those arrays alone; the
 reference that compiles hand-built ground rules into them lives in the tests
@@ -435,7 +437,10 @@ class _Compiled:
 
     ``linear(x)`` gives the hinge rows, one value per row before clamping;
     the ``*_at`` methods take those rows, so a caller that already holds
-    them for an assignment does not compute them again.
+    them for an assignment does not compute them again.  On arrays without
+    a linear row (every rule of the shipped program is squared) they
+    compute the squared terms alone: the linear and Huber terms they skip
+    would each be an exact zero, and adding a zero keeps every bit.
     """
 
     def __init__(self, consts, weights, rhos, entry_rule, entry_free, entry_coef, n_free):
@@ -448,10 +453,13 @@ class _Compiled:
         self.n_free = n_free
 
     @functools.cached_property
-    def _weights_by_exponent(self) -> tuple[np.ndarray, np.ndarray]:
+    def _weights_by_exponent(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Each row's weight in the array of its exponent, squared or linear,
-        and 0 in the other: one expression then scores both kinds of row."""
+        and 0 in the other: one expression then scores both kinds of row.
+        The linear array is None when no row is linear."""
         linear = self.rhos == 1
+        if not linear.any():
+            return self.weights, None
         return np.where(linear, 0.0, self.weights), np.where(linear, self.weights, 0.0)
 
     def linear(self, x: np.ndarray) -> np.ndarray:
@@ -467,6 +475,8 @@ class _Compiled:
     def energy_at(self, u: np.ndarray) -> float:
         d = np.maximum(u, 0.0)
         squared, linear = self._weights_by_exponent
+        if linear is None:
+            return float(np.sum(squared * (d * d)))
         return float(np.sum(squared * (d * d) + linear * d))
 
     def smoothed_energy_at(self, u: np.ndarray, mu: float) -> float:
@@ -477,13 +487,17 @@ class _Compiled:
         rule.  Squared hinges are already C^1 and stay exact.
         """
         d = np.maximum(u, 0.0)
-        huber = np.where(u <= mu, d * d / (2.0 * mu), u - mu / 2.0)
         squared, linear = self._weights_by_exponent
+        if linear is None:
+            return float(np.sum(squared * (d * d)))
+        huber = np.where(u <= mu, d * d / (2.0 * mu), u - mu / 2.0)
         return float(np.sum(squared * (d * d) + linear * huber))
 
     def smoothed_gradient_at(self, u: np.ndarray, mu: float) -> np.ndarray:
         d = np.maximum(u, 0.0)
         squared, linear = self._weights_by_exponent
+        if linear is None:
+            return self._pull_back(2.0 * squared * d)
         return self._pull_back(2.0 * squared * d + linear * np.minimum(d / mu, 1.0))
 
     def _pull_back(self, slope: np.ndarray) -> np.ndarray:
@@ -742,13 +756,26 @@ def _substitutions(rule: Rule, program: PslProgram, relations: dict, base: int):
     return subs, columns
 
 
-def _ground_rule(rule: Rule, program: PslProgram, relations: dict, constants: list):
-    """Compiled rows, kept rows and prune counts of one source rule."""
-    base = len(constants) or 1
+def _join_key(rule: Rule, program: PslProgram):
+    """Rules with equal keys have the same substitutions and atom lookups:
+    their literals match up to the negation of open literals.  A negated
+    closed literal binds no variable, so its negation stays in the key."""
+    predicates = program.predicates
+    body = tuple((lit.predicate, lit.args, predicates[lit.predicate].closed and lit.negated)
+                 for lit in rule.body)
+    return body, (rule.head.predicate, rule.head.args)
+
+
+def _lookups(rule: Rule, program: PslProgram, relations: dict, base: int) -> tuple:
+    """Each literal's atom under every substitution of the rule: the
+    (substitutions, literals) free-atom indices (-1 when observed or absent)
+    and observed values (0 otherwise), head last; a mask of substitutions
+    with an open atom that is neither; and each literal's (substitutions,
+    arity) constant codes."""
     subs, columns = _substitutions(rule, program, relations, base)
     literals = rule.body + (rule.head,)
     n = len(subs)
-    args = []  # per literal: (rows, arity) constant codes
+    args = []
     free = np.full((n, len(literals)), -1, dtype=np.intp)
     value = np.zeros((n, len(literals)))
     missing = np.zeros(n, dtype=bool)
@@ -766,6 +793,15 @@ def _ground_rule(rule: Rule, program: PslProgram, relations: dict, constants: li
         if not program.predicates[lit.predicate].closed:
             missing |= ~found  # an open atom never declared
         args.append(query)
+    return free, value, missing, args
+
+
+def _ground_rule(rule: Rule, lookups: tuple, constants: list):
+    """Compiled rows, kept rows and prune counts of one source rule; reads
+    ``lookups`` and writes nothing into it, so rules can share it."""
+    free, value, missing, args = lookups
+    literals = rule.body + (rule.head,)
+    n = len(missing)
     # the four exact prunes, in order: each counts only rows not yet pruned
     head = len(literals) - 1
     tautology = np.zeros(n, dtype=bool)
@@ -823,6 +859,10 @@ def ground(program: PslProgram, db: RelationalDatabase) -> GroundNetwork:
     closed literals or open literals; a variable appearing only in negated
     closed literals ranges over the constants its predicates were observed
     with at that argument position, and raises if there are none.
+
+    Rules with equal ``_join_key``s (the same literals up to the negation of
+    open ones) share their substitutions and atom lookups, which are dropped
+    after the last rule that reads them.  The rows do not depend on it.
     """
     _check_arities(program, db)
     constants, relations = _relations(program, db)
@@ -841,9 +881,16 @@ def ground(program: PslProgram, db: RelationalDatabase) -> GroundNetwork:
     initial = np.array(
         [0.5 if v is None else v for v in db.targets.values()], dtype=np.float64
     )
+    base = len(constants) or 1
+    keys = [_join_key(rule, program) for rule in program.rules]
+    last_use = {key: k for k, key in enumerate(keys)}
+    joins: dict = {}  # lookups shared by rules with equal keys, until the last one
     parts, blocks, stats = [], [], []
-    for rule in program.rules:
-        compiled, rows, rule_stats = _ground_rule(rule, program, relations, constants)
+    for k, (rule, key) in enumerate(zip(program.rules, keys)):
+        if key not in joins:
+            joins[key] = _lookups(rule, program, relations, base)
+        lookups = joins[key] if last_use[key] > k else joins.pop(key)
+        compiled, rows, rule_stats = _ground_rule(rule, lookups, constants)
         parts.append(compiled)
         blocks.append(rows)
         stats.append(rule_stats)
@@ -894,7 +941,8 @@ def map_inference(network: GroundNetwork, config: SolverConfig | None = None) ->
     with width mu), shrinking mu geometrically and warm-starting each
     level.  The smoothed energy underestimates the true one by at most
     mu/2 per linear rule, so the final level pins the gap well below any
-    reported tolerance.
+    reported tolerance.  Without a linear rule every level solves the exact
+    energy again, and computes only the squared terms (see ``_Compiled``).
 
     It solves on the network's rows with equal rows merged
     (``_Compiled.merged``), the same energy over fewer rows.  Each level

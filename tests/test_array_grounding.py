@@ -168,6 +168,96 @@ def test_random_selections_match_grounding_the_subset(program_rules, db, data):
     assert_select_matches_ground(network, program, db, indices)
 
 
+@st.composite
+def twinned_rules(draw):
+    """A rule, a twin with the negation of some open literals flipped, one
+    with a head drawn again, and, when the rule has a closed literal, one
+    with that literal's negation flipped.  The first twin shares the rule's
+    join in ``ground``, the second only when its head has the rule's
+    predicate and arguments, and the third never."""
+    rule = draw(rules())
+    both = rule.body + (rule.head,)
+    flips = draw(st.lists(st.booleans(), min_size=len(both), max_size=len(both)))
+    twin = [Literal(lit.predicate, lit.args, lit.negated != flip)
+            if not PREDICATES[lit.predicate].closed else lit
+            for lit, flip in zip(both, flips)]
+    body_vars = tuple(sorted({v for lit in rule.body for v in lit.args}))
+    out = [rule, Rule(draw(st.sampled_from((0.5, 1.0, 2.5))), tuple(twin[:-1]), twin[-1],
+                      draw(st.sampled_from((1, 2)))),
+           Rule(rule.weight, rule.body, draw(literals(body_vars)), rule.exponent)]
+    closed = [j for j, lit in enumerate(rule.body) if PREDICATES[lit.predicate].closed]
+    if closed:
+        j = draw(st.sampled_from(closed))
+        lit = rule.body[j]
+        body = rule.body[:j] + (Literal(lit.predicate, lit.args, not lit.negated),) \
+            + rule.body[j + 1:]
+        out.append(Rule(rule.weight, body, rule.head, rule.exponent))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(twinned_rules(), min_size=1, max_size=2), databases())
+def test_rules_sharing_a_join_ground_like_each_rule_alone(groups, db):
+    """Each block of a program whose rules share joins equals grounding its
+    rule alone, bitwise, and the whole program matches the reference."""
+    program = PslProgram(dict(PREDICATES), [rule for group in groups for rule in group])
+    network = ground_or_reject(program, db)
+    assert_matches_reference(program, db)
+    for k in range(len(program.rules)):
+        assert_select_matches_ground(network, program, db, [k])
+
+
+def with_zero_weight_row(network, exponent):
+    """``network`` with one more row after its others: weight 0, the given
+    exponent, a constant of 0.5 and no free atom, so it adds 0 to every term."""
+    n = len(network.free_atoms)
+    row = pslengine._Compiled(np.full(1, 0.5), np.zeros(1), np.full(1, exponent),
+                              np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), n)
+    return pslengine.GroundNetwork(network.free_atoms, network.initial.copy(),
+                                   pslengine._concat([network.compiled, row], n),
+                                   network.rules, network.stats)
+
+
+def float_bits(value):
+    return np.float64(value).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(rules(), min_size=1, max_size=4), databases(),
+       st.sampled_from((0.0, 0.5)), st.data())
+def test_squared_only_networks_score_like_the_general_path(program_rules, db, prior, data):
+    """Without a linear row the energy, its smoothing and gradient skip the
+    linear and Huber terms.  A zero-weight linear row sends a squared
+    network down the general path; against a zero-weight squared row in its
+    place, every value and the whole MAP solve keep their bits."""
+    program = PslProgram(dict(PREDICATES), [Rule(r.weight, r.body, r.head, 2)
+                                             for r in program_rules])
+    network = ground_or_reject(program, db)
+    if prior:
+        network.add_prior(prior)
+    fast, general = with_zero_weight_row(network, 2), with_zero_weight_row(network, 1)
+    assert fast.compiled._weights_by_exponent[1] is None
+    assert general.compiled._weights_by_exponent[1] is not None
+    n = len(network.free_atoms)
+    x = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    for one, other in [(fast.compiled, general.compiled),
+                       (fast.compiled.merged(), general.compiled.merged())]:
+        u = one.linear(x)
+        assert u.tobytes() == other.linear(x).tobytes()
+        assert float_bits(one.energy_at(u)) == float_bits(other.energy_at(u))
+        for mu in (0.1, 1e-8):
+            assert float_bits(one.smoothed_energy_at(u, mu)) == \
+                float_bits(other.smoothed_energy_at(u, mu))
+            assert one.smoothed_gradient_at(u, mu).tobytes() == \
+                other.smoothed_gradient_at(u, mu).tobytes()
+    one, other = map_inference(fast), map_inference(general)
+    assert one.values.tobytes() == other.values.tobytes()
+    assert float_bits(one.energy) == float_bits(other.energy)
+    assert (one.iterations, one.converged) == (other.iterations, other.converged)
+    assert [(level.mu, level.iterations, float_bits(level.energy)) for level in one.levels] \
+        == [(level.mu, level.iterations, float_bits(level.energy)) for level in other.levels]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(rules(), min_size=1, max_size=4), databases(), st.data())
 def test_energy_is_the_weighted_sum_of_rule_hinges(program_rules, db, data):

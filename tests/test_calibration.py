@@ -206,6 +206,27 @@ class TestBuildDatabase:
             if atom[0] == "Similarity":
                 assert 0.0 <= value <= 1.0
 
+    def test_similarity_is_the_clamped_cosine_of_each_pair(self):
+        rng = np.random.default_rng(3)
+        docs = tuple(make_doc(f"t{i}", f"p{i % 3}", "AA", datetime.date(2010 + i % 4, 6, 1))
+                     for i in range(9))
+        preds = [make_pred(d.id, 0.0, ("104", "103"), rng.normal(size=5)) for d in docs]
+        db = build_database(Corpus(manifestos=docs, scheme=SCHEME), preds,
+                            PartyGraph.from_pairs([]))
+        vectors = {p.manifesto_id: p.doc_vector for p in preds}
+        expected = {}
+        for x, y in (atom[1] for atom in db.observations if atom[0] == "Recent"):
+            u, v = vectors[x], vectors[y]
+            cosine = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+            if cosine > 0.0:
+                expected[x, y] = min(1.0, cosine)
+        got = {atom[1]: value for atom, value in db.observations.items()
+               if atom[0] == "Similarity"}
+        assert 0 < len(got) < 9 * 8
+        # bit for bit, in both directions of a pair
+        assert {k: np.float64(v).tobytes() for k, v in got.items()} == \
+            {k: np.float64(v).tobytes() for k, v in expected.items()}
+
     def test_ratio_atom_value(self):
         _, preds, _, db = fixture_db()
         expected = squash(lw_right_left_ratio(("104", "104"), SCHEME))
