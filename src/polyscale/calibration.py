@@ -51,6 +51,7 @@ from .pslengine import (
     ground,
     load_program,
     map_inference,
+    rule_text,
 )
 
 log = logging.getLogger(__name__)
@@ -344,6 +345,8 @@ def calibrate(
     that network instead, such as a ``GroundNetwork.select`` cut of a
     larger program's network (``evaluate`` grounds its database once and
     cuts each ablation prefix from it).  The prior rows are appended to it.
+    Each program rule that grounded no rows is logged as a warning, with its
+    text and its ``RuleStats`` prune counts.
     """
     program = program or default_program()
     config = config or CalibrationConfig()
@@ -353,6 +356,10 @@ def calibrate(
         raise ValueError("the network was not grounded from this program and database")
     elif len(network) != len(network.rules):
         raise ValueError("the network already holds prior rows")
+    for k, (rule, stats) in enumerate(zip(program.rules, network.stats)):
+        if not stats.rows:
+            log.warning("rule %d grounded no rows, so it constrains nothing: %s (%s)",
+                        k, rule_text(rule), stats)
     if config.prior_weight > 0.0:
         network.add_prior(config.prior_weight)
     result = map_inference(network, solver_config)

@@ -13,14 +13,16 @@ An LSTM direction is two parameters (``init_lstm_params``): one
 (in + hidden, 4 * hidden) weight holding the input and recurrent rows of all
 four gates, and one 4 * hidden bias.  A bidirectional layer runs as one tape
 node per batch of sequences (``bilstm_batch``) whose parents are the input
-and both directions' weight and bias.  Sequences go in and come out as
-packed rows, one sequence after another; the node pads them to its scan
-layout and back inside itself.  Each direction's input projection is one
-matmul; the two recurrences run in one numpy scan over stacked
-(2, batch, hidden) states, and backpropagation through time runs in one
-reversed scan inside the node's vector-Jacobian products.  The
-per-direction and per-step reference paths live in the tests
-(``tests/reference_lstm.py``).
+and both directions' weight and bias.  Sequences go in as packed rows, one
+sequence after another, and the node returns either the per-step states,
+packed the same way, or only each sequence's final state.  A
+``ScanLayout``, built once per batch from the lengths, says where each
+packed row goes in the node's padded scan and which slots hold padding.
+Both directions' input projections are one stacked matmul; the two
+recurrences run in one numpy scan over stacked (2, batch, hidden) states,
+and backpropagation through time runs in one reversed scan inside the
+node's vector-Jacobian products.  The per-direction and per-step reference
+paths live in the tests (``tests/reference_lstm.py``).
 
 ``ParameterStore`` keeps every parameter value in one flat buffer and every
 gradient in another; each tensor's arrays are views of its segment.
@@ -46,13 +48,6 @@ class Tensor:
         self.parents = parents
         self.vjps = vjps
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
 
 def constant(value) -> Tensor:
@@ -165,9 +160,6 @@ class ParameterStore:
     def __iter__(self):
         return iter(self._params.items())
 
-    def __len__(self):
-        return len(self._params)
-
     @property
     def names(self) -> list[str]:
         return list(self._params)
@@ -188,18 +180,10 @@ class ParameterStore:
     def n_values(self) -> int:
         return self._size
 
-    def grad_norm(self, scratch: np.ndarray) -> float:
-        """The Euclidean norm of every gradient.
-
-        The squares go to ``scratch`` (one slot per value) in one call, and
-        each tensor's squares are summed on their own, in store order, so the
-        norm has the bits of a sum over per-tensor sums.
-        """
-        squares = np.multiply(self.grads, self.grads, out=scratch)
-        total = 0.0
-        for lo, hi in self._bounds:
-            total += float(squares[lo:hi].sum())
-        return math.sqrt(total)
+    def segments(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of each tensor's segment of ``flat``, one slot per value, in
+        store order."""
+        return [flat[lo:hi] for lo, hi in self._bounds]
 
 
 INIT_SCALE = 0.08
@@ -227,56 +211,74 @@ def init_lstm_params(
     return store.add(f"{prefix}.weight", weight), store.add(f"{prefix}.bias", bias)
 
 
+class ScanLayout:
+    """Where ``bilstm_batch`` puts a batch of sequences, built once from
+    their lengths and passed in with the batch.
+
+    The B sequences are padded to the longest, T steps.  ``rows`` is each
+    packed row's place in the step-major (T * B) layout of that padding (a
+    whole slice for a batch of one, whose packed rows already are in it).
+    Slot s of the scan holds forward step s and backward step T - 1 - s:
+    ``pad`` is the (T, 2, B) mask of the padded steps in slot order, with
+    ``keep`` its (T, 2, B, 1) view, and ``ragged`` marks the slots that hold
+    some padding.  Both masks are None when nothing is padded.
+    """
+
+    __slots__ = ("size", "batch", "steps", "rows", "pad", "keep", "ragged")
+
+    def __init__(self, lengths):
+        lengths = [int(k) for k in lengths]
+        steps, shortest = max(lengths, default=0), min(lengths, default=0)
+        if shortest < 1:
+            raise ValueError("cannot encode an empty batch or an empty sequence")
+        self.size, self.batch, self.steps = sum(lengths), len(lengths), steps
+        self.rows = slice(None)
+        self.pad = self.keep = None
+        self.ragged = [False] * steps
+        if self.batch > 1:
+            real = np.arange(steps) < np.array(lengths)[:, None]  # (B, T)
+            self.rows = np.arange(steps * self.batch).reshape(steps, self.batch).T[real]
+            if shortest < steps:
+                self.pad = ~np.stack((real.T, real.T[::-1]), axis=1)
+                self.keep = self.pad[..., None]
+                self.ragged = [s >= shortest or s <= steps - 1 - shortest for s in range(steps)]
+
+
 def bilstm_batch(
-    x: Tensor, forward: tuple[Tensor, Tensor], backward_params: tuple[Tensor, Tensor], lengths
-) -> tuple[Tensor, Tensor]:
+    x: Tensor, forward: tuple[Tensor, Tensor], backward_params: tuple[Tensor, Tensor],
+    layout: ScanLayout, final_only: bool = False,
+) -> Tensor:
     """Both directions of a bidirectional LSTM over a batch of sequences, as
-    one node.
+    one node whose parents are ``x`` and the four parameters.
 
-    ``x`` is packed: (sum(lengths), d), the rows of one sequence after
-    another, each in step order.  ``forward`` and ``backward_params`` are
-    (weight, bias) pairs that ``init_lstm_params`` makes: rows ``Wx`` over
-    rows ``Wh``, gate blocks in i/f/o/c order.  Returns the per-step
-    [fwd; bwd] states, packed like ``x`` as (sum(lengths), 2n), in one node
-    whose parents are ``x`` and the four parameters, and the final
-    [last fwd; last bwd] state per sequence, (len(lengths), 2n), as a small
-    node over it (``_final_states``).
+    ``x`` is packed: (sum of the lengths, d), the rows of one sequence after
+    another, each in step order, and ``layout`` is the ``ScanLayout`` of
+    those lengths.  ``forward`` and ``backward_params`` are (weight, bias)
+    pairs that ``init_lstm_params`` makes: rows ``Wx`` over rows ``Wh``, gate
+    blocks in i/f/o/c order.  Returns the per-step [fwd; bwd] states, packed
+    like ``x`` as (sum of the lengths, 2n), or with ``final_only`` only the
+    final [last fwd; last bwd] state per sequence, (B, 2n).
 
-    Inside, the node scans a slot-major layout: the B sequences padded to
-    the longest, T steps.  Slot s holds forward step s and backward step
-    T - 1 - s, every state array is (2, B, n), and the recurrent products of
-    both directions are one stacked matmul.  A padded step carries its
-    sequence's state unchanged and gets no gradient.  Each direction's input
-    projection ``x @ Wx + b`` is one matmul ahead of the scan.  The backward
-    pass does backpropagation through time in one reversed scan inside the
-    node's vector-Jacobian products.
+    Inside, the node scans the layout's slots: every state array is
+    (2, B, n), and the recurrent products of both directions are one stacked
+    matmul.  A padded step carries its sequence's state unchanged and gets no
+    gradient, so both directions end every sequence at the last slot, and a
+    final-only node's gradient enters the scan there.  The input projections
+    ``x @ Wx + b`` of both directions are one stacked matmul ahead of the
+    scan.  The backward pass does backpropagation through time in one
+    reversed scan inside the node's vector-Jacobian products.
     """
     xv = x.value
     if xv.ndim != 2:
         raise ValueError("bilstm_batch expects packed (rows, d) inputs")
-    lengths = [int(k) for k in lengths]
-    steps, shortest = max(lengths, default=0), min(lengths, default=0)
-    if shortest < 1:
-        raise ValueError("cannot encode an empty batch or an empty sequence")
-    if sum(lengths) != xv.shape[0]:
-        raise ValueError(f"lengths sum to {sum(lengths)}, not to the {xv.shape[0]} input rows")
-    batch, width = len(lengths), xv.shape[1]
+    if layout.size != xv.shape[0]:
+        raise ValueError(f"lengths sum to {layout.size}, not to the {xv.shape[0]} input rows")
+    batch, steps, rows, keep, ragged = (
+        layout.batch, layout.steps, layout.rows, layout.keep, layout.ragged)
+    width = xv.shape[1]
     n = forward[1].value.shape[0] // 4
-    # ``rows`` is each packed row's place in the step-major (T * B) layout of
-    # the sequences padded to T steps; a batch of one is already in it.
     # From the scan on, index s of every array is scan slot s, and the axis
     # after it is the direction (0 forward, 1 backward).
-    rows = slice(None)
-    valid = None  # (T, 2, B) mask of real steps; None when nothing is padded
-    keep = None  # (T, 2, B, 1): True where a padded step keeps its state
-    ragged = [False] * steps  # slots where some sequence is padding
-    if batch > 1:
-        real = np.arange(steps) < np.array(lengths)[:, None]  # (B, T)
-        rows = np.arange(steps * batch).reshape(steps, batch).T[real]
-        if shortest < steps:
-            valid = np.stack((real.T, real.T[::-1]), axis=1)
-            keep = ~valid[..., None]
-            ragged = [s >= shortest or s <= steps - 1 - shortest for s in range(steps)]
 
     def step_major(a):  # packed rows as (T * B, width), zero past each length
         if batch == 1:
@@ -285,27 +287,32 @@ def bilstm_batch(
         out[rows] = a
         return out
 
-    acts = np.empty((steps, 2, batch, 4 * n))  # sigmoid i, f, o then tanh g
+    xt = step_major(xv)
+
     # Halving the i/f/o pre-activations turns sigmoid into 0.5 + 0.5 tanh(z/2),
     # so one tanh call covers all four gates.  Halving is exact in floating
-    # point, so halving a product or a sum has the bits of halving its terms.
-    # the backward pass reads the weights again: they change only after it
-    weights = (forward[0].value, backward_params[0].value)
-    xt = step_major(xv)
+    # point, so a product or a sum of halved terms has the bits of the halved
+    # product or sum.  ``wb`` holds each direction's halved weight rows over
+    # its halved bias.
+    wb = np.empty((2, width + n + 1, 4 * n))
     for d, (weight, bias) in enumerate((forward, backward_params)):
-        z = xt @ weight.value[:width]
-        z += bias.value
-        z[:, : 3 * n] *= 0.5
-        z = z.reshape(steps, batch, 4 * n)
-        acts[:, d] = z[::-1] if d else z  # the input projection, in slot order
-    wh = np.stack([w[width:] for w in weights])
-    wh[..., : 3 * n] *= 0.5
+        wb[d, :-1] = weight.value
+        wb[d, -1] = bias.value
+    wb[..., : 3 * n] *= 0.5
+    wh = wb[:, width:-1]
+    proj = np.matmul(xt, wb[:, :width])
+    proj += wb[:, -1:]
+    proj = proj.reshape(2, steps, batch, 4 * n)
+    acts = np.empty((steps, 2, batch, 4 * n))  # sigmoid i, f, o then tanh g
+    acts[:, 0] = proj[0]
+    acts[:, 1] = proj[1, ::-1]  # the input projection, in slot order
 
     # index s + 1 holds the state scan slot s ends with, and index 0 the zero
     # state the scan starts from, so the states entering the slots are views
     cells = np.empty((steps + 1, 2, batch, n))
     hidden = np.empty((steps + 1, 2, batch, n))
     cells[0] = hidden[0] = 0.0
+    tanh_cells = np.empty((steps, 2, batch, n))  # tanh of each slot's cell, for the gradient
     for s in range(steps):
         h, c = hidden[s], cells[s]
         a = acts[s]
@@ -316,8 +323,8 @@ def bilstm_batch(
         sig += 0.5
         c_next = np.multiply(a[..., n : 2 * n], c, out=cells[s + 1])
         c_next += a[..., :n] * a[..., 3 * n :]
-        h_next = np.tanh(c_next, out=hidden[s + 1])
-        h_next *= a[..., 2 * n : 3 * n]
+        h_next = np.multiply(np.tanh(c_next, out=tanh_cells[s]), a[..., 2 * n : 3 * n],
+                             out=hidden[s + 1])
         if ragged[s]:  # padded sequences keep their state
             np.copyto(c_next, c, where=keep[s])
             np.copyto(h_next, h, where=keep[s])
@@ -327,34 +334,44 @@ def bilstm_batch(
     def grads(g):
         if cache and cache[0] is g:
             return cache[1]
-        gt = step_major(g).reshape(steps, batch, 2 * n)
-        gs = np.empty((steps, 2, batch, n))  # the output gradient in slot order
-        gs[:, 0] = gt[..., :n]
-        gs[:, 1] = gt[::-1, :, n:]
-        h_prev, c_prev = hidden[:-1], cells[:-1]  # the states entering each slot
-        i, f, o = acts[..., :n], acts[..., n : 2 * n], acts[..., 2 * n : 3 * n]
+        if final_only:
+            gs = None
+            dh = np.stack((g[:, :n], g[:, n:]))  # both directions end at the last slot
+        else:
+            gt = step_major(g).reshape(steps, batch, 2 * n)
+            gs = np.empty((steps, 2, batch, n))  # the output gradient in slot order
+            gs[:, 0] = gt[..., :n]
+            gs[:, 1] = gt[::-1, :, n:]
+            dh = np.zeros((2, batch, n))
+        sig = acts[..., : 3 * n]
+        f = acts[..., n : 2 * n]
+        o = acts[..., 2 * n : 3 * n]
         gg = acts[..., 3 * n :]
-        tc = np.tanh(cells[1:])
+        tc = tanh_cells
         out_gain = o * (1.0 - tc * tc)
-        gate_gain = np.concatenate(
-            (gg * i * (1.0 - i), c_prev * f * (1.0 - f),
-             tc * o * (1.0 - o), i * (1.0 - gg * gg)),
-            axis=-1,
-        )
-        if valid is not None:
+        # i, f and o gains: (g, c entering the slot, tanh c) * s * (1 - s)
+        gate_gain = np.empty_like(acts)
+        ifo = np.concatenate((gg, cells[:-1], tc), axis=-1, out=gate_gain[..., : 3 * n])
+        ifo *= sig
+        ifo *= 1.0 - sig
+        np.multiply(acts[..., :n], 1.0 - gg * gg, out=gate_gain[..., 3 * n :])
+        if keep is not None:
             # A padded step copies the state: zero gate gains keep dz at zero,
             # a zero output gain keeps the hidden-state gradient out of the
             # cell, and that gradient passes on through ``keep`` below.  No
             # cell gradient reaches a padded step, so ``f`` needs no mask.
-            pad = keep[..., 0]
-            out_gain[pad] = 0.0
-            gate_gain[pad] = 0.0
-        wh_t = np.stack([w[width:] for w in weights]).transpose(0, 2, 1).copy()
+            out_gain[layout.pad] = 0.0
+            gate_gain[layout.pad] = 0.0
+        # the unhalved weights of both directions, transposed, as C-contiguous
+        # input and recurrent blocks
+        w = np.stack((forward[0].value, backward_params[0].value))
+        wx_t = w[:, :width].transpose(0, 2, 1).copy()
+        wh_t = w[:, width:].transpose(0, 2, 1).copy()
         dz = np.empty_like(acts)
-        dh = np.zeros((2, batch, n))
-        dc = dh
+        dc = np.zeros((2, batch, n))
         for s in range(steps - 1, -1, -1):
-            dh = dh + gs[s]
+            if gs is not None:
+                dh = dh + gs[s]
             dcn = dh * out_gain[s]
             dcn += dc
             np.multiply(np.concatenate((dcn, dcn, dh, dcn), axis=-1), gate_gain[s], out=dz[s])
@@ -364,18 +381,19 @@ def bilstm_batch(
             else:
                 dh = dz[s] @ wh_t
         # Each direction's input and weight gradients in its own time order,
-        # from C-contiguous operands of a one-direction node's shapes (BLAS
-        # and numpy's sums pick their summation order by shape and strides),
-        # so they keep that node's bits.
-        dx, dw, db = [], [], []
-        for d, order in ((0, slice(None)), (1, slice(None, None, -1))):
-            dz2 = np.ascontiguousarray(dz[order, d]).reshape(steps * batch, 4 * n)
-            h_in = np.ascontiguousarray(h_prev[order, d]).reshape(steps * batch, n)
-            dx.append(dz2 @ weights[d][:width].T.copy())
-            dw.append(np.empty((width + n, 4 * n)))
-            np.matmul(xt.T, dz2, out=dw[d][:width])
-            np.matmul(h_in.T, dz2, out=dw[d][width:])
-            db.append(dz2.sum(axis=0))
+        # stacked, from C-contiguous operands of a one-direction node's shapes
+        # (BLAS and numpy's sums pick their summation order by shape and
+        # strides), so they keep that node's bits.
+        dz_t = np.empty((2, steps, batch, 4 * n))
+        h_t = np.empty((2, steps, batch, n))  # the state entering each step
+        dz_t[0], dz_t[1] = dz[:, 0], dz[::-1, 1]
+        h_t[0], h_t[1] = hidden[:-1, 0], hidden[-2::-1, 1]
+        dz_t = dz_t.reshape(2, steps * batch, 4 * n)
+        dx = np.matmul(dz_t, wx_t)
+        dw = np.empty((2, width + n, 4 * n))
+        np.matmul(xt.T, dz_t, out=dw[:, :width])
+        np.matmul(h_t.reshape(2, steps * batch, n).transpose(0, 2, 1), dz_t, out=dw[:, width:])
+        db = dz_t.sum(axis=1)
         dx = dx[0] + dx[1]
         cache[:] = [g, (dx[rows], dw[0], db[0], dw[1], db[1])]
         return cache[1]
@@ -383,30 +401,14 @@ def bilstm_batch(
     def vjp(k):
         return lambda g, acc: np.add(acc, grads(g)[k], out=acc)
 
-    out = np.empty((steps, batch, 2 * n))
-    out[..., :n] = hidden[1:, 0]
-    out[..., n:] = hidden[:0:-1, 1]
-    states = Tensor(out.reshape(steps * batch, 2 * n)[rows], (x, *forward, *backward_params),
-                    tuple(vjp(k) for k in range(5)))
-    # a padded step carries its sequence's state, so the forward half at step
-    # T - 1 is each sequence's last state
-    final = np.concatenate((out[-1, :, :n], out[0, :, n:]), axis=1)
-    return states, _final_states(states, final, lengths)
-
-
-def _final_states(states: Tensor, value: np.ndarray, lengths: list[int]) -> Tensor:
-    """``value``, the [fwd at the last step; bwd at step 0] state of each
-    sequence, as a node over the packed ``states``: its gradient goes to each
-    sequence's last row (forward half) and first row (backward half)."""
-    n = value.shape[1] // 2
-
-    def vjp(g, acc):
-        ends = np.cumsum(lengths)
-        first = ends - lengths
-        acc[ends - 1, :n] += g[:, :n]
-        acc[first, n:] += g[:, n:]
-
-    return Tensor(value, (states,), (vjp,))
+    if final_only:
+        out = np.concatenate((hidden[-1, 0], hidden[-1, 1]), axis=1)
+    else:
+        out = np.empty((steps, batch, 2 * n))
+        out[..., :n] = hidden[1:, 0]
+        out[..., n:] = hidden[:0:-1, 1]
+        out = out.reshape(steps * batch, 2 * n)[rows]
+    return Tensor(out, (x, *forward, *backward_params), tuple(vjp(k) for k in range(5)))
 
 
 class Adam:
@@ -433,12 +435,16 @@ class Adam:
         self._m = np.zeros(size)
         self._v = np.zeros(size)
         self._scratch = (np.empty(size), np.empty(size))
+        self._squares = store.segments(self._scratch[0])
 
     def step(self) -> float:
         """One update; returns the gradient norm before clipping."""
         self.t += 1
         a, b = self._scratch
-        norm = self.store.grad_norm(a)
+        # each tensor's squares summed on their own, in store order: the bits
+        # of a sum over per-tensor sums
+        np.multiply(self.store.grads, self.store.grads, out=a)
+        norm = math.sqrt(sum(map(np.add.reduce, self._squares)))
         factor = 1.0
         if norm > self.clip_norm:
             factor = self.clip_norm / norm

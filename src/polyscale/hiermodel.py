@@ -231,25 +231,35 @@ def _token_ids(vocab: Vocabulary, manifestos: Sequence[Manifesto]) -> tuple[np.n
     return np.array(flat, dtype=np.intp), [len(s.tokens) for _, s in sentences]
 
 
-def _encode_sentences(params: HierParams, ids: np.ndarray, lengths, counts) -> dc.Tensor:
+def _encoder_inputs(vocab: Vocabulary, manifestos: Sequence[Manifesto]):
+    """What ``_encode_sentences`` reads of a batch of documents: the
+    ``_token_ids`` of their sentences, the ``ScanLayout`` of the sentences'
+    lengths (the word level) and that of the documents' sentence counts (the
+    sentence level)."""
+    ids, lengths = _token_ids(vocab, manifestos)
+    return ids, dc.ScanLayout(lengths), dc.ScanLayout([len(m.sentences) for m in manifestos])
+
+
+def _encode_sentences(params: HierParams, ids: np.ndarray, words: dc.ScanLayout,
+                      sentences: dc.ScanLayout) -> dc.Tensor:
     """Sentence states of a batch of documents, (sentences, 2 * sentence_hidden).
 
-    ``ids`` and ``lengths`` are ``_token_ids`` of the documents, which have
-    ``counts`` sentences each.  Rows run through the documents in order, each
-    document's sentences in order.  The word level is one LSTM node over every
-    sentence of the batch, and its final states are the sentence vectors, in
+    ``ids``, ``words`` and ``sentences`` are ``_encoder_inputs`` of the
+    documents.  Rows run through the documents in order, each document's
+    sentences in order.  The word level is one LSTM node over every sentence
+    of the batch that returns only its final states, the sentence vectors, in
     the same order.  The sentence level is one LSTM node over those vectors,
     one sequence per document, and its states are the result.
     """
     store = params.store
-    words = dc.gather(params.embedding_tensor(), ids)
+    embedded = dc.gather(params.embedding_tensor(), ids)
 
     def lstm(prefix):
         return store[f"{prefix}.weight"], store[f"{prefix}.bias"]
 
-    _, sentence_vectors = dc.bilstm_batch(words, lstm("word_fwd"), lstm("word_bwd"), lengths)
-    states, _ = dc.bilstm_batch(sentence_vectors, lstm("sent_fwd"), lstm("sent_bwd"), counts)
-    return states
+    vectors = dc.bilstm_batch(embedded, lstm("word_fwd"), lstm("word_bwd"), words,
+                              final_only=True)
+    return dc.bilstm_batch(vectors, lstm("sent_fwd"), lstm("sent_bwd"), sentences)
 
 
 class _Softmax(NamedTuple):
@@ -269,16 +279,23 @@ class _Softmax(NamedTuple):
         total = e.sum(axis=1, keepdims=True)
         return cls(logits, peak, total, e / total)
 
-    def xent(self, gold: np.ndarray):
-        """Mean cross-entropy over the rows whose ``gold`` index is not -1,
-        with those rows, their indices and 1 / their count; None without any."""
-        rows = np.flatnonzero(gold >= 0)
-        if not rows.size:
+    def xent(self, labelled):
+        """Mean cross-entropy over the ``_labelled`` rows, with those rows,
+        their indices and 1 / their count; None without any."""
+        if labelled is None:
             return None
-        cols = gold[rows]
-        inv = 1.0 / rows.size
+        rows, cols, inv = labelled
         xents = (self.peak[rows, 0] + np.log(self.total[rows, 0])) - self.logits[rows, cols]
         return float(xents.sum() * inv), rows, cols, inv
+
+
+def _labelled(gold: np.ndarray):
+    """The rows whose ``gold`` index is not -1, their indices and 1 / their
+    count; None without any."""
+    rows = np.flatnonzero(gold >= 0)
+    if not rows.size:
+        return None
+    return rows, gold[rows], 1.0 / rows.size
 
 
 def _heads(store: dc.ParameterStore, states: np.ndarray, counts):
@@ -287,8 +304,9 @@ def _heads(store: dc.ParameterStore, states: np.ndarray, counts):
     document the mean [code probabilities; state] row and the score.
 
     A document's mean sums its rows in order over a zero-padded (documents,
-    most sentences, K) array, and its score is its own (1, K) @ (K, 1) dot,
-    so from the same states a document gets the same heads in any batch.
+    most sentences, K) array, or as a plain row sum when it is alone (the
+    same bits), and its score is its own (1, K) @ (K, 1) dot, so from the
+    same states a document gets the same heads in any batch.
     The states themselves can differ in the last bits between batches: the
     encoder's BLAS products pick their summation order by operand shape.
     ``predict`` reads these values; ``document_loss`` makes them one tape
@@ -297,11 +315,14 @@ def _heads(store: dc.ParameterStore, states: np.ndarray, counts):
     code = _Softmax.of(states, store["code_head.weight"], store["code_head.bias"])
     pol = _Softmax.of(states, store["pol_head.weight"], store["pol_head.bias"])
     rows = np.concatenate((code.probs, states), axis=1)
-    counts = np.asarray(counts)
-    real = np.arange(counts.max()) < counts[:, None]
-    padded = np.zeros(real.shape + rows.shape[1:])
-    padded[real] = rows
-    doc_vectors = padded.sum(axis=1) * (1.0 / counts)[:, None]
+    if len(counts) == 1:
+        doc_vectors = rows.sum(axis=0, keepdims=True) * (1.0 / counts[0])
+    else:
+        counts = np.asarray(counts)
+        real = np.arange(counts.max()) < counts[:, None]
+        padded = np.zeros(real.shape + rows.shape[1:])
+        padded[real] = rows
+        doc_vectors = padded.sum(axis=1) * (1.0 / counts)[:, None]
     w = store["doc_head.weight"].value
     scores = np.tanh((doc_vectors[:, None, :] @ w[:, None])[:, 0, 0] + store["doc_head.bias"].value)
     return code, pol, doc_vectors, scores
@@ -309,16 +330,17 @@ def _heads(store: dc.ParameterStore, states: np.ndarray, counts):
 
 class _DocInputs(NamedTuple):
     """What ``document_loss`` reads of a document besides the parameters:
-    ``_token_ids`` (the flat token ids and each sentence's length), each
-    sentence's code and polarity index (-1 unlabeled) and the target.
+    ``_encoder_inputs`` (the flat token ids and the two scan layouts), the
+    ``_labelled`` rows of the sentence codes and polarities, and the target.
     ``source`` holds the document, vocabulary and scheme they were built
     from, so the ids that key them stay theirs."""
 
     source: tuple
     ids: np.ndarray
-    lengths: list
-    code_gold: np.ndarray
-    pol_gold: np.ndarray
+    words: dc.ScanLayout
+    sentences: dc.ScanLayout
+    code_labels: tuple | None
+    pol_labels: tuple | None
     target: float | None
 
 
@@ -333,19 +355,22 @@ def _document_inputs(params: HierParams, manifesto: Manifesto) -> _DocInputs:
         codes = [s.gold_code for s in manifesto.sentences]
         inputs = params._inputs[key] = _DocInputs(
             source,
-            *_token_ids(params.vocab, [manifesto]),
-            np.array([-1 if c is None else scheme.index(c) for c in codes], dtype=np.intp),
-            np.array([-1 if c is None else POLARITY_ORDER.index(scheme.polarity_of(c))
-                      for c in codes], dtype=np.intp),
+            *_encoder_inputs(params.vocab, [manifesto]),
+            _labelled(np.array([-1 if c is None else scheme.index(c) for c in codes],
+                               dtype=np.intp)),
+            _labelled(np.array([-1 if c is None else POLARITY_ORDER.index(scheme.polarity_of(c))
+                                for c in codes], dtype=np.intp)),
             effective_rile(manifesto, scheme),
         )
     return inputs
 
 
-def _head_loss(store: dc.ParameterStore, states: dc.Tensor, code_gold, pol_gold,
+def _head_loss(store: dc.ParameterStore, states: dc.Tensor, code_labels, pol_labels,
                target: float | None, config: ModelConfig) -> tuple[dc.Tensor, dict]:
     """The heads and losses of one document's sentence ``states`` as one tape
     node, whose parents are ``states`` and the six head parameters.
+    ``code_labels`` and ``pol_labels`` are the ``_labelled`` rows of the
+    sentences' code and polarity indices.
 
     Its value is the weighted sum of the terms in ``parts`` (sentence, doc,
     polarity, structure: those whose inputs are present) whose coefficient
@@ -362,8 +387,8 @@ def _head_loss(store: dc.ParameterStore, states: dc.Tensor, code_gold, pol_gold,
     weights = [store[f"{head}.{k}"] for head in ("code_head", "pol_head", "doc_head")
                for k in ("weight", "bias")]
     code, pol, doc_vectors, scores = _heads(store, sv, [count])
-    code_xent = code.xent(code_gold)
-    pol_xent = pol.xent(pol_gold)
+    code_xent = code.xent(code_labels)
+    pol_xent = pol.xent(pol_labels)
     parts = {}
     if code_xent is not None:
         parts["sentence"] = code_xent[0]
@@ -449,8 +474,8 @@ def document_loss(
     """
     config = config or params.config
     inputs = _document_inputs(params, manifesto)
-    states = _encode_sentences(params, inputs.ids, inputs.lengths, [len(manifesto.sentences)])
-    return _head_loss(params.store, states, inputs.code_gold, inputs.pol_gold,
+    states = _encode_sentences(params, inputs.ids, inputs.words, inputs.sentences)
+    return _head_loss(params.store, states, inputs.code_labels, inputs.pol_labels,
                       inputs.target, config)
 
 
@@ -576,7 +601,7 @@ def _predict_batch(params: HierParams, batch: Sequence[Manifesto]) -> list[DocPr
     scheme = params.scheme
     counts = [len(m.sentences) for m in batch]
     bounds = np.cumsum([0] + counts)
-    states = _encode_sentences(params, *_token_ids(params.vocab, batch), counts)
+    states = _encode_sentences(params, *_encoder_inputs(params.vocab, batch))
     code, pol, doc_vectors, scores = _heads(params.store, states.value, counts)
     codes = np.argmax(code.probs, axis=1)
     pols = np.argmax(pol.probs, axis=1)

@@ -277,11 +277,15 @@ def print_program(program: PslProgram) -> str:
         lines.append(f"{kind} {pred.name}/{pred.arity}")
     if program.rules:
         lines.append("")
-    for rule in program.rules:
-        body = " & ".join(str(lit) for lit in rule.body)
-        suffix = " ^1" if rule.exponent == 1 else ""
-        lines.append(f"{rule.weight!r} : {body} -> {rule.head}{suffix}")
+    lines += [rule_text(rule) for rule in program.rules]
     return "\n".join(lines) + "\n"
+
+
+def rule_text(rule: Rule) -> str:
+    """One rule's line of ``print_program``."""
+    body = " & ".join(str(lit) for lit in rule.body)
+    suffix = " ^1" if rule.exponent == 1 else ""
+    return f"{rule.weight!r} : {body} -> {rule.head}{suffix}"
 
 
 class RelationalDatabase:

@@ -7,9 +7,10 @@ Builds the inputs of the named workload of ``bench/workloads.py`` from the
 seed, runs one of its operations with the ``polyscale`` package of this
 checkout, and prints one ``name: value`` line per result:
 
-* ``fit``: the last epoch's loss, a digest of the predictions (scores,
-  codes and document vectors) on the test and training splits, and a
-  digest of every parameter's bytes;
+* ``fit``: the last epoch's loss, a digest of every ``EpochLog`` (mean
+  loss, components, mean gradient norm and clip count), a digest of the
+  predictions (scores, codes and document vectors) on the test and training
+  splits, and a digest of every parameter's bytes;
 * ``evaluate``: the output hashes of ``run_experiment``, a digest of the
   calibration database, then for the grounded network a digest of its six
   energy arrays, free atoms and ground rules plus its ``RuleStats``, and
@@ -54,6 +55,8 @@ def run_fit(workloads, seed: int, work_dir: Path) -> list[tuple[str, str]]:
     params, logs = hiermodel.train(state["fit"], state["config"])
     return [
         ("final_loss", repr(logs[-1].mean_loss)),
+        ("epoch_logs", digest(*((log.epoch, log.mean_loss, sorted(log.components.items()),
+                                 log.grad_norm, log.clipped) for log in logs))),
         ("predictions.test", predictions_digest(hiermodel.predict(params, state["test"]))),
         ("predictions.train", predictions_digest(hiermodel.predict(params, state["fit"]))),
         ("parameters", digest(params.store.values.tobytes())),

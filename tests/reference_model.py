@@ -6,14 +6,19 @@
 ``dense`` per head, ``softmax_xent_rows``, ``concat`` and ``segment_mean``
 for the document vector, ``dense`` and ``tanh`` for the score, and the
 squared errors and weighted sum of the losses.  Values and gradients of the
-fused paths must equal it bit for bit.
+fused paths must equal it bit for bit.  ``document_loss`` puts it on the
+per-direction LSTM nodes of ``reference_lstm``, so a whole training step can
+be built without ``hiermodel``'s encoder.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 import reference_ops as ops
 from polyscale import diffcore as dc
 from polyscale import hiermodel as hm
+from reference_lstm import bilstm_pair
 
 
 def heads(store, states: dc.Tensor, counts, code_gold, pol_gold):
@@ -32,13 +37,6 @@ def heads(store, states: dc.Tensor, counts, code_gold, pol_gold):
     doc_vectors = ops.segment_mean(ops.concat([code_probs, states]), counts)
     scores = ops.tanh(ops.dense(doc_vectors, store["doc_head.weight"], store["doc_head.bias"]))
     return code_probs, pol_probs, sentence_loss, polarity_loss, doc_vectors, scores
-
-
-def forward(params, manifestos, code_gold, pol_gold):
-    """The encoder and ``heads`` over a batch of documents."""
-    counts = [len(m.sentences) for m in manifestos]
-    states = hm._encode_sentences(params, *hm._token_ids(params.vocab, manifestos), counts)
-    return heads(params.store, states, counts, code_gold, pol_gold)
 
 
 def combine_losses(l_sentence, l_doc, l_polarity, l_structure,
@@ -89,16 +87,36 @@ def head_loss(store, states: dc.Tensor, code_gold, pol_gold, target, config):
     return total, parts
 
 
+def encode(params, manifesto) -> dc.Tensor:
+    """One document's sentence states from ``reference_lstm.bilstm_pair`` at
+    both levels: the word level over its sentences padded to the longest
+    (padded steps read row 0 of the embeddings), the sentence level over its
+    sentence vectors as a batch of one."""
+    store = params.store
+
+    def lstm(prefix):
+        return store[f"{prefix}.weight"], store[f"{prefix}.bias"]
+
+    ids, lengths = hm._token_ids(params.vocab, [manifesto])
+    real = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    padded = np.zeros(real.shape, dtype=np.intp)
+    padded[real] = ids
+    words = dc.gather(params.embedding_tensor(), padded)
+    _, vectors = bilstm_pair(words, lstm("word_fwd"), lstm("word_bwd"), lengths)
+    count = len(lengths)
+    states, _ = bilstm_pair(ops.reshape(vectors, (1, count, -1)), lstm("sent_fwd"),
+                            lstm("sent_bwd"))
+    return ops.reshape(states, (count, -1))
+
+
 def document_loss(params, manifesto, config=None):
-    """``hiermodel.document_loss`` with the composed ``head_loss``."""
+    """``hiermodel.document_loss`` from the reference paths alone: ``encode``
+    and the composed ``head_loss``."""
     config = config or params.config
     scheme = params.scheme
     codes = [s.gold_code for s in manifesto.sentences]
     code_gold = [-1 if c is None else scheme.index(c) for c in codes]
     pol_gold = [-1 if c is None else hm.POLARITY_ORDER.index(scheme.polarity_of(c))
                 for c in codes]
-    states = hm._encode_sentences(params, *hm._token_ids(params.vocab, [manifesto]),
-                                  [len(manifesto.sentences)])
-    return head_loss(params.store, states, code_gold, pol_gold,
+    return head_loss(params.store, encode(params, manifesto), code_gold, pol_gold,
                      hm.effective_rile(manifesto, scheme), config)
-

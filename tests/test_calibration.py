@@ -1,6 +1,7 @@
 """Tests for relational calibration: atoms, database assembly, inference."""
 
 import datetime
+import logging
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from polyscale.calibration import (
 )
 from polyscale.corpus import Corpus, LabelScheme, Manifesto, Sentence
 from polyscale.hiermodel import DocPrediction, ModelConfig
-from polyscale.pslengine import parse_program
+from polyscale.pslengine import RelationalDatabase, parse_program
 from reference_grounder import reference_ground
 
 SCHEME = LabelScheme.default()
@@ -373,6 +374,31 @@ class TestCalibrate:
         )
         initial = 0.9
         assert abs(tight.positions["t1"] - initial) < abs(loose.positions["t1"] - initial)
+
+    PROGRAM = ("closed Anchor/1\nclosed Missing/1\nopen pos/1\n\n"
+               "1.0 : Anchor(x) -> pos(x)\n2.0 : Missing(x) -> pos(x) ^1\n")
+
+    def anchored_db(self, *observed):
+        db = RelationalDatabase()
+        for predicate in observed:
+            db.observe(predicate, ("a",), 1.0)
+        db.add_target("pos", ("a",), 0.2)
+        return db
+
+    def warnings_of(self, caplog, db):
+        with caplog.at_level(logging.WARNING, logger="polyscale.calibration"):
+            calibrate(db, parse_program(self.PROGRAM))
+        return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+    def test_rule_that_grounds_no_rows_is_reported(self, caplog):
+        """``Missing`` is never observed, so rule 1 grounds nothing."""
+        assert self.warnings_of(caplog, self.anchored_db("Anchor")) == [
+            "rule 1 grounded no rows, so it constrains nothing: "
+            "2.0 : Missing(x) -> pos(x) ^1 (RuleStats(rows=0, missing=0, tautology=0, "
+            "body_zero=0, constant=0))"]
+
+    def test_rules_that_all_ground_rows_log_nothing(self, caplog):
+        assert self.warnings_of(caplog, self.anchored_db("Anchor", "Missing")) == []
 
 
 class TestStackedEstimates:

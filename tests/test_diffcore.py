@@ -367,7 +367,9 @@ class TestLstmSequence:
         valid = np.arange(ids.shape[1]) < np.array(self.LENGTHS)[:, None]
         step_w = rng.normal(size=ids.shape + (6,))[valid]  # one row per packed step
         final_w = rng.normal(size=(len(self.LENGTHS), 6))
-        steps, final = dc.bilstm_batch(dc.gather(table, ids[valid]), pf, pb, self.LENGTHS)
+        x, layout = dc.gather(table, ids[valid]), dc.ScanLayout(self.LENGTHS)
+        steps = dc.bilstm_batch(x, pf, pb, layout)
+        final = dc.bilstm_batch(x, pf, pb, layout, final_only=True)
         assert steps.value.shape == (sum(self.LENGTHS), 6)
         fused_loss = ops.add(weighted_sum(steps, step_w), weighted_sum(final, final_w))
         fused = self.grads_of(store, fused_loss)
@@ -399,7 +401,8 @@ class TestLstmSequence:
         pb = dc.init_lstm_params(store, "b", 4, 3, rng)
         step_w = rng.normal(size=(length, 6))
         final_w = rng.normal(size=(1, 6))
-        steps, final = dc.bilstm_batch(x, pf, pb, [length])
+        steps = dc.bilstm_batch(x, pf, pb, dc.ScanLayout([length]))
+        final = dc.bilstm_batch(x, pf, pb, dc.ScanLayout([length]), final_only=True)
         assert steps.value.shape == (length, 6) and final.value.shape == (1, 6)
         fused_loss = ops.add(weighted_sum(steps, step_w), weighted_sum(final, final_w))
         fused = self.grads_of(store, fused_loss)
@@ -417,17 +420,17 @@ class TestLstmSequence:
         _, _, table, pf, pb, ids = self.make_case(60)
         x = dc.gather(table, ids[:, :3].reshape(-1))  # 9 packed rows
         with pytest.raises(ValueError, match="empty sequence"):
-            dc.bilstm_batch(x, pf, pb, [5, 0, 4])
+            dc.ScanLayout([5, 0, 4])
         with pytest.raises(ValueError, match="empty sequence"):
-            dc.bilstm_batch(x, pf, pb, [5, -1, 5])
+            dc.ScanLayout([5, -1, 5])
         with pytest.raises(ValueError, match="sum to 10, not to the 9"):
-            dc.bilstm_batch(x, pf, pb, [6, 1, 3])
+            dc.bilstm_batch(x, pf, pb, dc.ScanLayout([6, 1, 3]))
         with pytest.raises(ValueError, match="sum to 8, not to the 9"):
-            dc.bilstm_batch(x, pf, pb, [5, 1, 2])
+            dc.bilstm_batch(x, pf, pb, dc.ScanLayout([5, 1, 2]))
         with pytest.raises(ValueError, match="empty batch"):
-            dc.bilstm_batch(dc.constant(np.zeros((0, 4))), pf, pb, [])
+            dc.ScanLayout([])
         with pytest.raises(ValueError, match="packed"):
-            dc.bilstm_batch(dc.gather(table, ids), pf, pb, self.LENGTHS)
+            dc.bilstm_batch(dc.gather(table, ids), pf, pb, dc.ScanLayout(self.LENGTHS))
 
 
 @st.composite
@@ -447,7 +450,7 @@ def bilstm_cases(draw):
 class TestFusedBilstm:
     """``bilstm_batch`` runs both directions in one scan over packed rows; a
     pair of per-direction nodes over the padded batch must give the same
-    bits."""
+    bits, both for the per-step states and for the final-only node."""
 
     @settings(max_examples=150, deadline=None)
     @given(bilstm_cases())
@@ -469,16 +472,18 @@ class TestFusedBilstm:
         padded_w = np.zeros(real.shape + (2 * n,))
         padded_w[real] = step_w
 
-        store.zero_grad()
-        steps_t, final = dc.bilstm_batch(x, pf, pb, lengths)
-        dc.backward(ops.add(weighted_sum(steps_t, step_w), weighted_sum(final, final_w)))
-        fused = [steps_t.value, final.value] + [t.grad.copy() for _, t in store]
-        store.zero_grad()
-        steps_t, final = bilstm_pair(dc.gather(x, padded_ids), pf, pb, lengths)
-        dc.backward(ops.add(weighted_sum(steps_t, padded_w), weighted_sum(final, final_w)))
-        pair = [steps_t.value[real], final.value] + [t.grad.copy() for _, t in store]
-        for name, a, b in zip(["steps", "final"] + store.names, fused, pair):
-            assert a.shape == b.shape and np.array_equal(a, b), name
+        layout = dc.ScanLayout(lengths)
+        for k, output in enumerate(("steps", "final")):
+            store.zero_grad()
+            node = dc.bilstm_batch(x, pf, pb, layout, final_only=output == "final")
+            dc.backward(weighted_sum(node, (step_w, final_w)[k]))
+            fused = [node.value] + [t.grad.copy() for _, t in store]
+            store.zero_grad()
+            node = bilstm_pair(dc.gather(x, padded_ids), pf, pb, lengths)[k]
+            dc.backward(weighted_sum(node, (padded_w, final_w)[k]))
+            pair = [node.value[real] if k == 0 else node.value] + [t.grad.copy() for _, t in store]
+            for name, a, b in zip([output] + store.names, fused, pair):
+                assert a.shape == b.shape and np.array_equal(a, b), (output, name)
 
     def test_is_one_node_over_both_directions(self):
         rng = np.random.default_rng(70)
@@ -486,9 +491,10 @@ class TestFusedBilstm:
         pf = dc.init_lstm_params(store, "f", 4, 3, rng)
         pb = dc.init_lstm_params(store, "b", 4, 3, rng)
         x = dc.constant(rng.normal(size=(7, 4)))
-        steps, final = dc.bilstm_batch(x, pf, pb, [5, 2])
-        assert steps.parents == (x, *pf, *pb)
-        assert final.parents == (steps,)
+        layout = dc.ScanLayout([5, 2])
+        steps = dc.bilstm_batch(x, pf, pb, layout)
+        final = dc.bilstm_batch(x, pf, pb, layout, final_only=True)
+        assert steps.parents == final.parents == (x, *pf, *pb)
         assert steps.value.shape == (7, 6) and final.value.shape == (2, 6)
 
 
@@ -545,7 +551,7 @@ class TestAdam:
             expected = 0.0
             for _, t in store:
                 expected += float(np.sum(t.grad * t.grad))
-            assert store.grad_norm(np.empty(store.n_values())) == math.sqrt(expected)
+            assert dc.Adam(store).step() == math.sqrt(expected)
 
     @pytest.mark.parametrize("clip_norm", [0.5, 1e9])
     def test_flat_steps_equal_per_tensor_adam_bitwise(self, clip_norm):

@@ -83,8 +83,7 @@ def np_softmax(z):
 
 def encode(params, docs):
     """Sentence states of a batch of documents, as an array."""
-    counts = [len(doc.sentences) for doc in docs]
-    return hm._encode_sentences(params, *hm._token_ids(params.vocab, docs), counts).value
+    return hm._encode_sentences(params, *hm._encoder_inputs(params.vocab, docs)).value
 
 
 def forward(params, doc):
@@ -213,8 +212,7 @@ class TestForward:
         docs = self.corpus.manifestos[:3] + (make_doc("n1", ["taxes must fall"]),)
         counts = [len(doc.sentences) for doc in docs]
         assert len(set(counts)) > 1
-        states = hm._encode_sentences(
-            self.params, *hm._token_ids(self.params.vocab, docs), counts)
+        states = hm._encode_sentences(self.params, *hm._encoder_inputs(self.params.vocab, docs))
         store = self.params.store
         assert states.parents[1:] == tuple(
             store[f"sent_{d}.{k}"] for d in ("fwd", "bwd") for k in ("weight", "bias"))
@@ -265,10 +263,11 @@ class TestHeadNode:
         pol_gold = np.array([-1 if k is None else POLARITY_ORDER.index(
             SCHEME.polarity_of(SCHEME.codes[k])) for k in labels])
         results = []
-        for head_loss in (hm._head_loss, rm.head_loss):
+        for head_loss, labels in ((hm._head_loss, hm._labelled), (rm.head_loss, lambda g: g)):
             store.zero_grad()
             try:
-                total, parts = head_loss(store, store["states"], code_gold, pol_gold, target, config)
+                total, parts = head_loss(store, store["states"], labels(code_gold),
+                                         labels(pol_gold), target, config)
             except ValueError as err:
                 results.append(str(err))
                 continue
@@ -305,14 +304,15 @@ class TestHeadNode:
                 if id(parent) not in nodes:
                     nodes[id(parent)] = parent
                     stack.append(parent)
-        assert len(nodes) == 20
+        assert len(nodes) == 19
         assert sum(id(t) in nodes for _, t in store) == 15
         assert total.parents[1:] == tuple(store[name] for name in HEADS)
-        # sentence level, word-level final states, word level, gather, embeddings
+        # sentence level, the word level's final states, gather, embeddings
         states = total.parents[0]
         assert states.parents[1:] == tuple(
             store[f"sent_{d}.{k}"] for d in ("fwd", "bwd") for k in ("weight", "bias"))
-        word = states.parents[0].parents[0]
+        word = states.parents[0]
+        assert word.value.shape == (len(corpus.manifestos[0].sentences), 8)
         assert word.parents[1:] == tuple(
             store[f"word_{d}.{k}"] for d in ("fwd", "bwd") for k in ("weight", "bias"))
         assert word.parents[0].parents == (store["embed.matrix"],)
@@ -521,6 +521,46 @@ class TestTrain:
             assert np.array_equal(
                 params_a.store[name].value, params_b.store[name].value
             )
+
+    def test_equals_a_loop_over_the_reference_paths_bitwise(self):
+        """Two epochs of ``train`` against a loop that follows its shuffle and
+        builds each step from the reference paths: ``bilstm_pair`` at both
+        levels over padded batches, the composed ``head_loss`` and the
+        per-tensor ``Adam``.  Every parameter and every ``EpochLog`` match."""
+        corpus, config = small_corpus(), tiny_config(epochs=2)
+        params, logs = train(corpus, config)
+
+        docs = training_documents(corpus)
+        init_seq, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
+        ref = hm._build_params(Vocabulary.build(docs, config.vocab_cap), corpus.scheme, config,
+                               np.random.default_rng(init_seq), None)
+        shuffle_rng = np.random.default_rng(shuffle_seq)
+        optimizer = ops.Adam(ref.store, lr=config.learning_rate, clip_norm=config.grad_clip)
+        ref_logs = []
+        order = np.arange(len(docs))
+        for epoch in range(config.epochs):
+            shuffle_rng.shuffle(order)
+            total = norms = 0.0
+            clipped = 0
+            sums: dict = {}
+            for idx in order:
+                ref.store.zero_grad()
+                loss, parts = rm.document_loss(ref, docs[idx], config)
+                dc.backward(loss)
+                norm = optimizer.step()
+                norms += norm
+                clipped += norm > config.grad_clip
+                total += float(loss.value)
+                for name, value in parts.items():
+                    sums.setdefault(name, []).append(value)
+            ref_logs.append(hm.EpochLog(
+                epoch=epoch, mean_loss=total / len(docs),
+                components={name: sum(values) / len(values) for name, values in sums.items()},
+                grad_norm=norms / len(docs), clipped=clipped))
+        assert logs == ref_logs
+        assert params.store.names == ref.store.names
+        for name in params.store.names:
+            assert params.store[name].value.tobytes() == ref.store[name].value.tobytes(), name
 
     def test_unlabeled_documents_do_not_change_training(self):
         base = small_corpus()
@@ -754,11 +794,11 @@ class TestCheckpoint:
         config = ModelConfig(epochs=0)
         params, _ = train(small_corpus(), config)
         store = params.store
-        assert len(store) == 15
+        assert len(store.names) == 15
         for prefix, d_in, n in (("word_fwd", config.embed_dim, config.word_hidden),
                                 ("sent_bwd", 2 * config.word_hidden, config.sentence_hidden)):
-            assert store[f"{prefix}.weight"].shape == (d_in + n, 4 * n)
-            assert store[f"{prefix}.bias"].shape == (4 * n,)
+            assert store[f"{prefix}.weight"].value.shape == (d_in + n, 4 * n)
+            assert store[f"{prefix}.bias"].value.shape == (4 * n,)
 
     def test_truncated_file_rejected(self, tmp_path):
         corpus = small_corpus()
