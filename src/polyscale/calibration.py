@@ -229,7 +229,6 @@ def build_database(
     else:
         predictions = {p.manifesto_id: p for p in predictions}
     corpus_ids = {m.id for m in corpus.manifestos}
-    test_ids = [m.id for m in corpus.manifestos if m.id in predictions]
     for mid, value in context_positions.items():
         if mid not in corpus_ids:
             raise ValueError(f"context id {mid!r} is not in the corpus")
@@ -248,7 +247,7 @@ def build_database(
         )
 
     db = RelationalDatabase()
-    test_docs = [corpus.get(mid) for mid in test_ids]
+    test_docs = [m for m in corpus.manifestos if m.id in predictions]
     known_parties = party_graph.parties
     warned: set[str] = set()
     for doc in test_docs:

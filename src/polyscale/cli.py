@@ -345,7 +345,6 @@ def _load_context(path) -> dict:
 
 def _cmd_calibrate(args) -> int:
     from .calibration import (
-        ABLATION_ORDER,
         CalibrationConfig,
         PartyGraph,
         build_database,
@@ -357,6 +356,10 @@ def _cmd_calibrate(args) -> int:
     from .hiermodel import load_checkpoint, predict
     from .pslengine import load_program
 
+    program = load_program(args.rules) if args.rules else default_program()
+    if args.groups:
+        groups = tuple(g.strip() for g in args.groups.split(",") if g.strip())
+        program = program_for_groups(program, groups)
     corpus = load_corpus(args.corpus)
     graph = PartyGraph.from_file(args.party_graph)
     context = _load_context(args.context) if args.context else {}
@@ -369,13 +372,6 @@ def _cmd_calibrate(args) -> int:
         raise ValueError("every corpus document is context; nothing to calibrate")
     preds = predict(params, test_docs)
     db = build_database(corpus, preds, graph, config, context)
-    program = load_program(args.rules) if args.rules else default_program()
-    if args.groups:
-        groups = tuple(g.strip() for g in args.groups.split(",") if g.strip())
-        unknown = [g for g in groups if g not in ABLATION_ORDER]
-        if unknown:
-            raise ValueError(f"unknown rule groups: {', '.join(unknown)}")
-        program = program_for_groups(program, groups)
     result = calibrate(db, program, config=config)
     lines = ["manifesto_id\tmodel_rile\tcalibrated_rile\tposition"]
     by_id = {p.manifesto_id: p for p in preds}

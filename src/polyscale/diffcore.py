@@ -1,13 +1,13 @@
 """Reverse-mode automatic differentiation over a small fixed op vocabulary.
 
-Everything is float64 numpy.  A ``Tensor`` wraps a value plus closures that
-accumulate vector-Jacobian products into its parents, so a forward pass builds
-the tape and ``backward`` walks it once.  Ops: ``constant``, batched row
-lookup (``gather``) and the bidirectional LSTM below.  A model adds its own
-larger nodes by building ``Tensor`` directly: ``hiermodel``'s heads and
-losses of a document are one node.  The elementwise, pooling, softmax,
-``dense`` and ``reshape`` ops that the tests compose into reference paths
-live in ``tests/reference_ops.py``.
+Everything is float64 numpy.  A ``Tensor`` wraps a value plus one
+vector-Jacobian product that adds into all of its parents' gradients, so a
+forward pass builds the tape and ``backward`` calls it once per node.  Ops:
+``constant``, batched row lookup (``gather``) and the bidirectional LSTM
+below.  A model adds its own larger nodes by building ``Tensor`` directly:
+``hiermodel``'s heads and losses of a document are one node.  The
+elementwise, pooling, softmax, ``dense`` and ``reshape`` ops that the tests
+compose into reference paths live in ``tests/reference_ops.py``.
 
 An LSTM direction is two parameters (``init_lstm_params``): one
 (in + hidden, 4 * hidden) weight holding the input and recurrent rows of all
@@ -21,7 +21,7 @@ packed row goes in the node's padded scan and which slots hold padding.
 Both directions' input projections are one stacked matmul; the two
 recurrences run in one numpy scan over stacked (2, batch, hidden) states,
 and backpropagation through time runs in one reversed scan inside the
-node's vector-Jacobian products.  The per-direction and per-step reference
+node's vector-Jacobian product.  The per-direction and per-step reference
 paths live in the tests (``tests/reference_lstm.py``).
 
 ``ParameterStore`` keeps every parameter value in one flat buffer and every
@@ -38,15 +38,23 @@ import numpy as np
 
 
 class Tensor:
-    """A tape node: value, optional gradient, and backward closures."""
+    """A tape node: value, optional gradient, parents and one vector-Jacobian
+    product.
 
-    __slots__ = ("value", "grad", "parents", "vjps", "requires_grad")
+    ``vjp(g, grads)`` gets the node's gradient ``g`` and its parents'
+    gradient arrays in parent order, None for a parent that needs no
+    gradient, and adds each parent's contribution in place.  A parent listed
+    twice gets the same array in both slots.  Leaves have no parents and no
+    ``vjp``.
+    """
 
-    def __init__(self, value, parents=(), vjps=(), requires_grad=False):
+    __slots__ = ("value", "grad", "parents", "vjp", "requires_grad")
+
+    def __init__(self, value, parents=(), vjp=None, requires_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.parents = parents
-        self.vjps = vjps
+        self.vjp = vjp
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
 
 
@@ -57,11 +65,19 @@ def constant(value) -> Tensor:
 def backward(root: Tensor) -> None:
     """Accumulate dL/dp into every reachable parameter, L being ``root``.
 
-    ``root`` must be a scalar.  Intermediate gradients are freed as soon as
-    they have been propagated; leaf gradients accumulate (callers zero them).
+    ``root`` must be a scalar.  Each node with parents gets one ``vjp``
+    call, and leaves are not walked.  Intermediate gradients are freed as
+    soon as they have been propagated; leaf gradients accumulate (callers
+    zero them).
     """
     if root.value.shape != ():
         raise ValueError(f"backward root must be a scalar, got shape {root.value.shape}")
+    if root.grad is None:
+        root.grad = np.ones(())
+    else:  # a parameter: add to its slot of the store's gradient buffer
+        root.grad += 1.0
+    if not root.parents:
+        return
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -75,24 +91,14 @@ def backward(root: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
-            if parent.requires_grad and id(parent) not in seen:
+            if parent.parents and parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
-    if root.grad is None:
-        root.grad = np.ones(())
-    else:  # a parameter: add to its slot of the store's gradient buffer
-        root.grad += 1.0
     for node in reversed(order):
-        g = node.grad
-        if g is None:
-            continue
-        for parent, vjp in zip(node.parents, node.vjps):
-            if not parent.requires_grad:
-                continue
-            if parent.grad is None:
+        for parent in node.parents:
+            if parent.requires_grad and parent.grad is None:
                 parent.grad = np.zeros_like(parent.value)
-            vjp(g, parent.grad)
-        if node.parents:
-            node.grad = None
+        node.vjp(node.grad, [p.grad if p.requires_grad else None for p in node.parents])
+        node.grad = None
 
 
 def gather(matrix: Tensor, ids) -> Tensor:
@@ -103,10 +109,10 @@ def gather(matrix: Tensor, ids) -> Tensor:
     width = matrix.value.shape[1]
     flat = ids.reshape(-1)
 
-    def vjp(g, acc):
-        np.add.at(acc, flat, g.reshape(-1, width))
+    def vjp(g, grads):
+        np.add.at(grads[0], flat, g.reshape(-1, width))
 
-    return Tensor(matrix.value[ids], (matrix,), (vjp,))
+    return Tensor(matrix.value[ids], (matrix,), vjp)
 
 
 class ParameterStore:
@@ -266,7 +272,7 @@ def bilstm_batch(
     final-only node's gradient enters the scan there.  The input projections
     ``x @ Wx + b`` of both directions are one stacked matmul ahead of the
     scan.  The backward pass does backpropagation through time in one
-    reversed scan inside the node's vector-Jacobian products.
+    reversed scan inside the node's vector-Jacobian product.
     """
     xv = x.value
     if xv.ndim != 2:
@@ -329,11 +335,7 @@ def bilstm_batch(
             np.copyto(c_next, c, where=keep[s])
             np.copyto(h_next, h, where=keep[s])
 
-    cache: list = []
-
-    def grads(g):
-        if cache and cache[0] is g:
-            return cache[1]
+    def vjp(g, grads):
         if final_only:
             gs = None
             dh = np.stack((g[:, :n], g[:, n:]))  # both directions end at the last slot
@@ -395,11 +397,9 @@ def bilstm_batch(
         np.matmul(h_t.reshape(2, steps * batch, n).transpose(0, 2, 1), dz_t, out=dw[:, width:])
         db = dz_t.sum(axis=1)
         dx = dx[0] + dx[1]
-        cache[:] = [g, (dx[rows], dw[0], db[0], dw[1], db[1])]
-        return cache[1]
-
-    def vjp(k):
-        return lambda g, acc: np.add(acc, grads(g)[k], out=acc)
+        for acc, d in zip(grads, (dx[rows], dw[0], db[0], dw[1], db[1])):
+            if acc is not None:
+                np.add(acc, d, out=acc)
 
     if final_only:
         out = np.concatenate((hidden[-1, 0], hidden[-1, 1]), axis=1)
@@ -408,7 +408,7 @@ def bilstm_batch(
         out[..., :n] = hidden[1:, 0]
         out[..., n:] = hidden[:0:-1, 1]
         out = out.reshape(steps * batch, 2 * n)[rows]
-    return Tensor(out, (x, *forward, *backward_params), tuple(vjp(k) for k in range(5)))
+    return Tensor(out, (x, *forward, *backward_params), vjp)
 
 
 class Adam:

@@ -422,10 +422,21 @@ def run_experiment(config, out_dir, seed: int | None = None) -> ExperimentResult
     }
     ablation = _reduce_ablation(runs)
 
-    files = {}
-    files["sentence_f.csv"] = _write_sentence_f(out_dir, sentence_f)
-    files["document_corr.csv"] = _write_correlations(out_dir, correlations)
-    files["calibration_ablation.csv"] = _write_ablation(out_dir, ablation)
+    sentence_rows = [[lang, _fmt(score), n] for lang, (score, n) in sentence_f.items()]
+    if sentence_f:
+        avg = float(np.mean([score for score, _ in sentence_f.values()]))
+        sentence_rows.append(["avg", _fmt(avg), sum(n for _, n in sentence_f.values())])
+    tables = {
+        "sentence_f.csv": (["language", "micro_f", "n_sentences"], sentence_rows),
+        "document_corr.csv": (
+            ["approach", "pearson_r", "spearman_rho"],
+            [[name, *map(_fmt, correlations[name])] for name in ("model", "calibrated")]),
+        "calibration_ablation.csv": (
+            ["groups", "spearman_rile", "spearman_ches"],
+            [[label, *map(_fmt, rhos)] for label, *rhos in ablation]),
+    }
+    files = {name: _write_csv(out_dir / name, header, rows)
+             for name, (header, rows) in tables.items()}
     manifest = {
         "package_version": __version__,
         "config": _jsonable(cfg),
@@ -485,48 +496,15 @@ def _reduce_ablation(runs) -> list:
     return out
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+def _fmt(value: float | None) -> str:
+    return "" if value is None else f"{value:.12g}"
 
 
-def _write_sentence_f(out_dir: Path, sentence_f: dict) -> Path:
-    path = out_dir / "sentence_f.csv"
+def _write_csv(path: Path, header: list, rows: list) -> Path:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["language", "micro_f", "n_sentences"])
-        for lang, (score, n) in sentence_f.items():
-            writer.writerow([lang, _fmt(score), n])
-        if sentence_f:
-            avg = float(np.mean([score for score, _ in sentence_f.values()]))
-            total = sum(n for _, n in sentence_f.values())
-            writer.writerow(["avg", _fmt(avg), total])
-    return path
-
-
-def _write_correlations(out_dir: Path, correlations: dict) -> Path:
-    path = out_dir / "document_corr.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["approach", "pearson_r", "spearman_rho"])
-        for approach in ("model", "calibrated"):
-            p, s = correlations[approach]
-            writer.writerow([approach, _fmt(p), _fmt(s)])
-    return path
-
-
-def _write_ablation(out_dir: Path, ablation: list) -> Path:
-    path = out_dir / "calibration_ablation.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["groups", "spearman_rile", "spearman_ches"])
-        for label, s_rile, s_ches in ablation:
-            writer.writerow(
-                [
-                    label,
-                    "" if s_rile is None else _fmt(s_rile),
-                    "" if s_ches is None else _fmt(s_ches),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 

@@ -374,10 +374,10 @@ def _head_loss(store: dc.ParameterStore, states: dc.Tensor, code_labels, pol_lab
 
     Its value is the weighted sum of the terms in ``parts`` (sentence, doc,
     polarity, structure: those whose inputs are present) whose coefficient
-    is not zero, added in that order.  The vector-Jacobian products repeat
-    the arithmetic of the per-op tape they replace (``dense``, softmax and
+    is not zero, added in that order.  The vector-Jacobian product repeats
+    the arithmetic of the per-op tape it replaces (``dense``, softmax and
     cross-entropy per head, concat, segment mean, ``tanh``, and the squared
-    errors), and add each shared gradient's contributions in that tape's
+    errors), and adds each shared gradient's contributions in that tape's
     order, so values and gradients keep its bits: the states take the
     concat slice, then the code head's, then the polarity head's; each
     logits array takes its cross-entropy term, then its softmax term.
@@ -424,11 +424,7 @@ def _head_loss(store: dc.ParameterStore, states: dc.Tensor, code_labels, pol_lab
             d += p * (probs_grad - np.sum(probs_grad * p, axis=1, keepdims=True))
         return d
 
-    cache: list = []
-
-    def grads(g):
-        if cache and cache[0] is g:
-            return cache[1]
+    def vjp(g, grads):
         w = {name: c * g for name, c in terms.items()}  # each term's loss gradient
         out = [np.zeros_like(sv)] + [None] * 6  # the states', then the head tensors'
         d_rows = d_pol_probs = d_code = d_pol = None
@@ -452,17 +448,11 @@ def _head_loss(store: dc.ParameterStore, states: dc.Tensor, code_labels, pol_lab
             if d is not None:
                 out[0] += d @ weights[k].value.T
                 out[k + 1], out[k + 2] = sv.T @ d, d.sum(axis=0)
-        cache[:] = [g, out]
-        return out
-
-    def vjp(k):
-        def add(g, acc):
-            d = grads(g)[k]
-            if d is not None:
+        for acc, d in zip(grads, out):
+            if acc is not None and d is not None:
                 np.add(acc, d, out=acc)
-        return add
 
-    return dc.Tensor(total, (states, *weights), tuple(vjp(k) for k in range(7))), parts
+    return dc.Tensor(total, (states, *weights), vjp), parts
 
 
 def document_loss(

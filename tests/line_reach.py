@@ -3,7 +3,8 @@
 Runs demos 01-05 and the CLI tests (``tests/test_cli.py``) in one process
 under ``sys.settrace``, recording only frames whose code lives in
 ``src/polyscale``, then prints per module the executable lines that nothing
-reached.  Lines of a ``raise`` statement are set aside and counted apart:
+reached, and a table of each module's physical, executable and unreached
+lines with the ``src/polyscale`` totals.  Lines of a ``raise`` statement are set aside and counted apart:
 they guard input the entry points do not send.  A line that only tests
 outside ``test_cli.py`` reach shows up here as unreached, which is what makes
 it a deletion candidate.
@@ -96,10 +97,10 @@ def main() -> int:
             print(f"\n{path.relative_to(ROOT)}")
         for line in missed:
             print(f"  {line:>4}  {source[line - 1].strip()}")
-    print(f"\n{'module':<16}{'executable':>11}{'unreached':>10}{'raise':>7}")
-    for path, _, n, missed, guarded in rows:
-        print(f"{path.name:<16}{n:>11}{len(missed):>10}{guarded:>7}")
-    print(f"{'total':<16}{sum(r[2] for r in rows):>11}"
+    print(f"\n{'module':<16}{'lines':>7}{'executable':>11}{'unreached':>10}{'raise':>7}")
+    for path, source, n, missed, guarded in rows:
+        print(f"{path.name:<16}{len(source):>7}{n:>11}{len(missed):>10}{guarded:>7}")
+    print(f"{'total':<16}{sum(len(r[1]) for r in rows):>7}{sum(r[2] for r in rows):>11}"
           f"{sum(len(r[3]) for r in rows):>10}{sum(r[4] for r in rows):>7}")
     return 0
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from polyscale import diffcore as dc
 from polyscale.diffcore import Tensor
-from reference_ops import _stable_sigmoid, concat, row
+from reference_ops import _stable_sigmoid, concat, node, row
 
 
 def lstm_step(
@@ -78,8 +78,8 @@ def lstm_step(
     def vjp_bias(grad, acc):
         np.add(acc, deltas(grad)[1], out=acc)
 
-    node = Tensor(out, (x, h, c, weight, bias), (vjp_x, vjp_h, vjp_c, vjp_weight, vjp_bias))
-    return row(node, 0), row(node, 1)
+    step = node(out, (x, h, c, weight, bias), (vjp_x, vjp_h, vjp_c, vjp_weight, vjp_bias))
+    return row(step, 0), row(step, 1)
 
 
 def lstm_encode(
@@ -244,7 +244,7 @@ def lstm_sequence(
     def vjp(k):
         return lambda g, acc: np.add(acc, grads(g)[k], out=acc)
 
-    return Tensor(hidden.transpose(1, 0, 2), (x, weight, bias), (vjp(0), vjp(1), vjp(2)))
+    return node(hidden.transpose(1, 0, 2), (x, weight, bias), (vjp(0), vjp(1), vjp(2)))
 
 
 def _last_states(fwd: Tensor, bwd: Tensor) -> Tensor:
@@ -259,7 +259,7 @@ def _last_states(fwd: Tensor, bwd: Tensor) -> Tensor:
         acc[..., 0, :] += g[..., n:]
 
     out = np.concatenate((fv[..., -1, :], bv[..., 0, :]), axis=-1)
-    return Tensor(out, (fwd, bwd), (vjp_fwd, vjp_bwd))
+    return node(out, (fwd, bwd), (vjp_fwd, vjp_bwd))
 
 
 def bilstm_pair(

@@ -10,6 +10,10 @@ batch ops (``dense``, ``softmax_xent_rows``, ``concat``, ``segment_mean``,
 losses that ``hiermodel`` runs as one node (``reference_model``).  ``Adam``
 is the reference for ``diffcore.Adam``, which runs over the store's flat
 buffers.
+
+Each op gives its node one closure per parent, ``vjp(g, acc)`` adding that
+parent's contribution to its gradient ``acc``; ``node`` turns them into the
+one vector-Jacobian product a ``diffcore.Tensor`` carries.
 """
 
 from __future__ import annotations
@@ -23,6 +27,18 @@ from polyscale import diffcore as dc
 from polyscale.diffcore import Tensor
 
 
+def node(value, parents, vjps) -> Tensor:
+    """A tape node whose ``vjps`` run in parent order, each on its parent's
+    gradient, skipping a parent that needs none."""
+
+    def vjp(g, grads):
+        for add_to, acc in zip(vjps, grads):
+            if acc is not None:
+                add_to(g, acc)
+
+    return Tensor(value, parents, vjp)
+
+
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.value.shape != b.value.shape:
         raise ValueError(f"{op}: shape mismatch {a.value.shape} vs {b.value.shape}")
@@ -30,7 +46,7 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    return Tensor(
+    return node(
         a.value + b.value,
         (a, b),
         (
@@ -42,7 +58,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
-    return Tensor(
+    return node(
         a.value - b.value,
         (a, b),
         (
@@ -54,17 +70,17 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return Tensor(c * a.value, (a,), (lambda g, acc: np.add(acc, c * g, out=acc),))
+    return node(c * a.value, (a,), (lambda g, acc: np.add(acc, c * g, out=acc),))
 
 
 def square(a: Tensor) -> Tensor:
     av = a.value
-    return Tensor(av * av, (a,), (lambda g, acc: np.add(acc, 2.0 * av * g, out=acc),))
+    return node(av * av, (a,), (lambda g, acc: np.add(acc, 2.0 * av * g, out=acc),))
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.value)
-    return Tensor(out, (a,), (lambda g, acc: np.add(acc, g * (1.0 - out * out), out=acc),))
+    return node(out, (a,), (lambda g, acc: np.add(acc, g * (1.0 - out * out), out=acc),))
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -87,7 +103,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
         vjps.append(vjp)
         offset += n
-    return Tensor(out, tuple(parts), tuple(vjps))
+    return node(out, tuple(parts), tuple(vjps))
 
 
 def mean_rows(a: Tensor) -> Tensor:
@@ -101,7 +117,7 @@ def mean_rows(a: Tensor) -> Tensor:
     def vjp(g, acc):
         np.add(acc, inv * g, out=acc)
 
-    return Tensor(out, (a,), (vjp,))
+    return node(out, (a,), (vjp,))
 
 
 def segment_mean(rows: Tensor, counts) -> Tensor:
@@ -124,7 +140,7 @@ def segment_mean(rows: Tensor, counts) -> Tensor:
     def vjp(g, acc):
         np.add(acc, np.repeat(inv[:, None] * g, counts, axis=0), out=acc)
 
-    return Tensor(padded.sum(axis=1) * inv[:, None], (rows,), (vjp,))
+    return node(padded.sum(axis=1) * inv[:, None], (rows,), (vjp,))
 
 
 def softmax_xent_rows(logits: Tensor, gold) -> tuple[Tensor, Tensor | None]:
@@ -150,7 +166,7 @@ def softmax_xent_rows(logits: Tensor, gold) -> tuple[Tensor, Tensor | None]:
     def vjp_probs(g, acc):
         np.add(acc, p * (g - np.sum(g * p, axis=1, keepdims=True)), out=acc)
 
-    probs = Tensor(p, (logits,), (vjp_probs,))
+    probs = node(p, (logits,), (vjp_probs,))
     rows = np.flatnonzero(gold >= 0)
     if not rows.size:
         return probs, None
@@ -162,7 +178,7 @@ def softmax_xent_rows(logits: Tensor, gold) -> tuple[Tensor, Tensor | None]:
         acc[rows] += (g * inv) * p[rows]
         acc[rows, cols] -= g * inv
 
-    return probs, Tensor(xents.sum() * inv, (logits,), (vjp_loss,))
+    return probs, node(xents.sum() * inv, (logits,), (vjp_loss,))
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -191,7 +207,7 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             lambda g, acc: np.add(acc, xv.T @ g, out=acc),
             lambda g, acc: np.add(acc, g.sum(axis=0), out=acc),
         )
-    return Tensor(out + bias.value, (x, weight, bias), vjps)
+    return node(out + bias.value, (x, weight, bias), vjps)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -219,13 +235,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     else:
         raise ValueError(f"matmul: unsupported ndim pair {av.ndim}, {bv.ndim}")
-    return Tensor(out, (a, b), vjps)
+    return node(out, (a, b), vjps)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     av, bv = a.value, b.value
-    return Tensor(
+    return node(
         av * bv,
         (a, b),
         (
@@ -243,7 +259,7 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _stable_sigmoid(a.value)
-    return Tensor(out, (a,), (lambda g, acc: np.add(acc, g * out * (1.0 - out), out=acc),))
+    return node(out, (a,), (lambda g, acc: np.add(acc, g * out * (1.0 - out), out=acc),))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -257,7 +273,7 @@ def softmax(a: Tensor) -> Tensor:
     def vjp(g, acc):
         np.add(acc, p * (g - np.dot(g, p)), out=acc)
 
-    return Tensor(p, (a,), (vjp,))
+    return node(p, (a,), (vjp,))
 
 
 def mean(parts: Sequence[Tensor]) -> Tensor:
@@ -278,13 +294,13 @@ def mean(parts: Sequence[Tensor]) -> Tensor:
     def vjp(g, acc):
         np.add(acc, inv * g, out=acc)
 
-    return Tensor(out, tuple(parts), (vjp,) * len(parts))
+    return node(out, tuple(parts), (vjp,) * len(parts))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     """``a`` with a new shape of the same size."""
     out = a.value.reshape(shape)
-    return Tensor(out, (a,), (lambda g, acc: np.add(acc, g.reshape(acc.shape), out=acc),))
+    return node(out, (a,), (lambda g, acc: np.add(acc, g.reshape(acc.shape), out=acc),))
 
 
 def row(matrix: Tensor, index: int) -> Tensor:
@@ -297,7 +313,7 @@ def row(matrix: Tensor, index: int) -> Tensor:
     def vjp(g, acc):
         acc[index] += g
 
-    return Tensor(out, (matrix,), (vjp,))
+    return node(out, (matrix,), (vjp,))
 
 
 def softmax_xent(logits: Tensor, gold: int) -> tuple[Tensor, Tensor]:
@@ -320,14 +336,14 @@ def softmax_xent(logits: Tensor, gold: int) -> tuple[Tensor, Tensor]:
     def vjp_probs(g, acc):
         np.add(acc, p * (g - np.dot(g, p)), out=acc)
 
-    probs = Tensor(p, (logits,), (vjp_probs,))
+    probs = node(p, (logits,), (vjp_probs,))
     loss_value = (m + math.log(total)) - zv[gold]
 
     def vjp_loss(g, acc):
         acc += g * p
         acc[gold] -= g
 
-    loss = Tensor(loss_value, (logits,), (vjp_loss,))
+    loss = node(loss_value, (logits,), (vjp_loss,))
     return probs, loss
 
 

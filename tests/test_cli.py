@@ -322,6 +322,19 @@ class TestCalibrate:
         ])
         assert code == 2
 
+    def test_groups_are_checked_before_the_model_is_loaded(self, workdir, tmp_path, capsys):
+        root, _ = workdir
+        code = main([
+            "calibrate",
+            "--model", str(tmp_path / "missing.pscl"),
+            "--corpus", str(root / "corpus.jsonl"),
+            "--party-graph", str(root / "graph.tsv"),
+            "--groups", "coal,bogus",
+            "--output", str(tmp_path / "c.tsv"),
+        ])
+        assert code == 2
+        assert "'bogus'" in capsys.readouterr().err
+
     def test_group_past_a_custom_program_is_usage_error(self, workdir, tmp_path, capsys):
         root, _ = workdir
         rules = tmp_path / "short.psl"
