@@ -202,10 +202,12 @@ class CalibrationConfig:
     prior_weight: float = 0.0
 
     def __post_init__(self):
-        if self.recency_window_years <= 0:
-            raise ValueError("recency_window_years must be positive")
-        if self.prior_weight < 0:
-            raise ValueError("prior_weight must be nonnegative")
+        # written so that NaN fails too
+        if not self.recency_window_years > 0:
+            raise ValueError(
+                f"recency_window_years must be positive, got {self.recency_window_years}")
+        if not self.prior_weight >= 0:
+            raise ValueError(f"prior_weight must be nonnegative, got {self.prior_weight}")
 
 
 def build_database(
@@ -221,6 +223,12 @@ def build_database(
     initialized at their rescaled model score); ids in context_positions
     become observed pos atoms.  Every corpus manifesto must be one or the
     other.
+
+    Each predicate's atoms are found with array masks over the test
+    documents (election dates as integer days) and written in one
+    ``observe_many`` call, in the order of the atom-by-atom loop kept as the
+    reference in ``tests/reference_database.py``: pairs (x, y) with x before
+    y in corpus order, each followed by (y, x).
     """
     config = config or CalibrationConfig()
     context_positions = dict(context_positions or {})
@@ -248,76 +256,76 @@ def build_database(
 
     db = RelationalDatabase()
     test_docs = [m for m in corpus.manifestos if m.id in predictions]
+    ids = [doc.id for doc in test_docs]
+    preds = [predictions[mid] for mid in ids]
+    n = len(test_docs)
+    each = np.arange(n)[:, None]
     known_parties = party_graph.parties
-    warned: set[str] = set()
-    for doc in test_docs:
-        pred = predictions[doc.id]
-        db.observe("Manifesto", (doc.id,), 1.0)
-        db.observe("Party", (doc.id, doc.party_id), 1.0)
-        ratio = lw_right_left_ratio(pred.codes, corpus.scheme)
-        value = squash(ratio)
-        if value > 0.0:
-            db.observe("LwRightLeftRatio", (doc.id,), value)
-        db.add_target("pos", (doc.id,), initial=(pred.rile_hat + 1.0) / 2.0)
-        if doc.party_id not in known_parties and doc.party_id not in warned:
-            warned.add(doc.party_id)
-            log.warning(
-                "party %s has no coalition records; treating its links as absent",
-                doc.party_id,
-            )
-    for mid, value in context_positions.items():
-        db.observe("pos", (mid,), value)
-
-    window_days = config.recency_window_years * 365.25
-    recent_pairs = []
-    for i, x in enumerate(test_docs):
-        for y in test_docs[i + 1 :]:
-            if x.country == y.country and x.election_date == y.election_date:
-                db.observe("SameElec", (x.id, y.id), 1.0)
-                db.observe("SameElec", (y.id, x.id), 1.0)
-            gap = abs((x.election_date - y.election_date).days)
-            if gap <= window_days:
-                db.observe("Recent", (x.id, y.id), 1.0)
-                db.observe("Recent", (y.id, x.id), 1.0)
-                recent_pairs.append((x, y))
-
+    for party in dict.fromkeys(doc.party_id for doc in test_docs):
+        if party not in known_parties:
+            log.warning("party %s has no coalition records; treating its links as absent",
+                        party)
     parties = sorted({doc.party_id for doc in test_docs})
-    for i, a in enumerate(parties):
-        for b in parties[i + 1 :]:
-            reg = party_graph.regional_count(a, b)
-            if reg > 0:
-                value = squash(reg)
-                db.observe("RegCoalition", (a, b), value)
-                db.observe("RegCoalition", (b, a), value)
-            eu = party_graph.eu_count(a, b)
-            if eu > 0:
-                value = squash(eu)
-                db.observe("EUCoalition", (a, b), value)
-                db.observe("EUCoalition", (b, a), value)
+    party_code = {party: k for k, party in enumerate(parties)}
+    db.observe_many("Manifesto", ids, each, 1.0)
+    db.observe_many("Party", ids + parties,
+                    np.column_stack([each[:, 0], [n + party_code[d.party_id] for d in test_docs]]),
+                    1.0)
+    ratios = np.array([squash(lw_right_left_ratio(p.codes, corpus.scheme)) for p in preds])
+    db.observe_many("LwRightLeftRatio", ids, each[ratios > 0.0], ratios[ratios > 0.0])
+    for mid, pred in zip(ids, preds):
+        db.add_target("pos", (mid,), initial=(pred.rile_hat + 1.0) / 2.0)
+    db.observe_many("pos", list(context_positions), np.arange(len(context_positions))[:, None],
+                    list(context_positions.values()))
 
-    # cosine of the document vectors, clamped to [0, 1]
-    norms = {doc.id: np.linalg.norm(predictions[doc.id].doc_vector) for doc in test_docs}
-    for x, y in recent_pairs:
-        cosine = float(np.dot(predictions[x.id].doc_vector, predictions[y.id].doc_vector)
-                       / (norms[x.id] * norms[y.id]))
-        sim = min(1.0, max(0.0, cosine))
-        if sim > 0.0:
-            db.observe("Similarity", (x.id, y.id), sim)
-            db.observe("Similarity", (y.id, x.id), sim)
+    def both_ways(i, j):
+        return np.stack([i, j, j, i], axis=1).reshape(-1, 2)
+
+    x, y = np.triu_indices(n, 1)
+    country = {c: k for k, c in enumerate(dict.fromkeys(d.country for d in test_docs))}
+    countries = np.array([country[d.country] for d in test_docs], dtype=np.int64)
+    days = np.array([d.election_date.toordinal() for d in test_docs], dtype=np.int64)
+    same = (countries[x] == countries[y]) & (days[x] == days[y])
+    db.observe_many("SameElec", ids, both_ways(x[same], y[same]), 1.0)
+    recent = np.abs(days[x] - days[y]) <= config.recency_window_years * 365.25
+    x, y = x[recent], y[recent]
+    db.observe_many("Recent", ids, both_ways(x, y), 1.0)
+
+    a, b = np.triu_indices(len(parties), 1)
+    for predicate, count_of in (("RegCoalition", party_graph.regional_count),
+                                ("EUCoalition", party_graph.eu_count)):
+        counts = np.array([count_of(parties[i], parties[j])
+                           for i, j in zip(a.tolist(), b.tolist())], dtype=np.int64)
+        linked = counts > 0
+        values = [squash(c) for c in counts[linked].tolist()]
+        db.observe_many(predicate, parties, both_ways(a[linked], b[linked]),
+                        np.repeat(values, 2))
+
+    # cosine of the document vectors, clamped to [0, 1]; a stacked matmul takes
+    # the same dot product per pair as np.dot
+    if n:
+        vectors = np.stack([p.doc_vector for p in preds])[:, None, :]
+        norms = np.sqrt(np.matmul(vectors, vectors.transpose(0, 2, 1))[:, 0, 0])
+        dots = np.matmul(vectors[x], vectors[y].transpose(0, 2, 1))[:, 0, 0]
+        cosine = dots / (norms[x] * norms[y])
+        similar = cosine > 0.0
+        db.observe_many("Similarity", ids, both_ways(x[similar], y[similar]),
+                        np.repeat(np.minimum(1.0, cosine[similar]), 2))
 
     by_party: dict[str, list] = {}
     for doc in corpus.manifestos:
         by_party.setdefault(doc.party_id, []).append(doc)
+    links = []
     for doc in test_docs:
         earlier = [
             d
             for d in by_party.get(doc.party_id, [])
             if d.election_date < doc.election_date
         ]
-        if not earlier:
-            continue
-        prev = max(earlier, key=lambda d: (d.election_date, d.id))
-        db.observe("PreviousManifesto", (doc.id, doc.party_id, prev.id), 1.0)
+        if earlier:
+            prev = max(earlier, key=lambda d: (d.election_date, d.id))
+            links += [doc.id, doc.party_id, prev.id]
+    db.observe_many("PreviousManifesto", links, np.arange(len(links)).reshape(-1, 3), 1.0)
     return db
 
 

@@ -356,6 +356,9 @@ def _cmd_calibrate(args) -> int:
     from .hiermodel import load_checkpoint, predict
     from .pslengine import load_program
 
+    config = CalibrationConfig(
+        recency_window_years=args.recency_years, prior_weight=args.prior_weight
+    )
     program = load_program(args.rules) if args.rules else default_program()
     if args.groups:
         groups = tuple(g.strip() for g in args.groups.split(",") if g.strip())
@@ -363,9 +366,6 @@ def _cmd_calibrate(args) -> int:
     corpus = load_corpus(args.corpus)
     graph = PartyGraph.from_file(args.party_graph)
     context = _load_context(args.context) if args.context else {}
-    config = CalibrationConfig(
-        recency_window_years=args.recency_years, prior_weight=args.prior_weight
-    )
     params = load_checkpoint(args.model)
     test_docs = [m for m in corpus if m.id not in context]
     if not test_docs:

@@ -104,14 +104,15 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     arr = np.asarray(values, dtype=np.float64)
     order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    # a tie group spans sorted positions i..j; NaN equals nothing, so each
+    # NaN is a group of its own
+    starts = np.ones(len(arr), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], len(arr)) - 1
     ranks = np.empty(len(arr), dtype=np.float64)
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = ((first + last) / 2.0 + 1.0)[np.cumsum(starts) - 1]
     return ranks
 
 

@@ -66,8 +66,12 @@ class ModelConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.beta < 0 or self.gamma < 0:
-            raise ValueError("beta and gamma must be nonnegative")
+        # written so that NaN fails too
+        if not (self.beta >= 0 and self.gamma >= 0):
+            raise ValueError(
+                f"beta and gamma must be nonnegative, got {self.beta} and {self.gamma}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         for name in ("embed_dim", "word_hidden", "sentence_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")

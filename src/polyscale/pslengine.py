@@ -26,16 +26,19 @@ first, since h >= 0.  The MAP state minimizes the energy
 problem solved by accelerated projected gradient descent (FISTA) over the
 rows with equal rows merged.
 
-Grounding works on arrays, as database joins that produce hinge rows.
-Every constant gets an integer code; each predicate's atoms become code
-arrays.  A rule's binding literals are joined by sort-and-search equi-joins
-on the variables already bound, all literals of all candidate rows are
-looked up at once, exact prunes apply as masks, and the kept rows are
-written straight into the flat arrays the solver uses (one row per ground
-rule: a constant, a weight, an exponent, and (row, free atom, coefficient)
-entries).  Rules whose literals match up to the negation of open literals,
+Grounding works on arrays, as database joins that produce hinge rows.  The
+database stores each predicate's observations as one column of constant ids
+and values, in insertion order; grounding re-codes the constants in sorted
+order and reads each column whole, never an atom at a time.  A rule's
+binding literals are joined by sort-and-search equi-joins on the variables
+already bound, all literals of all candidate rows are looked up at once,
+exact prunes apply as masks, and the kept rows are written straight into the
+flat arrays the solver uses (one row per ground rule: a constant, a weight,
+an exponent, and (row, free atom, coefficient) entries, plus the row's merge
+codes).  Rules whose literals match up to the negation of open literals,
 such as a rule and its twin over negated ``pos`` atoms, share one join and
-one lookup per literal; each applies its own prunes and writes its own rows.  A ground rule is a ``Rule`` over constants, built only when a
+one lookup per literal; each applies its own prunes and writes its own
+rows.  A ground rule is a ``Rule`` over constants, built only when a
 caller reads ``GroundNetwork.rules``.  The energy, and the smoothed energy
 and gradient that MAP descends, are computed from those arrays alone; the
 reference that compiles hand-built ground rules into them lives in the tests
@@ -44,7 +47,9 @@ reference that compiles hand-built ground rules into them lives in the tests
 Each source rule grounds independently of the others into one block of
 rows, so ``GroundNetwork.select`` can cut any subset of rules out of one
 grounded network; ``evaluate`` grounds its database once and calibrates
-every ablation prefix on such a cut.
+every ablation prefix on such a cut.  The rows keep their merge codes
+through the cut, so merging a cut's equal rows before its solve is one
+sort.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import functools
 import itertools
 import logging
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -288,20 +293,125 @@ def rule_text(rule: Rule) -> str:
     return f"{rule.weight!r} : {body} -> {rule.head}{suffix}"
 
 
+class _Column:
+    """One predicate's observed atoms of one arity, in insertion order: an
+    (atoms, arity) array of ids into the database's constants, and values."""
+
+    def __init__(self, arity: int):
+        self.arity = arity
+        self.ids = np.empty((0, arity), dtype=np.int64)
+        self.values = np.empty(0)
+        self._pending: list[tuple[tuple[int, ...], float]] = []  # single atoms
+        self._index: dict[tuple[int, ...], float] | None = None
+
+    def __len__(self):
+        return len(self.ids) + len(self._pending)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._pending:
+            ids, values = zip(*self._pending)
+            self.ids = np.concatenate([
+                self.ids, np.array(ids, dtype=np.int64).reshape(len(ids), self.arity)])
+            self.values = np.concatenate([self.values, values])
+            self._pending = []
+        return self.ids, self.values
+
+    def index(self) -> dict[tuple[int, ...], float]:
+        """Each atom's value by its id tuple, built on first use."""
+        if self._index is None:
+            ids, values = self.arrays()
+            self._index = dict(zip(map(tuple, ids.tolist()), values.tolist()))
+        return self._index
+
+    def append(self, ids: tuple[int, ...], value: float) -> None:
+        self._pending.append((ids, value))
+        if self._index is not None:
+            self._index[ids] = value
+
+    def extend(self, ids: np.ndarray, values: np.ndarray) -> None:
+        old_ids, old_values = self.arrays()
+        self.ids = np.concatenate([old_ids, ids])
+        self.values = np.concatenate([old_values, values])
+        self._index = None
+
+
+class _Observations(Mapping):
+    """A database's observed atoms and their values, read-only: predicate by
+    predicate, each in insertion order."""
+
+    def __init__(self, db: "RelationalDatabase"):
+        self._db = db
+
+    def __len__(self):
+        return self._db._size
+
+    def __iter__(self):
+        names = self._db.constants
+        for (predicate, _), column in self._db._columns.items():
+            for row in column.arrays()[0].tolist():
+                yield predicate, tuple(names[i] for i in row)
+
+    def __getitem__(self, atom: Atom) -> float:
+        predicate, args = atom
+        column = self._db._columns.get((predicate, len(args)))
+        ids = tuple(self._db._ids.get(a, -1) for a in args)
+        value = None if column is None else column.index().get(ids)
+        if value is None:
+            raise KeyError(atom)
+        return value
+
+
 class RelationalDatabase:
     """Observed atom values plus the open atoms to infer.
 
     Closed-world: an atom that is neither observed nor a target reads as 0.
     Each atom may be observed once, or be a target, never both.
+
+    Observations are stored as one column per predicate (and arity), in
+    insertion order: each atom's arguments as ids into ``constants``, and its
+    value.  ``observe`` appends one atom; ``observe_many`` appends a batch of
+    atoms of one predicate with array checks, and ``ground`` reads the
+    columns as they are.  ``observations`` is a read-only mapping from atom
+    to value over the columns; assigning a mapping to it replaces every
+    observation.  ``targets`` is a dict from atom to initial value (None
+    for the default 0.5), in insertion order.
     """
 
     def __init__(self):
-        self.observations: dict[Atom, float] = {}
+        self.constants: list[str] = []  # by id
+        self._ids: dict[str, int] = {}
+        self._columns: dict[tuple[str, int], _Column] = {}
+        self._size = 0
         self.targets: dict[Atom, float | None] = {}
+
+    @property
+    def observations(self) -> Mapping[Atom, float]:
+        return _Observations(self)
+
+    @observations.setter
+    def observations(self, atoms: Mapping[Atom, float]) -> None:
+        self._columns, self._size = {}, 0
+        for (predicate, args), value in atoms.items():
+            self.observe(predicate, args, value)
 
     @staticmethod
     def _atom(predicate: str, args: Sequence[str]) -> Atom:
         return (predicate, tuple(str(a) for a in args))
+
+    def _id(self, name: str) -> int:
+        i = self._ids.get(name)
+        if i is None:
+            i = self._ids[name] = len(self.constants)
+            self.constants.append(name)
+        return i
+
+    def column(self, predicate: str, arity: int) -> tuple[np.ndarray, np.ndarray]:
+        """The observed atoms of ``predicate`` with ``arity`` arguments, in
+        insertion order: (atoms, arity) ids into ``constants``, and values."""
+        column = self._columns.get((predicate, arity))
+        if column is None:
+            return np.empty((0, arity), dtype=np.int64), np.empty(0)
+        return column.arrays()
 
     def observe(self, predicate: str, args: Sequence[str], value: float) -> None:
         value = float(value)
@@ -312,7 +422,50 @@ class RelationalDatabase:
             raise ValueError(f"atom {atom} observed twice")
         if atom in self.targets:
             raise ValueError(f"atom {atom} is already a target")
-        self.observations[atom] = value
+        arity = len(atom[1])
+        column = self._columns.setdefault((predicate, arity), _Column(arity))
+        column.append(tuple(self._id(a) for a in atom[1]), value)
+        self._size += 1
+
+    def observe_many(self, predicate: str, constants: Sequence[str], args,
+                     values) -> None:
+        """Observe ``predicate(constants[args[i, 0]], constants[args[i, 1]], ...)``
+        with value ``values[i]`` for each row i of the (atoms, arity) index
+        array ``args``, in row order; one value stands for all.  The checks of
+        ``observe`` apply to the whole batch before any atom is stored."""
+        args = np.asarray(args, dtype=np.int64)
+        if args.ndim != 2:
+            raise ValueError(f"atom arguments must be an (atoms, arity) array, "
+                             f"got shape {args.shape}")
+        values = np.array(np.broadcast_to(np.asarray(values, dtype=np.float64),
+                                          (len(args),)))
+        bad = ~((values >= 0.0) & (values <= 1.0))
+        if bad.any():
+            raise ValueError(f"atom value must be in [0, 1], got {values[bad][0]}")
+        if args.size and not 0 <= args.min() <= args.max() < len(constants):
+            raise ValueError(f"atom arguments must index the {len(constants)} constant(s)")
+        if not len(args):
+            return
+        names = [str(c) for c in constants]
+
+        def atom(row: int) -> Atom:
+            return predicate, tuple(names[i] for i in args[row])
+
+        ids = np.array([self._id(c) for c in names], dtype=np.int64)[args]
+        old, _ = self.column(predicate, args.shape[1])
+        keys = np.concatenate(_joint_keys(old, ids, max(len(self.constants), 1)))
+        _, first = np.unique(keys, return_index=True)
+        if len(first) < len(keys):
+            again = np.ones(len(keys), dtype=bool)
+            again[first] = False
+            raise ValueError(f"atom {atom(np.flatnonzero(again)[0] - len(old))} observed twice")
+        if any(name == predicate for name, _ in self.targets):
+            for row in range(len(args)):
+                if atom(row) in self.targets:
+                    raise ValueError(f"atom {atom(row)} is already a target")
+        arity = args.shape[1]
+        self._columns.setdefault((predicate, arity), _Column(arity)).extend(ids, values)
+        self._size += len(args)
 
     def add_target(self, predicate: str, args: Sequence[str], initial: float | None = None) -> None:
         atom = self._atom(predicate, args)
@@ -351,8 +504,8 @@ class GroundNetwork:
     ``RuleStats`` per source rule.  ``add_prior`` appends rows to
     ``compiled`` that ``rules`` does not list.  ``map_inference`` solves on
     ``compiled.merged()``, the same energy with equal rows merged, which it
-    builds for each solve; ``compiled``, ``rules`` and ``stats`` keep one row
-    per ground rule.
+    sorts out for each solve from the merge codes the rows carry;
+    ``compiled``, ``rules`` and ``stats`` keep one row per ground rule.
     """
 
     def __init__(self, free_atoms: Sequence[Atom], initial: np.ndarray,
@@ -380,14 +533,16 @@ class GroundNetwork:
         consts = np.empty(2 * n)
         consts[0::2] = -0.0 + 1.0 * self.initial
         consts[1::2] = -0.0 + -1.0 * self.initial
+        free, coef = np.repeat(np.arange(n, dtype=np.intp), 2), np.tile([-1.0, 1.0], n)
         prior = _Compiled(
             consts,
             np.full(2 * n, weight, dtype=np.float64),
             np.full(2 * n, 2, dtype=np.int64),
             np.arange(2 * n, dtype=np.intp),
-            np.repeat(np.arange(n, dtype=np.intp), 2),
-            np.tile([-1.0, 1.0], n),
+            free,
+            coef,
             n,
+            _entry_codes(free, coef)[:, None],  # one entry per row
         )
         self.compiled = _concat([self.compiled, prior], n)
         self._prior_rows += 2 * n
@@ -413,7 +568,7 @@ class GroundNetwork:
             parts.append(_Compiled(
                 comp.consts[r0:r1], comp.weights[r0:r1], comp.rhos[r0:r1],
                 comp.entry_rule[e0:e1] - r0, comp.entry_free[e0:e1],
-                comp.entry_coef[e0:e1], 0,
+                comp.entry_coef[e0:e1], 0, comp.row_codes[r0:r1],
             ))
             blocks.append(self.rules.blocks[k])
             stats.append(self.stats[k])
@@ -445,9 +600,15 @@ class _Compiled:
     a linear row (every rule of the shipped program is squared) they
     compute the squared terms alone: the linear and Huber terms they skip
     would each be an exact zero, and adding a zero keeps every bit.
+
+    ``row_codes`` holds each row's entries as merge codes (``_entry_codes``)
+    in ascending order, left-padded with 0; ``merged`` sorts rows by them.
+    They are built from the entries unless given, which ``add_prior``,
+    ``select``, ``_concat`` and ``merged`` do.
     """
 
-    def __init__(self, consts, weights, rhos, entry_rule, entry_free, entry_coef, n_free):
+    def __init__(self, consts, weights, rhos, entry_rule, entry_free, entry_coef, n_free,
+                 row_codes=None):
         self.consts = consts
         self.weights = weights
         self.rhos = rhos
@@ -455,6 +616,8 @@ class _Compiled:
         self.entry_free = entry_free
         self.entry_coef = entry_coef
         self.n_free = n_free
+        self.row_codes = (_row_codes(len(consts), entry_rule, entry_free, entry_coef)
+                          if row_codes is None else row_codes)
 
     @functools.cached_property
     def _weights_by_exponent(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -519,24 +682,17 @@ class _Compiled:
         and the same (free atom, coefficient) entries in any order.  Each
         term of the energy is its row's weight times a function of the row
         alone, so equal rows add up to one row carrying the sum of their
-        weights.  The groups come in the order of their sort keys, and each
-        keeps the constant and entries of its first row and sums its weights
-        in row order, so the result depends only on these arrays, not on how
-        they were built.
+        weights.  The groups come in the order of their sort keys (the
+        exponent, then ``row_codes``, then the constant), and each keeps the
+        constant and entries of its first row and sums its weights in row
+        order, so the result depends only on these arrays, not on how they
+        were built.  The row codes are built once, when ``ground`` and
+        ``add_prior`` write the rows, and travel with them through ``select``
+        and ``_concat``, so a merge is one stable sort.
         """
         n_rows = len(self.consts)
-        counts = np.bincount(self.entry_rule, minlength=n_rows)
-        coef_values, coef_codes = np.unique(self.entry_coef, return_inverse=True)
-        # one row of the table per hinge row: its exponent, then its entries as
-        # codes sorted within the row, padded with 0 (no code is 0)
-        table = np.zeros((n_rows, 1 + (int(counts.max()) if n_rows else 0)), dtype=np.int64)
-        table[:, 0] = self.rhos
-        order = np.argsort(self.entry_rule, kind="stable")
-        rows = self.entry_rule[order]
-        slots = 1 + np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-        table[rows, slots] = (self.entry_free * len(coef_values) + coef_codes + 1)[order]
-        table[:, 1:].sort(axis=1)
-        key, _ = _joint_keys(table, table[:0], max(self.n_free * len(coef_values) + 1, 3))
+        table = np.column_stack([self.rhos, self.row_codes])
+        key, _ = _joint_keys(table, table[:0], max(2 * self.n_free + 1, 3))
         by_row = np.lexsort((self.consts, key))  # stable: a group's first row leads it
         key, consts = key[by_row], self.consts[by_row]
         starts = np.ones(n_rows, dtype=bool)
@@ -555,12 +711,39 @@ class _Compiled:
             self.entry_free[entries],
             self.entry_coef[entries],
             self.n_free,
+            self.row_codes[kept],
         )
+
+
+def _entry_codes(free: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Merge code of a (free atom, coefficient) entry: ``2 * atom + 1`` for a
+    coefficient of -1 and ``2 * atom + 2`` for +1, in the order of (atom,
+    coefficient) and never 0, so 0 can pad."""
+    return 2 * free + (coef > 0) + 1
+
+
+def _row_codes(n_rows: int, entry_rule, entry_free, entry_coef) -> np.ndarray:
+    """Each row's entry codes in ascending order, left-padded with 0 to the
+    longest row: the table ``merged`` sorts rows by."""
+    if np.any(np.abs(entry_coef) != 1.0):
+        raise ValueError("entry coefficients must be -1 or 1")
+    counts = np.bincount(entry_rule, minlength=n_rows)
+    table = np.zeros((n_rows, int(counts.max()) if n_rows else 0), dtype=np.int64)
+    order = np.argsort(entry_rule, kind="stable")
+    rows = entry_rule[order]
+    slots = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    table[rows, slots] = _entry_codes(entry_free, entry_coef)[order]
+    table.sort(axis=1)
+    return table
 
 
 def _concat(parts: Sequence[_Compiled], n_free: int) -> _Compiled:
     """Rows of ``parts`` one after another."""
-    offsets = np.cumsum([0] + [len(p.consts) for p in parts[:-1]])
+    offsets = np.cumsum([0] + [len(p.consts) for p in parts])
+    width = max([p.row_codes.shape[1] for p in parts], default=0)
+    row_codes = np.zeros((offsets[-1], width), dtype=np.int64)
+    for p, o in zip(parts, offsets):
+        row_codes[o : o + len(p.consts), width - p.row_codes.shape[1]:] = p.row_codes
     return _Compiled(
         np.concatenate([np.empty(0)] + [p.consts for p in parts]),
         np.concatenate([np.empty(0)] + [p.weights for p in parts]),
@@ -570,11 +753,19 @@ def _concat(parts: Sequence[_Compiled], n_free: int) -> _Compiled:
         np.concatenate([np.empty(0, np.intp)] + [p.entry_free for p in parts]),
         np.concatenate([np.empty(0)] + [p.entry_coef for p in parts]),
         n_free,
+        row_codes,
     )
 
 
 def _check_arities(program: PslProgram, db: RelationalDatabase):
-    for atom in list(db.observations) + list(db.targets):
+    for (name, arity), column in db._columns.items():
+        pred = program.predicates.get(name)
+        if pred is not None and pred.arity != arity and len(column):
+            first = tuple(db.constants[i] for i in column.arrays()[0][0])
+            raise GroundingError(
+                f"atom {(name, first)} does not match declared arity {pred.arity} of {name}"
+            )
+    for atom in db.targets:
         pred = program.predicates.get(atom[0])
         if pred is not None and pred.arity != len(atom[1]):
             raise GroundingError(
@@ -634,48 +825,65 @@ class _Relation:
 
 
 def _relations(program: PslProgram, db: RelationalDatabase):
-    """Constant strings in sorted order, and a ``_Relation`` per predicate."""
-    rows: dict[str, tuple[list, list, list]] = {
-        name: ([], [], []) for name in program.predicates
-    }
+    """Constant strings in sorted order, and a ``_Relation`` per predicate.
+
+    Reads each predicate's column of observations as it is stored; only the
+    targets, a dict of atoms, are walked one by one.
+    """
+    names = list(db.constants)
+    ids = dict(db._ids)
+
+    def id_of(name: str) -> int:  # a target's constant may be in no observation
+        if name not in ids:
+            ids[name] = len(names)
+            names.append(name)
+        return ids[name]
+
+    targets: dict[str, tuple[list, list]] = {name: ([], []) for name in program.predicates}
     for i, (pred, args) in enumerate(db.targets):
-        if pred in rows:
-            rows[pred][0].append(args)
-            rows[pred][1].append(i)
-            rows[pred][2].append(0.0)
-    for (pred, args), value in db.observations.items():
-        if pred in rows:
-            rows[pred][0].append(args)
-            rows[pred][1].append(-1)
-            rows[pred][2].append(value)
-    constants = sorted({c for args, _, _ in rows.values() for a in args for c in a})
-    code = {c: i for i, c in enumerate(constants)}
-    relations = {}
-    for name, (args, free, value) in rows.items():
-        pred = program.predicates[name]
-        codes = np.array([code[c] for a in args for c in a], dtype=np.int64)
-        relations[name] = _Relation(
-            codes.reshape(len(args), pred.arity),
-            np.array(free, dtype=np.intp),
-            np.array(value, dtype=np.float64),
-            pred.closed,
+        if pred in targets:
+            targets[pred][0].append([id_of(c) for c in args])
+            targets[pred][1].append(i)
+    tables = {}
+    for name, (target_ids, free) in targets.items():
+        arity = program.predicates[name].arity
+        observed, values = db.column(name, arity)
+        tables[name] = (
+            np.concatenate([np.array(target_ids, dtype=np.int64).reshape(len(free), arity),
+                            observed]),
+            np.concatenate([np.array(free, dtype=np.intp),
+                            np.full(len(observed), -1, dtype=np.intp)]),
+            np.concatenate([np.zeros(len(free)), values]),
         )
-    return constants, relations
+    # codes follow the sorted strings of the constants the program's atoms use
+    used = np.unique(np.concatenate([np.empty(0, np.int64)]
+                                    + [t[0].ravel() for t in tables.values()]))
+    used = used[sorted(range(len(used)), key=lambda k: names[used[k]])]
+    code = np.zeros(len(names), dtype=np.int64)
+    code[used] = np.arange(len(used))
+    relations = {
+        name: _Relation(code[args], free, value, program.predicates[name].closed)
+        for name, (args, free, value) in tables.items()
+    }
+    return [names[i] for i in used], relations
 
 
 class _RuleRows:
-    """The kept rows of one source rule, as constant codes per literal."""
+    """The kept rows of one source rule, as constant codes per literal: the
+    ``kept`` rows of the rule's substitutions, whose codes ``args`` holds."""
 
-    def __init__(self, rule: Rule, constants: list, args: list):
+    def __init__(self, rule: Rule, constants: list, args: list, kept: np.ndarray):
         self.rule = rule
         self.constants = constants
-        self.args = args  # per literal (body, then head): (rows, arity) codes
+        self.args = args  # per literal (body, then head): (substitutions, arity) codes
+        self.kept = kept
 
     def __len__(self):
-        return len(self.args[0])
+        return len(self.kept)
 
     def __getitem__(self, i: int) -> Rule:
-        literals = [Literal(lit.predicate, tuple(self.constants[c] for c in self.args[j][i]),
+        row = self.kept[i]
+        literals = [Literal(lit.predicate, tuple(self.constants[c] for c in self.args[j][row]),
                             lit.negated)
                     for j, lit in enumerate(self.rule.body + (self.rule.head,))]
         return Rule(self.rule.weight, tuple(literals[:-1]), literals[-1], self.rule.exponent)
@@ -827,7 +1035,7 @@ def _ground_rule(rule: Rule, lookups: tuple, constants: list):
                       int(body_zero.sum()), int(constant.sum()))
 
     free, value = free[keep], value[keep]
-    rows = _RuleRows(rule, constants, [a[keep] for a in args])
+    rows = _RuleRows(rule, constants, args, np.flatnonzero(keep))
     # the arithmetic of tests/reference_grounder.compile_rules, one literal at a time
     const = np.full(len(free), -(len(rule.body) - 1.0))
     coefs = np.empty(len(literals))
@@ -866,7 +1074,8 @@ def ground(program: PslProgram, db: RelationalDatabase) -> GroundNetwork:
 
     Rules with equal ``_join_key``s (the same literals up to the negation of
     open ones) share their substitutions and atom lookups, which are dropped
-    after the last rule that reads them.  The rows do not depend on it.
+    after the last rule that reads them, all but the literals' constant codes
+    that ``rules`` reads back.  The rows do not depend on it.
     """
     _check_arities(program, db)
     constants, relations = _relations(program, db)

@@ -14,7 +14,9 @@ checkout, and prints one ``name: value`` line per result:
 * ``evaluate``: the output hashes of ``run_experiment``, a digest of the
   calibration database, then for the grounded network a digest of its six
   energy arrays, free atoms and ground rules plus its ``RuleStats``, and
-  for each MAP solve its values' digest, energy, iterations and levels.
+  for each MAP solve the row count and a digest of the six arrays of the
+  merged rows it solves on, then its values' digest, energy, iterations and
+  levels.
 
 Run it in two checkouts and ``diff`` the outputs.  Not collected by pytest
 (the name does not start with ``test_``).
@@ -76,11 +78,13 @@ def run_evaluate(workloads, seed: int, work_dir: Path) -> list[tuple[str, str]]:
                                          list(db.targets.items()))))
         return db
 
+    def arrays_digest(c):
+        return digest(*(a.tobytes() for a in (
+            c.consts, c.weights, c.rhos, c.entry_rule, c.entry_free, c.entry_coef)))
+
     def recording_ground(program, db):
         network = ground(program, db)
-        c = network.compiled
-        lines.append(("ground.arrays", digest(*(a.tobytes() for a in (
-            c.consts, c.weights, c.rhos, c.entry_rule, c.entry_free, c.entry_coef)))))
+        lines.append(("ground.arrays", arrays_digest(network.compiled)))
         lines.append(("ground.atoms", digest(network.free_atoms, network.initial.tobytes())))
         lines.append(("ground.rules", digest(*(str(r) for r in network.rules))))
         for k, stats in enumerate(network.stats):
@@ -90,6 +94,8 @@ def run_evaluate(workloads, seed: int, work_dir: Path) -> list[tuple[str, str]]:
     def recording_map_inference(network, config=None):
         result = map_inference(network, config)
         k = sum(name.startswith("map") and name.endswith(".values") for name, _ in lines)
+        merged = network.compiled.merged()
+        lines.append((f"map{k}.merged", f"{len(merged.consts)} rows {arrays_digest(merged)}"))
         lines.append((f"map{k}.values", digest(result.values.tobytes())))
         lines.append((f"map{k}.energy", repr(result.energy)))
         lines.append((f"map{k}.iterations", f"{result.iterations} converged={result.converged}"))

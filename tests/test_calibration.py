@@ -22,7 +22,9 @@ from polyscale.calibration import (
 )
 from polyscale.corpus import Corpus, LabelScheme, Manifesto, Sentence
 from polyscale.hiermodel import DocPrediction, ModelConfig
-from polyscale.pslengine import RelationalDatabase, parse_program
+from polyscale.pslengine import RelationalDatabase, ground, parse_program
+from polyscale.synthetic import make_planted_corpus
+from reference_database import reference_database
 from reference_grounder import reference_ground
 
 SCHEME = LabelScheme.default()
@@ -156,6 +158,16 @@ class TestPartyGraph:
         path.write_text("pa\tpb\t3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="4 tab-separated"):
             PartyGraph.from_file(path)
+
+
+class TestCalibrationConfig:
+    def test_nan_recency_window_rejected(self):
+        with pytest.raises(ValueError, match="recency_window_years must be positive, got nan"):
+            CalibrationConfig(recency_window_years=float("nan"))
+
+    def test_nan_prior_weight_rejected(self):
+        with pytest.raises(ValueError, match="prior_weight must be nonnegative, got nan"):
+            CalibrationConfig(prior_weight=float("nan"))
 
 
 class TestBuildDatabase:
@@ -465,3 +477,69 @@ class TestStackedEstimates:
     def test_too_few_folds_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             stacked_estimates(self.small_training_corpus(), self.config(), k=1)
+
+
+def planted_inputs(seed, context=True):
+    """An evaluate-shaped corpus with scored test documents: every fourth one
+    has only leftward codes (a ratio of 0), earlier documents are context when
+    ``context`` holds, and one party's coalition records are dropped."""
+    planted = make_planted_corpus(
+        seed=seed, n_countries=2, parties_per_country=6, n_elections=8,
+        annotated_fraction=0.6, sentences_per_doc=(3, 5),
+    )
+    rng = np.random.default_rng(seed)
+    cutoff = datetime.date(2010, 1, 2) if context else datetime.date(1900, 1, 1)
+    docs = planted.corpus.manifestos
+    test = [m for m in docs if m.election_date >= cutoff]
+    positions = {m.id: float(rng.uniform()) for m in docs if m.election_date < cutoff}
+    preds = [
+        make_pred(m.id, float(np.clip(m.rile_gold + rng.normal(0.0, 0.3), -1.0, 1.0)),
+                  ("103",) * 3 if i % 4 == 0 else
+                  tuple(s.gold_code or "000" for s in m.sentences),
+                  rng.normal(size=6))
+        for i, m in enumerate(test)
+    ]
+    dropped = test[0].party_id
+    graph = PartyGraph(
+        {k: v for k, v in planted.party_graph.regional.items() if dropped not in k},
+        {k: v for k, v in planted.party_graph.eu.items() if dropped not in k},
+    )
+    return planted.corpus, preds, graph, positions
+
+
+def columns_of(db):
+    """Each predicate's atoms in stored order, with their values' bytes."""
+    out = {}
+    for atom, value in db.observations.items():
+        out.setdefault(atom[0], []).append((atom[1], np.float64(value).tobytes()))
+    return out
+
+
+class TestEvidenceColumns:
+    @pytest.mark.parametrize("seed,context", [(3, True), (11, True), (29, True), (47, False)])
+    def test_columns_match_the_atom_by_atom_reference(self, seed, context, caplog):
+        corpus, preds, graph, positions = planted_inputs(seed, context)
+        config = CalibrationConfig(prior_weight=1.0)
+        with caplog.at_level(logging.WARNING, logger="polyscale.calibration"):
+            db = build_database(corpus, preds, graph, config, positions)
+        assert "no coalition records" in caplog.text
+        want = reference_database(corpus, preds, graph, config, positions)
+        got = columns_of(db)
+        assert got == columns_of(want)
+        assert len(db.observations) == len(want.observations)
+        assert list(db.targets.items()) == list(want.targets.items())
+        assert all(type(v) is float for v in db.targets.values())
+        expected = {"Manifesto", "Party", "LwRightLeftRatio", "SameElec", "Recent",
+                    "RegCoalition", "EUCoalition", "Similarity", "PreviousManifesto"}
+        assert expected | ({"pos"} if context else set()) == set(got)
+        assert 0 < len(got["LwRightLeftRatio"]) < len(preds)
+
+    def test_columns_ground_like_the_reference_database(self):
+        corpus, preds, graph, positions = planted_inputs(5)
+        db = build_database(corpus, preds, graph, context_positions=positions)
+        want = reference_database(corpus, preds, graph, context_positions=positions)
+        program = default_program()
+        got, ref = ground(program, db), ground(program, want)
+        for name in ("consts", "weights", "rhos", "entry_rule", "entry_free", "entry_coef"):
+            assert getattr(got.compiled, name).tobytes() == getattr(ref.compiled, name).tobytes()
+        assert list(got.rules) == list(ref.rules)

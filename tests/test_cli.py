@@ -335,6 +335,23 @@ class TestCalibrate:
         assert code == 2
         assert "'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,field", [("--prior-weight", "prior_weight"),
+                                            ("--recency-years", "recency_window_years")])
+    def test_nan_setting_is_a_usage_error(self, workdir, tmp_path, capsys, flag, field):
+        root, _ = workdir
+        code = main([
+            "calibrate",
+            "--model", str(tmp_path / "missing.pscl"),
+            "--corpus", str(root / "corpus.jsonl"),
+            "--party-graph", str(root / "graph.tsv"),
+            "--output", str(tmp_path / "c.tsv"),
+            flag, "nan",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be" in err and "got nan" in err
+        assert not (tmp_path / "c.tsv").exists()
+
     def test_group_past_a_custom_program_is_usage_error(self, workdir, tmp_path, capsys):
         root, _ = workdir
         rules = tmp_path / "short.psl"

@@ -7,6 +7,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyscale import calibration, evaluation
 from polyscale.calibration import save_party_graph
@@ -23,6 +25,7 @@ from polyscale.evaluation import (
 )
 from polyscale.hiermodel import ModelConfig
 from polyscale.synthetic import make_planted_corpus
+from reference_ranks import loop_average_ranks
 
 
 def brute_force_ranks(values):
@@ -112,6 +115,14 @@ class TestCorrelation:
             np.testing.assert_allclose(
                 average_ranks(values), brute_force_ranks(values)
             )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, float("nan"),
+                                               float("inf"), -float("inf")]),
+                              st.floats()), max_size=40))
+    def test_average_ranks_equal_the_loop_bitwise(self, values):
+        """Ties (-0.0 ties 0.0) share one rank and each NaN ranks alone."""
+        assert average_ranks(values).tobytes() == loop_average_ranks(values).tobytes()
 
     def test_spearman_monotone_transform_is_one(self):
         rng = np.random.default_rng(2)

@@ -94,6 +94,21 @@ def forward(params, doc):
     return code.probs, pol.probs, doc_vectors[0], scores[0]
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan")])
+    def test_learning_rate_must_be_positive(self, rate):
+        with pytest.raises(ValueError, match=f"learning_rate must be positive, got {rate}"):
+            ModelConfig(learning_rate=rate)
+
+    def test_nan_beta_rejected(self):
+        with pytest.raises(ValueError, match="beta and gamma must be nonnegative, got nan"):
+            ModelConfig(beta=float("nan"))
+
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(ValueError, match="got 0.1 and nan"):
+            ModelConfig(gamma=float("nan"))
+
+
 class TestVocabulary:
     def test_language_namespacing(self):
         docs = [

@@ -383,6 +383,30 @@ class TestDatabase:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             db.add_target("pos", ("m1",), initial=-0.1)
 
+    def test_batches_are_checked_like_single_atoms_and_stored_whole_or_not_at_all(self):
+        db = RelationalDatabase()
+        db.add_target("pos", ("m3",))
+        db.observe("L", ("m1", "m2"), 0.5)
+        names = ["m1", "m2", "m3"]
+        for predicate, args, values, match in [
+            ("L", [[1, 0], [1, 0]], 1.0, "observed twice"),  # twice in the batch
+            ("L", [[1, 0], [0, 1]], 1.0, "observed twice"),  # already observed
+            ("pos", [[0], [2]], 1.0, "already a target"),
+            ("L", [[1, 0], [2, 0]], [1.0, float("nan")], r"\[0, 1\]"),
+            ("L", [[1, 3]], 1.0, "index the 3 constant"),
+            ("L", [1, 0], 1.0, r"\(atoms, arity\)"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                db.observe_many(predicate, names, args, values)
+        assert len(db.observations) == 1
+        db.observe_many("L", names, [[1, 0], [2, 1]], [0.25, 1.0])
+        assert list(db.observations.items()) == [
+            (("L", ("m1", "m2")), 0.5), (("L", ("m2", "m1")), 0.25), (("L", ("m3", "m2")), 1.0)]
+        with pytest.raises(ValueError, match="observed twice"):
+            db.observe("L", ("m3", "m2"), 0.5)
+        with pytest.raises(ValueError, match="already observed"):
+            db.add_target("L", ("m2", "m1"))
+
 
 class TestGrounding:
     def pairwise_program(self):
