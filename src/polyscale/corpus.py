@@ -6,9 +6,10 @@ A corpus file is UTF-8 JSON lines, one manifesto per line::
      "election_date": "YYYY-MM-DD", "rile": 12.5, "ches": 4.2,
      "sentences": [{"text": "...", "code": "504"}, ...]}
 
-``rile`` (optional) is the raw [-100, 100] score and ``code`` (optional) the
-gold category of a sentence.  RILE is held in the scaled [-1, 1] convention
-everywhere inside the package; the raw convention exists only in files.
+``rile`` and ``ches`` (optional) are finite JSON numbers, ``rile`` the raw
+[-100, 100] score, and ``code`` (optional) is the gold category of a
+sentence.  RILE is held in the scaled [-1, 1] convention everywhere inside
+the package; the raw convention exists only in files.
 
 The coding scheme is the packaged ``assets/cmp_scheme.tsv``: UTF-8 text
 with one ``code<TAB>major_category<TAB>polarity`` row per category code;
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -254,6 +256,15 @@ def compute_rile(labels: Sequence[str], scheme: LabelScheme) -> float:
     return (n_right - n_left) / len(labels)
 
 
+def _gold_score(record: dict, key: str, where: str) -> float | None:
+    """``record[key]``: None when absent or null, else a finite JSON number."""
+    value = record.get(key)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
+                              or not abs(value) <= sys.float_info.max):
+        raise CorpusFormatError(f"{where}: {key} must be a finite number, not {value!r}")
+    return None if value is None else float(value)
+
+
 def _manifesto_from_record(
     record: dict, scheme: LabelScheme, languages: set[str] | None, where: str
 ) -> Manifesto:
@@ -272,15 +283,12 @@ def _manifesto_from_record(
         raise CorpusFormatError(
             f"{where}: bad election_date {record['election_date']!r} (want YYYY-MM-DD)"
         ) from None
-    rile = record.get("rile")
+    rile = _gold_score(record, "rile", where)
     if rile is not None:
-        rile = float(rile)
         if not -100.0 <= rile <= 100.0:
             raise CorpusFormatError(f"{where}: rile {rile} outside [-100, 100]")
         rile = rile / 100.0
-    ches = record.get("ches")
-    if ches is not None:
-        ches = float(ches)
+    ches = _gold_score(record, "ches", where)
     raw_sentences = record["sentences"]
     if not isinstance(raw_sentences, list) or not raw_sentences:
         raise CorpusFormatError(f"{where}: sentences must be a non-empty list")

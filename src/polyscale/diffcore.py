@@ -16,13 +16,13 @@ node per batch of sequences (``bilstm_batch``) whose parents are the input
 and both directions' weight and bias.  Sequences go in as packed rows, one
 sequence after another, and the node returns either the per-step states,
 packed the same way, or only each sequence's final state.  A
-``ScanLayout``, built once per batch from the lengths, says where each
-packed row goes in the node's padded scan and which slots hold padding.
-Both directions' input projections are one stacked matmul; the two
-recurrences run in one numpy scan over stacked (2, batch, hidden) states,
-and backpropagation through time runs in one reversed scan inside the
-node's vector-Jacobian product.  The per-direction and per-step reference
-paths live in the tests (``tests/reference_lstm.py``).
+``ScanLayout``, built once per batch from the lengths, places each packed
+row in the node's padded scan, where padding trails every sequence in both
+directions.  Both directions' input projections are one stacked matmul;
+the two recurrences run in one numpy scan over stacked (2, batch, hidden)
+states, and backpropagation through time runs in one reversed scan inside
+the node's vector-Jacobian product.  The per-direction and per-step
+reference paths live in the tests (``tests/reference_lstm.py``).
 
 ``ParameterStore`` keeps every parameter value in one flat buffer and every
 gradient in another; each tensor's arrays are views of its segment.
@@ -221,33 +221,32 @@ class ScanLayout:
     """Where ``bilstm_batch`` puts a batch of sequences, built once from
     their lengths and passed in with the batch.
 
-    The B sequences are padded to the longest, T steps.  ``rows`` is each
-    packed row's place in the step-major (T * B) layout of that padding (a
-    whole slice for a batch of one, whose packed rows already are in it).
-    Slot s of the scan holds forward step s and backward step T - 1 - s:
-    ``pad`` is the (T, 2, B) mask of the padded steps in slot order, with
-    ``keep`` its (T, 2, B, 1) view, and ``ragged`` marks the slots that hold
-    some padding.  Both masks are None when nothing is padded.
+    The B sequences are padded to the longest, T steps, and padding trails
+    every sequence in both directions: slot s of the scan holds forward step
+    s and backward step len - 1 - s, so a sequence ends at its ``last`` slot,
+    len - 1.  ``rows`` is each packed row's place in the step-major (T * B)
+    layout of that padding (a whole slice for a batch of one).  ``mirror``
+    indexes a (T, B, ...) array to put each sequence's step len - 1 - t at
+    t, and a padded step at itself.  It is its own inverse, so it takes the
+    backward direction from step order to slot order and back; for a batch
+    of one it is a reversing slice.
     """
 
-    __slots__ = ("size", "batch", "steps", "rows", "pad", "keep", "ragged")
+    __slots__ = ("size", "batch", "steps", "rows", "mirror", "last")
 
     def __init__(self, lengths):
-        lengths = [int(k) for k in lengths]
-        steps, shortest = max(lengths, default=0), min(lengths, default=0)
-        if shortest < 1:
+        lengths = np.array([int(k) for k in lengths], dtype=np.intp)
+        if not lengths.size or lengths.min() < 1:
             raise ValueError("cannot encode an empty batch or an empty sequence")
-        self.size, self.batch, self.steps = sum(lengths), len(lengths), steps
-        self.rows = slice(None)
-        self.pad = self.keep = None
-        self.ragged = [False] * steps
+        steps = int(lengths.max())
+        self.size, self.batch, self.steps = int(lengths.sum()), len(lengths), steps
+        self.last = lengths - 1
+        self.rows, self.mirror = slice(None), (slice(None, None, -1),)
         if self.batch > 1:
-            real = np.arange(steps) < np.array(lengths)[:, None]  # (B, T)
-            self.rows = np.arange(steps * self.batch).reshape(steps, self.batch).T[real]
-            if shortest < steps:
-                self.pad = ~np.stack((real.T, real.T[::-1]), axis=1)
-                self.keep = self.pad[..., None]
-                self.ragged = [s >= shortest or s <= steps - 1 - shortest for s in range(steps)]
+            t = np.arange(steps)[:, None]
+            real = t < lengths  # (T, B)
+            self.rows = (t * self.batch + np.arange(self.batch)).T[real.T]
+            self.mirror = (np.where(real, self.last - t, t), np.arange(self.batch))
 
 
 def bilstm_batch(
@@ -267,20 +266,20 @@ def bilstm_batch(
 
     Inside, the node scans the layout's slots: every state array is
     (2, B, n), and the recurrent products of both directions are one stacked
-    matmul.  A padded step carries its sequence's state unchanged and gets no
-    gradient, so both directions end every sequence at the last slot, and a
-    final-only node's gradient enters the scan there.  The input projections
-    ``x @ Wx + b`` of both directions are one stacked matmul ahead of the
-    scan.  The backward pass does backpropagation through time in one
-    reversed scan inside the node's vector-Jacobian product.
+    matmul.  Padding trails every sequence in both directions, so a
+    final-only node's gradient enters the scan at each sequence's last slot,
+    and the padded slots, which run on zero inputs, get no gradient.  The
+    input projections ``x @ Wx + b`` of both directions are one stacked
+    matmul ahead of the scan.  The backward pass does backpropagation
+    through time in one reversed scan inside the node's vector-Jacobian
+    product.
     """
     xv = x.value
     if xv.ndim != 2:
         raise ValueError("bilstm_batch expects packed (rows, d) inputs")
     if layout.size != xv.shape[0]:
         raise ValueError(f"lengths sum to {layout.size}, not to the {xv.shape[0]} input rows")
-    batch, steps, rows, keep, ragged = (
-        layout.batch, layout.steps, layout.rows, layout.keep, layout.ragged)
+    batch, steps, rows, mirror = layout.batch, layout.steps, layout.rows, layout.mirror
     width = xv.shape[1]
     n = forward[1].value.shape[0] // 4
     # From the scan on, index s of every array is scan slot s, and the axis
@@ -311,7 +310,7 @@ def bilstm_batch(
     proj = proj.reshape(2, steps, batch, 4 * n)
     acts = np.empty((steps, 2, batch, 4 * n))  # sigmoid i, f, o then tanh g
     acts[:, 0] = proj[0]
-    acts[:, 1] = proj[1, ::-1]  # the input projection, in slot order
+    acts[:, 1] = proj[1][mirror]  # the input projection, in slot order
 
     # index s + 1 holds the state scan slot s ends with, and index 0 the zero
     # state the scan starts from, so the states entering the slots are views
@@ -320,31 +319,25 @@ def bilstm_batch(
     cells[0] = hidden[0] = 0.0
     tanh_cells = np.empty((steps, 2, batch, n))  # tanh of each slot's cell, for the gradient
     for s in range(steps):
-        h, c = hidden[s], cells[s]
         a = acts[s]
-        a += h @ wh
+        a += hidden[s] @ wh
         np.tanh(a, out=a)
         sig = a[..., : 3 * n]
         sig *= 0.5
         sig += 0.5
-        c_next = np.multiply(a[..., n : 2 * n], c, out=cells[s + 1])
+        c_next = np.multiply(a[..., n : 2 * n], cells[s], out=cells[s + 1])
         c_next += a[..., :n] * a[..., 3 * n :]
-        h_next = np.multiply(np.tanh(c_next, out=tanh_cells[s]), a[..., 2 * n : 3 * n],
-                             out=hidden[s + 1])
-        if ragged[s]:  # padded sequences keep their state
-            np.copyto(c_next, c, where=keep[s])
-            np.copyto(h_next, h, where=keep[s])
+        np.multiply(np.tanh(c_next, out=tanh_cells[s]), a[..., 2 * n : 3 * n],
+                    out=hidden[s + 1])
 
     def vjp(g, grads):
-        if final_only:
-            gs = None
-            dh = np.stack((g[:, :n], g[:, n:]))  # both directions end at the last slot
+        gs = np.zeros((steps, 2, batch, n))  # the output gradient in slot order
+        if final_only:  # each sequence's final state, at its last slot
+            gs[layout.last, :, np.arange(batch)] = g.reshape(batch, 2, n)
         else:
             gt = step_major(g).reshape(steps, batch, 2 * n)
-            gs = np.empty((steps, 2, batch, n))  # the output gradient in slot order
             gs[:, 0] = gt[..., :n]
-            gs[:, 1] = gt[::-1, :, n:]
-            dh = np.zeros((2, batch, n))
+            gs[:, 1] = gt[..., n:][mirror]
         sig = acts[..., : 3 * n]
         f = acts[..., n : 2 * n]
         o = acts[..., 2 * n : 3 * n]
@@ -357,39 +350,28 @@ def bilstm_batch(
         ifo *= sig
         ifo *= 1.0 - sig
         np.multiply(acts[..., :n], 1.0 - gg * gg, out=gate_gain[..., 3 * n :])
-        if keep is not None:
-            # A padded step copies the state: zero gate gains keep dz at zero,
-            # a zero output gain keeps the hidden-state gradient out of the
-            # cell, and that gradient passes on through ``keep`` below.  No
-            # cell gradient reaches a padded step, so ``f`` needs no mask.
-            out_gain[layout.pad] = 0.0
-            gate_gain[layout.pad] = 0.0
         # the unhalved weights of both directions, transposed, as C-contiguous
         # input and recurrent blocks
         w = np.stack((forward[0].value, backward_params[0].value))
         wx_t = w[:, :width].transpose(0, 2, 1).copy()
         wh_t = w[:, width:].transpose(0, 2, 1).copy()
         dz = np.empty_like(acts)
-        dc = np.zeros((2, batch, n))
+        dc = dh = np.zeros((2, batch, n))
         for s in range(steps - 1, -1, -1):
-            if gs is not None:
-                dh = dh + gs[s]
+            dh = dh + gs[s]
             dcn = dh * out_gain[s]
             dcn += dc
             np.multiply(np.concatenate((dcn, dcn, dh, dcn), axis=-1), gate_gain[s], out=dz[s])
             dc = dcn * f[s]
-            if ragged[s]:
-                dh = dz[s] @ wh_t + dh * keep[s]
-            else:
-                dh = dz[s] @ wh_t
+            dh = dz[s] @ wh_t
         # Each direction's input and weight gradients in its own time order,
         # stacked, from C-contiguous operands of a one-direction node's shapes
         # (BLAS and numpy's sums pick their summation order by shape and
         # strides), so they keep that node's bits.
         dz_t = np.empty((2, steps, batch, 4 * n))
         h_t = np.empty((2, steps, batch, n))  # the state entering each step
-        dz_t[0], dz_t[1] = dz[:, 0], dz[::-1, 1]
-        h_t[0], h_t[1] = hidden[:-1, 0], hidden[-2::-1, 1]
+        dz_t[0], dz_t[1] = dz[:, 0], dz[:, 1][mirror]
+        h_t[0], h_t[1] = hidden[:-1, 0], hidden[:-1, 1][mirror]
         dz_t = dz_t.reshape(2, steps * batch, 4 * n)
         dx = np.matmul(dz_t, wx_t)
         dw = np.empty((2, width + n, 4 * n))
@@ -402,11 +384,11 @@ def bilstm_batch(
                 np.add(acc, d, out=acc)
 
     if final_only:
-        out = np.concatenate((hidden[-1, 0], hidden[-1, 1]), axis=1)
+        out = hidden[layout.last + 1, :, np.arange(batch)].reshape(batch, 2 * n)
     else:
         out = np.empty((steps, batch, 2 * n))
         out[..., :n] = hidden[1:, 0]
-        out[..., n:] = hidden[:0:-1, 1]
+        out[..., n:] = hidden[1:, 1][mirror]
         out = out.reshape(steps * batch, 2 * n)[rows]
     return Tensor(out, (x, *forward, *backward_params), vjp)
 

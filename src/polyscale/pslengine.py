@@ -1198,6 +1198,7 @@ def map_inference(network: GroundNetwork, config: SolverConfig | None = None) ->
     held = np.bincount(comp.entry_free, minlength=comp.n_free)
     sole = np.bincount(comp.entry_rule, weights=held[comp.entry_free] == 1,
                        minlength=len(comp.consts)) > 0
+    any_sole = sole.any()
     u = comp.linear(x)
     best_x, best_f = x.copy(), comp.energy_at(u)
     iterations = 0
@@ -1237,12 +1238,13 @@ def map_inference(network: GroundNetwork, config: SolverConfig | None = None) ->
             delta = f - fn
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
-            freed = sole & (un > 0.0) & (beta * (un - u) <= -un)
-            if freed.any():
-                # stop at the first kink where such a row, paid for at xn,
-                # comes free: past it the energy is flat along its sole atom,
-                # and momentum carried there meets nothing that stops it
-                beta = float(np.min(un[freed] / (u - un)[freed]))
+            if any_sole:
+                freed = sole & (un > 0.0) & (beta * (un - u) <= -un)
+                if freed.any():
+                    # stop at the first kink where such a row, paid for at xn,
+                    # comes free: past it the energy is flat along its sole
+                    # atom, and momentum carried there meets nothing that stops it
+                    beta = float(np.min(un[freed] / (u - un)[freed]))
             if beta:
                 y, uy = xn + beta * (xn - x), un + beta * (un - u)  # rows are affine in x
                 fy = comp.smoothed_energy_at(uy, mu)

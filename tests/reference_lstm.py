@@ -11,6 +11,11 @@ is the bitwise reference for ``bilstm_batch``, which runs both directions in
 one scan over packed rows: its states are the pair's at the real steps, in
 packed order.  ``lstm_sequence`` is itself checked against the per-step
 path.
+
+The pair keeps the carry convention as the reference: a padded step copies
+its sequence's state, so the reverse scan starts a shorter sequence only
+after its padding.  ``bilstm_batch`` lets padding trail every sequence in
+both directions instead, and must still give the pair's bits.
 """
 
 from __future__ import annotations

@@ -446,3 +446,13 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_gold_score_is_usage_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        record = {"id": "m1", "party_id": "p1", "country": "XA", "language": "en",
+                  "election_date": "2006-05-01", "ches": float("nan"),
+                  "sentences": [{"text": "Taxes shall be lowered."}]}
+        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code = main(["train", "--corpus", str(corpus), "--output", str(tmp_path / "m.pscl")])
+        assert code == 2
+        assert "line 1: ches must be a finite number" in capsys.readouterr().err

@@ -182,6 +182,16 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="rile"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("ches", float("nan")), ("ches", float("inf")), ("rile", float("-inf")),  # non-finite
+        ("rile", True), ("ches", False),  # boolean
+        ("rile", "left"), ("ches", "4.2"),  # not a JSON number
+    ])
+    def test_bad_gold_score_names_record_and_field(self, tmp_path, field, value):
+        path = write_corpus_file(tmp_path, [make_record(), make_record("m2", **{field: value})])
+        with pytest.raises(CorpusFormatError, match=f"line 2: {field} must be a finite number"):
+            load_corpus(path)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = write_corpus_file(tmp_path, [make_record(), make_record()])
         with pytest.raises(CorpusFormatError, match="duplicate"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_ops as ops
@@ -473,6 +473,9 @@ class TestFusedBilstm:
 
     @settings(max_examples=150, deadline=None)
     @given(bilstm_cases())
+    @example(([1, 6, 3], 3, 2, 1))  # a 1-step sequence beside the longest
+    @example(([4], 2, 3, 2))  # a batch of one; every case runs both outputs
+    @example(([3, 5, 2, 4], 2, 2, 3))  # every length differs
     def test_equals_per_direction_pair_bitwise(self, case):
         lengths, width, n, seed = case
         rng = np.random.default_rng(seed)
@@ -503,6 +506,7 @@ class TestFusedBilstm:
             pair = [node.value[real] if k == 0 else node.value] + [t.grad.copy() for _, t in store]
             for name, a, b in zip([output] + store.names, fused, pair):
                 assert a.shape == b.shape and np.array_equal(a, b), (output, name)
+                assert a.tobytes() == b.tobytes(), (output, name)  # -0.0 too
 
     def test_is_one_node_over_both_directions(self):
         rng = np.random.default_rng(70)

@@ -541,8 +541,16 @@ class TestTrain:
         """Two epochs of ``train`` against a loop that follows its shuffle and
         builds each step from the reference paths: ``bilstm_pair`` at both
         levels over padded batches, the composed ``head_loss`` and the
-        per-tensor ``Adam``.  Every parameter and every ``EpochLog`` match."""
-        corpus, config = small_corpus(), tiny_config(epochs=2)
+        per-tensor ``Adam``.  Every parameter and every ``EpochLog`` match.
+        The corpus holds a one-sentence document and a one-token sentence
+        beside longer ones."""
+        base = small_corpus()
+        corpus = Corpus(manifestos=base.manifestos + (
+            make_doc("m5", ["freedom"], codes=["401"], rile=0.5),
+            make_doc("m6", ["jetzt", "mehr schulen bauen"], codes=["504", "506"], rile=-0.3,
+                     lang="bb", country="BB", party="p4"),
+        ), scheme=SCHEME)
+        config = tiny_config(epochs=2)
         params, logs = train(corpus, config)
 
         docs = training_documents(corpus)
