@@ -351,7 +351,9 @@ def calibrate(
     A caller that has already grounded the program against ``db`` passes
     that network instead, such as a ``GroundNetwork.select`` cut of a
     larger program's network (``evaluate`` grounds its database once and
-    cuts each ablation prefix from it).  The prior rows are appended to it.
+    cuts each ablation prefix from it).  The prior goes into a new network
+    (``GroundNetwork.with_prior``), which the result holds; the caller's
+    network stays as it was.
     Each program rule that grounded no rows is logged as a warning, with its
     text and its ``RuleStats`` prune counts.
     """
@@ -361,14 +363,14 @@ def calibrate(
         network = ground(program, db)
     elif len(network.stats) != len(program.rules) or network.free_atoms != tuple(db.targets):
         raise ValueError("the network was not grounded from this program and database")
-    elif len(network) != len(network.rules):
+    elif network.prior is not None:
         raise ValueError("the network already holds prior rows")
     for k, (rule, stats) in enumerate(zip(program.rules, network.stats)):
         if not stats.rows:
             log.warning("rule %d grounded no rows, so it constrains nothing: %s (%s)",
                         k, rule_text(rule), stats)
     if config.prior_weight > 0.0:
-        network.add_prior(config.prior_weight)
+        network = network.with_prior(config.prior_weight)
     result = map_inference(network, solver_config)
     if not result.converged:
         log.warning(

@@ -45,11 +45,12 @@ reference that compiles hand-built ground rules into them lives in the tests
 (``tests/reference_grounder.py``).
 
 Each source rule grounds independently of the others into one block of
-rows, so ``GroundNetwork.select`` can cut any subset of rules out of one
-grounded network; ``evaluate`` grounds its database once and calibrates
-every ablation prefix on such a cut.  The rows keep their merge codes
-through the cut, so merging a cut's equal rows before its solve is one
-sort.
+rows, and a network is these blocks plus an optional prior block, which
+``GroundNetwork.with_prior`` adds by returning a new network; no network
+changes after it is built.  ``GroundNetwork.select`` picks any subset of the
+blocks, so ``evaluate`` grounds its database once and calibrates every
+ablation prefix on such a cut.  The rows keep their merge codes in their
+blocks, so merging a cut's equal rows before its solve is one sort.
 """
 
 from __future__ import annotations
@@ -372,9 +373,8 @@ class RelationalDatabase:
     value.  ``observe`` appends one atom; ``observe_many`` appends a batch of
     atoms of one predicate with array checks, and ``ground`` reads the
     columns as they are.  ``observations`` is a read-only mapping from atom
-    to value over the columns; assigning a mapping to it replaces every
-    observation.  ``targets`` is a dict from atom to initial value (None
-    for the default 0.5), in insertion order.
+    to value over the columns.  ``targets`` is a dict from atom to initial
+    value (None for the default 0.5), in insertion order.
     """
 
     def __init__(self):
@@ -387,12 +387,6 @@ class RelationalDatabase:
     @property
     def observations(self) -> Mapping[Atom, float]:
         return _Observations(self)
-
-    @observations.setter
-    def observations(self, atoms: Mapping[Atom, float]) -> None:
-        self._columns, self._size = {}, 0
-        for (predicate, args), value in atoms.items():
-            self.observe(predicate, args, value)
 
     @staticmethod
     def _atom(predicate: str, args: Sequence[str]) -> Atom:
@@ -495,40 +489,57 @@ class RuleStats:
     constant: int
 
 
-class GroundNetwork:
-    """Ground rules over indexed free atoms, with their compiled energy arrays.
+class RuleBlock(NamedTuple):
+    """One source rule's share of a ground network: its energy rows, its
+    ground rules (one per row) and what grounding it produced."""
 
-    ``ground`` builds it from what it writes: ``compiled`` holds one energy
-    row per rule of ``rules``, a read-only sequence of ``Rule``s over
-    constants that builds each one only when read, and ``stats`` holds one
-    ``RuleStats`` per source rule.  ``add_prior`` appends rows to
-    ``compiled`` that ``rules`` does not list.  ``map_inference`` solves on
-    ``compiled.merged()``, the same energy with equal rows merged, which it
-    sorts out for each solve from the merge codes the rows carry;
-    ``compiled``, ``rules`` and ``stats`` keep one row per ground rule.
+    compiled: "_Compiled"
+    rules: Sequence[Rule]
+    stats: RuleStats
+
+
+class GroundNetwork:
+    """Ground rules over indexed free atoms, as blocks of compiled energy rows.
+
+    ``blocks`` holds one ``RuleBlock`` per source rule, in program order, and
+    ``prior`` the optional block of prior rows after them (``with_prior``).
+    ``rules``, a read-only sequence of ``Rule``s over constants that builds
+    each one only when read, and ``stats`` run over the rule blocks;
+    ``compiled`` holds every row, the prior's last, and is concatenated on
+    first read.  No network changes after it is built: ``select`` and
+    ``with_prior`` return new networks that share the blocks, so ``compiled``
+    never goes stale.  ``map_inference`` solves on ``compiled.merged()``, the
+    same energy with equal rows merged, which it sorts out for each solve from
+    the merge codes the rows carry; ``compiled``, ``rules`` and ``stats`` keep
+    one row per ground rule.
     """
 
     def __init__(self, free_atoms: Sequence[Atom], initial: np.ndarray,
-                 compiled: "_Compiled", rules: Sequence[Rule],
-                 stats: Sequence[RuleStats]):
+                 blocks: Sequence[RuleBlock], prior: "_Compiled | None" = None):
         self.free_atoms = tuple(free_atoms)
         self.free_index = {a: i for i, a in enumerate(self.free_atoms)}
         self.initial = np.asarray(initial, dtype=np.float64)
-        self.compiled = compiled
-        self.rules = rules
-        self.stats = tuple(stats)
-        self._prior_rows = 0
+        self.blocks = tuple(blocks)
+        self.prior = prior
+        self.rules = _GroundRules([b.rules for b in self.blocks])
+        self.stats = tuple(b.stats for b in self.blocks)
+        self._parts = [b.compiled for b in self.blocks] + ([] if prior is None else [prior])
 
     def __len__(self):
         """Number of hinge rows in the energy: the ground rules, then any prior."""
-        return len(self.rules) + self._prior_rows
+        return sum(len(part.consts) for part in self._parts)
 
-    def add_prior(self, weight: float) -> None:
-        """Pull every free atom toward its initial value with a squared hinge.
+    @functools.cached_property
+    def compiled(self) -> "_Compiled":
+        return _concat(self._parts, len(self.free_atoms))
 
-        Appends two rows of ``weight`` per free atom after the ground rules,
-        ``initial - x`` and ``x - initial``; ``rules`` does not list them.
+    def with_prior(self, weight: float) -> "GroundNetwork":
+        """This network plus a prior block that pulls every free atom toward its
+        initial value with a squared hinge: two rows of ``weight`` per free
+        atom, ``initial - x`` and ``x - initial``, which ``rules`` does not list.
         """
+        if self.prior is not None:
+            raise ValueError("the network already holds prior rows")
         n = len(self.free_atoms)
         consts = np.empty(2 * n)
         consts[0::2] = -0.0 + 1.0 * self.initial
@@ -544,38 +555,19 @@ class GroundNetwork:
             n,
             _entry_codes(free, coef)[:, None],  # one entry per row
         )
-        self.compiled = _concat([self.compiled, prior], n)
-        self._prior_rows += 2 * n
+        return GroundNetwork(self.free_atoms, self.initial, self.blocks, prior)
 
     def select(self, rule_indices: Iterable[int]) -> "GroundNetwork":
-        """The row blocks of the chosen source rules, in the order given.
+        """The blocks of the chosen source rules, in the order given.
 
-        Works on a network that ``ground`` built.  The result's arrays,
-        ``rules`` and ``stats`` equal those of grounding
-        ``program.subset(rule_indices)`` against the same database, because
-        each rule's block grounds independently of the other rules.
+        The result equals grounding ``program.subset(rule_indices)`` against
+        the same database, because each rule's block grounds independently of
+        the other rules.
         """
-        if self._prior_rows:
+        if self.prior is not None:
             raise ValueError("cannot select rule blocks from a network with prior rows")
-        comp = self.compiled
-        row_ends = np.cumsum([s.rows for s in self.stats], dtype=np.intp)
-        entry_ends = np.searchsorted(comp.entry_rule, row_ends)
-        parts, blocks, stats = [], [], []
-        for k in rule_indices:
-            k = range(len(self.stats))[k]  # negative indices count from the end
-            r0, r1 = row_ends[k] - self.stats[k].rows, row_ends[k]
-            e0, e1 = entry_ends[k - 1] if k else 0, entry_ends[k]
-            parts.append(_Compiled(
-                comp.consts[r0:r1], comp.weights[r0:r1], comp.rhos[r0:r1],
-                comp.entry_rule[e0:e1] - r0, comp.entry_free[e0:e1],
-                comp.entry_coef[e0:e1], 0, comp.row_codes[r0:r1],
-            ))
-            blocks.append(self.rules.blocks[k])
-            stats.append(self.stats[k])
-        n = len(self.free_atoms)
-        return GroundNetwork(
-            self.free_atoms, self.initial.copy(), _concat(parts, n), _GroundRules(blocks), stats
-        )
+        blocks = [self.blocks[k] for k in rule_indices]
+        return GroundNetwork(self.free_atoms, self.initial, blocks)
 
     def energy(self, values: np.ndarray | Sequence[float]) -> float:
         values = np.asarray(values, dtype=np.float64)
@@ -603,8 +595,8 @@ class _Compiled:
 
     ``row_codes`` holds each row's entries as merge codes (``_entry_codes``)
     in ascending order, left-padded with 0; ``merged`` sorts rows by them.
-    They are built from the entries unless given, which ``add_prior``,
-    ``select``, ``_concat`` and ``merged`` do.
+    They are built from the entries unless given, which the prior block of
+    ``GroundNetwork.with_prior``, ``_concat`` and ``merged`` do.
     """
 
     def __init__(self, consts, weights, rhos, entry_rule, entry_free, entry_coef, n_free,
@@ -686,9 +678,9 @@ class _Compiled:
         exponent, then ``row_codes``, then the constant), and each keeps the
         constant and entries of its first row and sums its weights in row
         order, so the result depends only on these arrays, not on how they
-        were built.  The row codes are built once, when ``ground`` and
-        ``add_prior`` write the rows, and travel with them through ``select``
-        and ``_concat``, so a merge is one stable sort.
+        were built.  The row codes are built once, when ``ground`` writes a
+        rule block or ``with_prior`` the prior block, and travel with the
+        blocks into ``_concat``, so a merge is one stable sort.
         """
         n_rows = len(self.consts)
         table = np.column_stack([self.rhos, self.row_codes])
@@ -890,11 +882,12 @@ class _RuleRows:
 
 
 class _GroundRules(Sequence):
-    """Read-only ground rules of an array network; each is built when read."""
+    """Read-only ground rules of a network, one sequence per rule block;
+    each rule is built when read."""
 
-    def __init__(self, blocks: Sequence[_RuleRows]):
-        self.blocks = tuple(blocks)  # one per source rule, empty ones included
-        self._ends = list(itertools.accumulate(len(b) for b in self.blocks))
+    def __init__(self, parts: Sequence[Sequence[Rule]]):
+        self._parts = parts  # one per block, empty ones included
+        self._ends = list(itertools.accumulate(len(p) for p in parts))
 
     def __len__(self):
         return self._ends[-1] if self._ends else 0
@@ -903,7 +896,7 @@ class _GroundRules(Sequence):
         if not 0 <= index < len(self):
             raise IndexError("ground rule index out of range")
         b = bisect.bisect_right(self._ends, index)  # skips empty blocks
-        return self.blocks[b][index - (self._ends[b - 1] if b else 0)]
+        return self._parts[b][index - (self._ends[b - 1] if b else 0)]
 
 
 def _substitutions(rule: Rule, program: PslProgram, relations: dict, base: int):
@@ -1008,9 +1001,10 @@ def _lookups(rule: Rule, program: PslProgram, relations: dict, base: int) -> tup
     return free, value, missing, args
 
 
-def _ground_rule(rule: Rule, lookups: tuple, constants: list):
-    """Compiled rows, kept rows and prune counts of one source rule; reads
-    ``lookups`` and writes nothing into it, so rules can share it."""
+def _ground_rule(rule: Rule, lookups: tuple, constants: list, n_free: int) -> RuleBlock:
+    """The block of one source rule: compiled rows, kept rows and prune
+    counts; reads ``lookups`` and writes nothing into it, so rules can share
+    it."""
     free, value, missing, args = lookups
     literals = rule.body + (rule.head,)
     n = len(missing)
@@ -1055,14 +1049,14 @@ def _ground_rule(rule: Rule, lookups: tuple, constants: list):
         entry_row.astype(np.intp),
         free[entry_row, entry_lit],
         coefs[entry_lit],
-        0,
+        n_free,
     )
-    return compiled, rows, stats
+    return RuleBlock(compiled, rows, stats)
 
 
 def ground(program: PslProgram, db: RelationalDatabase) -> GroundNetwork:
     """Instantiate every rule against the database, as array joins (see the
-    module docstring); rows come out rule by rule in program order.
+    module docstring); one block of rows per rule, in program order.
 
     One ground rule per satisfiable substitution.  Exact prunes, all cases
     where the rule's distance is identically zero over the free atoms:
@@ -1098,19 +1092,14 @@ def ground(program: PslProgram, db: RelationalDatabase) -> GroundNetwork:
     keys = [_join_key(rule, program) for rule in program.rules]
     last_use = {key: k for k, key in enumerate(keys)}
     joins: dict = {}  # lookups shared by rules with equal keys, until the last one
-    parts, blocks, stats = [], [], []
+    blocks = []
     for k, (rule, key) in enumerate(zip(program.rules, keys)):
         if key not in joins:
             joins[key] = _lookups(rule, program, relations, base)
         lookups = joins[key] if last_use[key] > k else joins.pop(key)
-        compiled, rows, rule_stats = _ground_rule(rule, lookups, constants)
-        parts.append(compiled)
-        blocks.append(rows)
-        stats.append(rule_stats)
-    network = GroundNetwork(
-        free_atoms, initial, _concat(parts, len(free_atoms)), _GroundRules(blocks), stats
-    )
-    pruned = {k: sum(getattr(s, k) for s in stats)
+        blocks.append(_ground_rule(rule, lookups, constants, len(free_atoms)))
+    network = GroundNetwork(free_atoms, initial, blocks)
+    pruned = {k: sum(getattr(s, k) for s in network.stats)
               for k in ("missing", "tautology", "body_zero", "constant")}
     log.info("grounded %d rules over %d free atoms (pruned: %s)",
              len(network.rules), len(free_atoms), pruned)

@@ -7,7 +7,8 @@ in its compiled arrays.  Tests compare the array grounder's compiled arrays,
 rules (through ``as_rule``) and prune counts against the network this builds.
 ``compile_rules`` is the reference for the arrays: it compiles a list of
 ``GroundRule`` objects one literal at a time, and ``network_of`` builds a
-``GroundNetwork`` from hand-built rules with it.
+``GroundNetwork`` from hand-built rules with it, one rule block per source
+rule.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from polyscale.pslengine import (
     PslProgram,
     RelationalDatabase,
     Rule,
+    RuleBlock,
     RuleStats,
     _check_arities,
     _Compiled,
@@ -96,9 +98,15 @@ def compile_rules(rules: Sequence[GroundRule], n_free: int) -> _Compiled:
 
 def network_of(free_atoms: Sequence[Atom], initial, rules: Sequence[GroundRule],
                stats: Sequence[RuleStats] = ()) -> GroundNetwork:
-    """A network of hand-built ground rules, compiled by ``compile_rules``."""
-    return GroundNetwork(free_atoms, initial, compile_rules(rules, len(free_atoms)),
-                         rules, stats)
+    """A network of hand-built ground rules, compiled by ``compile_rules``:
+    one block per entry of ``stats``, holding the next ``rows`` rules, or
+    without ``stats`` one block of every rule with nothing pruned."""
+    blocks, start = [], 0
+    for block_stats in stats or [RuleStats(len(rules), 0, 0, 0, 0)]:
+        block = rules[start : start + block_stats.rows]
+        blocks.append(RuleBlock(compile_rules(block, len(free_atoms)), block, block_stats))
+        start += block_stats.rows
+    return GroundNetwork(free_atoms, initial, blocks)
 
 
 def _binder_pools(program: PslProgram, db: RelationalDatabase):

@@ -76,6 +76,8 @@ def assert_matches_reference(program, db):
     assert list(network.rules) == [as_rule(rule) for rule in reference.rules]
     assert network.free_atoms == reference.free_atoms
     assert network.initial.tobytes() == reference.initial.tobytes()
+    n = len(network.free_atoms)  # each block scores on its own over every free atom
+    assert [b.compiled.n_free for b in network.blocks] == [n] * len(program.rules)
     return network
 
 
@@ -141,17 +143,23 @@ def ground_or_reject(program, db):
         assume(False)
 
 
+def assert_same_rows(got, want):
+    """Two networks' arrays are equal byte for byte, and so are the merged
+    rows the solver runs on."""
+    for got_arrays, want_arrays in [(got.compiled, want.compiled),
+                                    (got.compiled.merged(), want.compiled.merged())]:
+        for name in ARRAYS:
+            a, b = getattr(got_arrays, name), getattr(want_arrays, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+
+
 def assert_select_matches_ground(network, program, db, indices):
     """A cut of ``network`` equals grounding the selected rules alone, and so
     do the merged rows the solver runs on."""
     cut = network.select(indices)
     want = ground(program.subset(indices), db)
-    for got_arrays, want_arrays in [(cut.compiled, want.compiled),
-                                    (cut.compiled.merged(), want.compiled.merged())]:
-        for name in ARRAYS:
-            a, b = getattr(got_arrays, name), getattr(want_arrays, name)
-            assert a.dtype == b.dtype, name
-            assert a.tobytes() == b.tobytes(), name
+    assert_same_rows(cut, want)
     assert cut.stats == want.stats
     assert list(cut.rules) == list(want.rules)
     assert cut.free_atoms == want.free_atoms
@@ -208,18 +216,28 @@ def test_rules_sharing_a_join_ground_like_each_rule_alone(groups, db):
 
 
 def with_zero_weight_row(network, exponent):
-    """``network`` with one more row after its others: weight 0, the given
-    exponent, a constant of 0.5 and no free atom, so it adds 0 to every term."""
+    """``network`` with one more block after its rule blocks, before any
+    prior: one row of weight 0, the given exponent, a constant of 0.5 and no
+    free atom, so it adds 0 to every term."""
     n = len(network.free_atoms)
     row = pslengine._Compiled(np.full(1, 0.5), np.zeros(1), np.full(1, exponent),
                               np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), n)
-    return pslengine.GroundNetwork(network.free_atoms, network.initial.copy(),
-                                   pslengine._concat([network.compiled, row], n),
-                                   network.rules, network.stats)
+    block = pslengine.RuleBlock(row, (), pslengine.RuleStats(1, 0, 0, 0, 0))
+    return pslengine.GroundNetwork(network.free_atoms, network.initial,
+                                   network.blocks + (block,), network.prior)
 
 
 def float_bits(value):
     return np.float64(value).tobytes()
+
+
+def assert_same_map(one, other):
+    """Two MAP results are equal bit for bit, level by level."""
+    assert one.values.tobytes() == other.values.tobytes()
+    assert float_bits(one.energy) == float_bits(other.energy)
+    assert (one.iterations, one.converged) == (other.iterations, other.converged)
+    assert [(level.mu, level.iterations, float_bits(level.energy)) for level in one.levels] \
+        == [(level.mu, level.iterations, float_bits(level.energy)) for level in other.levels]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -234,7 +252,7 @@ def test_squared_only_networks_score_like_the_general_path(program_rules, db, pr
                                              for r in program_rules])
     network = ground_or_reject(program, db)
     if prior:
-        network.add_prior(prior)
+        network = network.with_prior(prior)
     fast, general = with_zero_weight_row(network, 2), with_zero_weight_row(network, 1)
     assert fast.compiled._weights_by_exponent[1] is None
     assert general.compiled._weights_by_exponent[1] is not None
@@ -250,12 +268,7 @@ def test_squared_only_networks_score_like_the_general_path(program_rules, db, pr
                 float_bits(other.smoothed_energy_at(u, mu))
             assert one.smoothed_gradient_at(u, mu).tobytes() == \
                 other.smoothed_gradient_at(u, mu).tobytes()
-    one, other = map_inference(fast), map_inference(general)
-    assert one.values.tobytes() == other.values.tobytes()
-    assert float_bits(one.energy) == float_bits(other.energy)
-    assert (one.iterations, one.converged) == (other.iterations, other.converged)
-    assert [(level.mu, level.iterations, float_bits(level.energy)) for level in one.levels] \
-        == [(level.mu, level.iterations, float_bits(level.energy)) for level in other.levels]
+    assert_same_map(map_inference(fast), map_inference(general))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -306,7 +319,7 @@ def assert_merged_like_a_dict_of_rows(full):
 def test_merged_rows_sum_equal_rows_and_keep_the_energy(program_rules, db, prior, data):
     network = ground_or_reject(PslProgram(dict(PREDICATES), program_rules), db)
     if prior:
-        network.add_prior(prior)
+        network = network.with_prior(prior)
     full, merged = network.compiled, assert_merged_like_a_dict_of_rows(network.compiled)
     n = len(network.free_atoms)
     x = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
@@ -351,7 +364,7 @@ def test_random_networks_solve_like_the_reference_loop(program_rules, db, prior,
                                                         max_iterations):
     network = ground_or_reject(PslProgram(dict(PREDICATES), program_rules), db)
     if prior:
-        network.add_prior(prior)
+        network = network.with_prior(prior)
     config = None if max_iterations is None else SolverConfig(max_iterations=max_iterations)
     assert_map_matches_reference(network, config)
 
@@ -507,7 +520,9 @@ def planted_db():
 def without(db, predicate):
     """A copy of ``db`` without the observations of one predicate."""
     out = RelationalDatabase()
-    out.observations = {a: v for a, v in db.observations.items() if a[0] != predicate}
+    for (name, args), value in db.observations.items():
+        if name != predicate:
+            out.observe(name, args, value)
     out.targets = dict(db.targets)
     return out
 
@@ -556,9 +571,39 @@ def test_selections_with_an_empty_block_match(planted_db, indices):
     assert sum(s.rows for s in cut.stats) == len(cut.rules)
 
 
+@pytest.mark.parametrize("indices", PREFIXES + [[13, 2, 7], [4, 4], []])
+def test_a_cut_with_a_prior_equals_grounding_the_subset_with_it(planted_db, indices):
+    """The cut's rows are concatenated once, with the prior's, on the first
+    read of ``compiled``, which comes after ``with_prior``."""
+    program = default_program()
+    cut = ground(program, planted_db).select(indices)
+    assert "compiled" not in vars(cut)
+    got = cut.with_prior(0.5)
+    want = ground(program.subset(indices), planted_db).with_prior(0.5)
+    assert_same_rows(got, want)
+    assert len(got) == len(want) == len(got.rules) + 2 * len(planted_db.targets)
+    assert "compiled" not in vars(cut) and cut.prior is None
+
+
+def test_a_second_prior_is_refused(planted_db):
+    network = ground(default_program(), planted_db).with_prior(1.0)
+    with pytest.raises(ValueError, match="prior rows"):
+        network.with_prior(1.0)
+
+
+def test_calibrating_twice_leaves_the_callers_network_as_it_was(planted_db):
+    program = default_program()
+    network = ground(program, planted_db)
+    config = CalibrationConfig(prior_weight=1.0)
+    first, second = (calibrate(planted_db, program, network=network, config=config)
+                     for _ in range(2))
+    assert network.prior is None
+    assert_same_map(first.map_result, second.map_result)
+
+
 def test_select_refuses_a_network_with_prior_rows(planted_db):
     network = ground(default_program(), planted_db)
-    network.add_prior(1.0)
+    network = network.with_prior(1.0)
     with pytest.raises(ValueError, match="prior"):
         network.select([0])
 
@@ -572,9 +617,8 @@ def test_calibrate_refuses_a_network_of_another_program_or_database(planted_db):
     del other.targets[next(iter(other.targets))]
     with pytest.raises(ValueError, match="not grounded from this program"):
         calibrate(other, program, network=network)
-    calibrate(planted_db, program, network=network, config=CalibrationConfig(prior_weight=1.0))
     with pytest.raises(ValueError, match="prior rows"):
-        calibrate(planted_db, program, network=network)
+        calibrate(planted_db, program, network=network.with_prior(1.0))
 
 
 @pytest.mark.parametrize("prefix", range(len(ABLATION_ORDER)))
@@ -594,13 +638,13 @@ def test_calibrating_a_cut_equals_grounding_the_prefix(planted_db, prefix):
 @pytest.mark.parametrize("prefix", range(len(ABLATION_ORDER)))
 def test_prefix_networks_solve_like_the_reference_loop(planted_db, prefix):
     network = ground(default_program(), planted_db).select(PREFIXES[prefix])
-    network.add_prior(1.0)
+    network = network.with_prior(1.0)
     assert_map_matches_reference(network)
 
 
 def test_merging_the_planted_network_with_its_prior(planted_db):
     network = ground(default_program(), planted_db)
-    network.add_prior(1.0)
+    network = network.with_prior(1.0)
     merged = assert_merged_like_a_dict_of_rows(network.compiled)
     assert len(merged.consts) < len(network.compiled.consts) / 2
 
@@ -608,7 +652,7 @@ def test_merging_the_planted_network_with_its_prior(planted_db):
 @pytest.fixture(scope="module")
 def full_map(planted_db):
     network = ground(default_program(), planted_db)
-    network.add_prior(1.0)
+    network = network.with_prior(1.0)
     return network, map_inference(network)
 
 
@@ -688,7 +732,7 @@ def test_prior_on_an_empty_program_still_pulls():
     db = db_of(targets=[("pos", ("a",))])
     db.add_target("pos", ("b",), 0.8)
     network = ground(PslProgram({"pos": Predicate("pos", 1, False)}, []), db)
-    network.add_prior(2.0)
+    network = network.with_prior(2.0)
     assert len(network.rules) == 0 and len(network) == 4
     result = map_inference(network)
     assert result.values.tolist() == [0.5, 0.8]
@@ -698,7 +742,7 @@ def test_prior_on_an_empty_program_still_pulls():
 def test_nonconverged_map_warns(planted_db, caplog):
     with caplog.at_level(logging.WARNING, logger="polyscale.calibration"):
         result = calibrate(planted_db, solver_config=SolverConfig(max_iterations=1))
-    assert not result.map_result.converged
+    assert result.map_result.converged is False
     warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert any("converg" in m and "1 iteration" in m for m in warned)
 

@@ -99,7 +99,7 @@ def test_carried_codes_merge_like_the_table(drawn, db, prior, data):
     cut = network.select(indices)
     assert_merges_alike(cut.compiled)
     if prior:
-        cut.add_prior(prior)
+        cut = cut.with_prior(prior)
         assert_merges_alike(cut.compiled)
 
 
@@ -121,5 +121,5 @@ def test_rows_tying_across_blocks_and_with_the_prior_merge_like_the_table():
                           ([2, 0], (2, 5)), ([1, 1], (2, 6))]:
         cut = network.select(indices)
         assert len(assert_merges_alike(cut.compiled).consts) == rows[0]
-        cut.add_prior(1.0)
+        cut = cut.with_prior(1.0)
         assert len(assert_merges_alike(cut.compiled).consts) == rows[1]
