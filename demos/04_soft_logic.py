@@ -15,6 +15,7 @@ from polyscale.pslengine import (
     map_inference,
     parse_program,
     print_program,
+    rule_text,
 )
 
 program_text = """
@@ -52,12 +53,7 @@ x0 = network.initial.copy()
 distances = np.maximum(network.compiled.linear(x0), 0.0)
 print("\ndistances at the start (value 0.5 everywhere):")
 for rule, d in zip(network.rules, distances):
-    body = " & ".join(
-        ("!" if l.negated else "") + f"{l.predicate}{l.args}" for l in rule.body
-    )
-    head = ("!" if rule.head.negated else "") + \
-        f"{rule.head.predicate}{rule.head.args}"
-    print(f"  {rule.weight:.1f} ^{rule.exponent} : {body} -> {head}   d={d:.3f}")
+    print(f"  {rule_text(rule)}   d={d:.3f}")
 
 result = map_inference(network)
 print(f"\nMAP inference: energy {result.energy:.6f}, "

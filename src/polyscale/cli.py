@@ -240,9 +240,14 @@ def _cmd_predict(args) -> int:
 
 
 def _load_atoms(path):
+    """A database of an atoms file's ``obs`` and ``target`` lines.  Targets are
+    added line by line; each predicate's observations are written in one
+    ``observe_many`` batch after the whole file is read."""
     from .pslengine import RelationalDatabase
 
     db = RelationalDatabase()
+    constants: dict[str, int] = {}  # by first appearance in an obs line
+    observed: dict[tuple[str, int], tuple[list, list]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -257,7 +262,10 @@ def _load_atoms(path):
                     value = float(fields[-1])
                 except ValueError:
                     raise ValueError(f"{where}: bad value {fields[-1]!r}") from None
-                db.observe(fields[1], fields[2:-1], value)
+                args = fields[2:-1]
+                rows, values = observed.setdefault((fields[1], len(args)), ([], []))
+                rows.append([constants.setdefault(a, len(constants)) for a in args])
+                values.append(value)
             elif fields[0] == "target":
                 if len(fields) < 3:
                     raise ValueError(f"{where}: target needs predicate and arguments")
@@ -274,6 +282,9 @@ def _load_atoms(path):
                 db.add_target(atom_fields[0], atom_fields[1:], initial)
             else:
                 raise ValueError(f"{where}: lines must start with obs or target")
+    names = list(constants)
+    for (predicate, _), (rows, values) in observed.items():
+        db.observe_many(predicate, names, rows, values)
     return db
 
 

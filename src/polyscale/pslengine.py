@@ -28,17 +28,18 @@ rows with equal rows merged.
 
 Grounding works on arrays, as database joins that produce hinge rows.  The
 database stores each predicate's observations as one column of constant ids
-and values, in insertion order; grounding re-codes the constants in sorted
-order and reads each column whole, never an atom at a time.  A rule's
-binding literals are joined by sort-and-search equi-joins on the variables
-already bound, all literals of all candidate rows are looked up at once,
-exact prunes apply as masks, and the kept rows are written straight into the
-flat arrays the solver uses (one row per ground rule: a constant, a weight,
-an exponent, and (row, free atom, coefficient) entries, plus the row's merge
-codes).  Rules whose literals match up to the negation of open literals,
-such as a rule and its twin over negated ``pos`` atoms, share one join and
-one lookup per literal; each applies its own prunes and writes its own
-rows.  A ground rule is a ``Rule`` over constants, built only when a
+and values, in insertion order, written only in checked batches
+(``observe_many``; ``observe`` is a batch of one); grounding re-codes the
+constants in sorted order and reads each column whole, never an atom at a
+time.  A rule's binding literals are joined by sort-and-search equi-joins on
+the variables already bound, all literals of all candidate rows are looked up
+at once, exact prunes apply as masks, and the kept rows are written straight
+into the flat arrays the solver uses (one row per ground rule: a constant, a
+weight, an exponent, and (row, free atom, coefficient) entries, plus the
+row's merge codes).  Rules whose literals match up to the negation of open
+literals, such as a rule and its twin over negated ``pos`` atoms, share one
+join and one lookup per literal; each applies its own prunes and writes its
+own rows.  A ground rule is a ``Rule`` over constants, built only when a
 caller reads ``GroundNetwork.rules``.  The energy, and the smoothed energy
 and gradient that MAP descends, are computed from those arrays alone; the
 reference that compiles hand-built ground rules into them lives in the tests
@@ -294,69 +295,30 @@ def rule_text(rule: Rule) -> str:
     return f"{rule.weight!r} : {body} -> {rule.head}{suffix}"
 
 
-class _Column:
-    """One predicate's observed atoms of one arity, in insertion order: an
-    (atoms, arity) array of ids into the database's constants, and values."""
-
-    def __init__(self, arity: int):
-        self.arity = arity
-        self.ids = np.empty((0, arity), dtype=np.int64)
-        self.values = np.empty(0)
-        self._pending: list[tuple[tuple[int, ...], float]] = []  # single atoms
-        self._index: dict[tuple[int, ...], float] | None = None
-
-    def __len__(self):
-        return len(self.ids) + len(self._pending)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._pending:
-            ids, values = zip(*self._pending)
-            self.ids = np.concatenate([
-                self.ids, np.array(ids, dtype=np.int64).reshape(len(ids), self.arity)])
-            self.values = np.concatenate([self.values, values])
-            self._pending = []
-        return self.ids, self.values
-
-    def index(self) -> dict[tuple[int, ...], float]:
-        """Each atom's value by its id tuple, built on first use."""
-        if self._index is None:
-            ids, values = self.arrays()
-            self._index = dict(zip(map(tuple, ids.tolist()), values.tolist()))
-        return self._index
-
-    def append(self, ids: tuple[int, ...], value: float) -> None:
-        self._pending.append((ids, value))
-        if self._index is not None:
-            self._index[ids] = value
-
-    def extend(self, ids: np.ndarray, values: np.ndarray) -> None:
-        old_ids, old_values = self.arrays()
-        self.ids = np.concatenate([old_ids, ids])
-        self.values = np.concatenate([old_values, values])
-        self._index = None
-
-
 class _Observations(Mapping):
     """A database's observed atoms and their values, read-only: predicate by
-    predicate, each in insertion order."""
+    predicate, each in insertion order.  A read looks the atom up in its
+    column's dict, built on the column's first read since its last write."""
 
     def __init__(self, db: "RelationalDatabase"):
         self._db = db
 
     def __len__(self):
-        return self._db._size
+        return sum(len(values) for _, values in self._db._columns.values())
 
     def __iter__(self):
         names = self._db.constants
-        for (predicate, _), column in self._db._columns.items():
-            for row in column.arrays()[0].tolist():
+        for (predicate, _), (ids, _) in self._db._columns.items():
+            for row in ids.tolist():
                 yield predicate, tuple(names[i] for i in row)
 
     def __getitem__(self, atom: Atom) -> float:
         predicate, args = atom
-        column = self._db._columns.get((predicate, len(args)))
-        ids = tuple(self._db._ids.get(a, -1) for a in args)
-        value = None if column is None else column.index().get(ids)
+        key = (predicate, len(args))
+        if key not in self._db._indexes:
+            ids, values = self._db.column(*key)
+            self._db._indexes[key] = dict(zip(map(tuple, ids.tolist()), values.tolist()))
+        value = self._db._indexes[key].get(tuple(self._db._ids.get(a, -1) for a in args))
         if value is None:
             raise KeyError(atom)
         return value
@@ -369,28 +331,26 @@ class RelationalDatabase:
     Each atom may be observed once, or be a target, never both.
 
     Observations are stored as one column per predicate (and arity), in
-    insertion order: each atom's arguments as ids into ``constants``, and its
-    value.  ``observe`` appends one atom; ``observe_many`` appends a batch of
-    atoms of one predicate with array checks, and ``ground`` reads the
-    columns as they are.  ``observations`` is a read-only mapping from atom
-    to value over the columns.  ``targets`` is a dict from atom to initial
-    value (None for the default 0.5), in insertion order.
+    insertion order: an (atoms, arity) array of each atom's arguments as ids
+    into ``constants``, and an array of values.  ``observe_many`` is the one
+    write path: it checks a batch of atoms of one predicate with arrays and
+    replaces that predicate's column with the longer one; ``observe`` is a
+    batch of one.  ``ground`` reads the columns as they are.
+    ``observations`` is a read-only mapping from atom to value over the
+    columns.  ``targets`` is a dict from atom to initial value (None for the
+    default 0.5), in insertion order.
     """
 
     def __init__(self):
         self.constants: list[str] = []  # by id
         self._ids: dict[str, int] = {}
-        self._columns: dict[tuple[str, int], _Column] = {}
-        self._size = 0
+        self._columns: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._indexes: dict[tuple[str, int], dict[tuple[int, ...], float]] = {}
         self.targets: dict[Atom, float | None] = {}
 
     @property
     def observations(self) -> Mapping[Atom, float]:
         return _Observations(self)
-
-    @staticmethod
-    def _atom(predicate: str, args: Sequence[str]) -> Atom:
-        return (predicate, tuple(str(a) for a in args))
 
     def _id(self, name: str) -> int:
         i = self._ids.get(name)
@@ -402,31 +362,22 @@ class RelationalDatabase:
     def column(self, predicate: str, arity: int) -> tuple[np.ndarray, np.ndarray]:
         """The observed atoms of ``predicate`` with ``arity`` arguments, in
         insertion order: (atoms, arity) ids into ``constants``, and values."""
-        column = self._columns.get((predicate, arity))
-        if column is None:
-            return np.empty((0, arity), dtype=np.int64), np.empty(0)
-        return column.arrays()
+        return self._columns.get((predicate, arity)) or (
+            np.empty((0, arity), dtype=np.int64), np.empty(0))
 
     def observe(self, predicate: str, args: Sequence[str], value: float) -> None:
-        value = float(value)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"atom value must be in [0, 1], got {value}")
-        atom = self._atom(predicate, args)
-        if atom in self.observations:
-            raise ValueError(f"atom {atom} observed twice")
-        if atom in self.targets:
-            raise ValueError(f"atom {atom} is already a target")
-        arity = len(atom[1])
-        column = self._columns.setdefault((predicate, arity), _Column(arity))
-        column.append(tuple(self._id(a) for a in atom[1]), value)
-        self._size += 1
+        """Observe ``predicate(*args)`` with ``value``.  Each call is a batch of
+        one for ``observe_many`` and costs a pass over the predicate's column,
+        so bulk loads should call ``observe_many``."""
+        self.observe_many(predicate, args, [range(len(args))], value)
 
     def observe_many(self, predicate: str, constants: Sequence[str], args,
                      values) -> None:
         """Observe ``predicate(constants[args[i, 0]], constants[args[i, 1]], ...)``
         with value ``values[i]`` for each row i of the (atoms, arity) index
-        array ``args``, in row order; one value stands for all.  The checks of
-        ``observe`` apply to the whole batch before any atom is stored."""
+        array ``args``, in row order; one value stands for all.  Refuses the
+        whole batch before any atom is stored if a value lies outside [0, 1],
+        or an atom is observed twice or is already a target."""
         args = np.asarray(args, dtype=np.int64)
         if args.ndim != 2:
             raise ValueError(f"atom arguments must be an (atoms, arity) array, "
@@ -445,24 +396,24 @@ class RelationalDatabase:
         def atom(row: int) -> Atom:
             return predicate, tuple(names[i] for i in args[row])
 
+        if any(name == predicate for name, _ in self.targets):
+            for row in range(len(args)):
+                if atom(row) in self.targets:
+                    raise ValueError(f"atom {atom(row)} is already a target")
         ids = np.array([self._id(c) for c in names], dtype=np.int64)[args]
-        old, _ = self.column(predicate, args.shape[1])
+        key = (predicate, args.shape[1])
+        old, old_values = self.column(*key)
         keys = np.concatenate(_joint_keys(old, ids, max(len(self.constants), 1)))
         _, first = np.unique(keys, return_index=True)
         if len(first) < len(keys):
             again = np.ones(len(keys), dtype=bool)
             again[first] = False
             raise ValueError(f"atom {atom(np.flatnonzero(again)[0] - len(old))} observed twice")
-        if any(name == predicate for name, _ in self.targets):
-            for row in range(len(args)):
-                if atom(row) in self.targets:
-                    raise ValueError(f"atom {atom(row)} is already a target")
-        arity = args.shape[1]
-        self._columns.setdefault((predicate, arity), _Column(arity)).extend(ids, values)
-        self._size += len(args)
+        self._columns[key] = (np.concatenate([old, ids]), np.concatenate([old_values, values]))
+        self._indexes.pop(key, None)
 
     def add_target(self, predicate: str, args: Sequence[str], initial: float | None = None) -> None:
-        atom = self._atom(predicate, args)
+        atom = (predicate, tuple(str(a) for a in args))
         if atom in self.targets:
             raise ValueError(f"duplicate target {atom}")
         if atom in self.observations:
@@ -750,10 +701,10 @@ def _concat(parts: Sequence[_Compiled], n_free: int) -> _Compiled:
 
 
 def _check_arities(program: PslProgram, db: RelationalDatabase):
-    for (name, arity), column in db._columns.items():
+    for (name, arity), (ids, _) in db._columns.items():
         pred = program.predicates.get(name)
-        if pred is not None and pred.arity != arity and len(column):
-            first = tuple(db.constants[i] for i in column.arrays()[0][0])
+        if pred is not None and pred.arity != arity:
+            first = tuple(db.constants[i] for i in ids[0])
             raise GroundingError(
                 f"atom {(name, first)} does not match declared arity {pred.arity} of {name}"
             )

@@ -239,6 +239,24 @@ class TestGroundInfer:
         assert code == 2
         assert ":1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, named", [
+        ("obs Friend a b 1.0\nobs Friend a b 0.5\n", "('Friend', ('a', 'b')) observed twice"),
+        # obs lines are stored after the whole file is read, so the target
+        # comes first and the obs line is the one refused
+        ("obs pos a 0.5\ntarget pos a\n", "('pos', ('a',)) is already a target"),
+        ("target pos a\nobs pos a 0.5\n", "('pos', ('a',)) is already a target"),
+        ("obs Anchor a 1.5\n", "got 1.5"),
+        ("obs Anchor a nan\n", "got nan"),
+    ], ids=["twice", "obs-then-target", "target-then-obs", "above-one", "nan"])
+    def test_refused_atoms_are_usage_errors(self, logic_files, tmp_path, capsys, lines,
+                                            named):
+        atoms = tmp_path / "refused.txt"
+        atoms.write_text(lines, encoding="utf-8")
+        code = main(["infer", "--rules", str(logic_files / "rules.psl"),
+                     "--atoms", str(atoms)])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
     def test_unknown_line_kind_rejected(self, logic_files, tmp_path):
         atoms = tmp_path / "broken.txt"
         atoms.write_text("fact Friend a b 1.0\n", encoding="utf-8")

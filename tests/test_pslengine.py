@@ -407,6 +407,29 @@ class TestDatabase:
         with pytest.raises(ValueError, match="already observed"):
             db.add_target("L", ("m2", "m1"))
 
+    def test_reads_see_each_write_to_a_column_they_have_read(self):
+        db = RelationalDatabase()
+        names = ["a", "b", "c"]
+        db.observe_many("L", names, [[0, 1]], 0.5)
+        assert ("A", ("a",)) not in db.observations
+        db.observe("A", ("a",), 1.0)
+        assert db.observations["L", ("a", "b")] == 0.5
+        assert db.observations["A", ("a",)] == 1.0
+        db.observe_many("L", names, [[1, 2]], 0.25)
+        assert db.observations["L", ("b", "c")] == 0.25
+        assert ("L", ("b", "c")) in db.observations
+        assert len(db.observations) == 3
+        db.observe("L", ("c", "a"), 1.0)
+        assert db.observations["L", ("c", "a")] == 1.0
+        assert ("L", ("c", "a")) in db.observations
+        assert len(db.observations) == 4
+        assert db.observations["L", ("a", "b")] == 0.5
+        assert db.observations["A", ("a",)] == 1.0
+        assert ("A", ("b",)) not in db.observations
+        assert ("L", ("a", "c")) not in db.observations
+        assert dict(db.observations) == {("L", ("a", "b")): 0.5, ("L", ("b", "c")): 0.25,
+                                         ("L", ("c", "a")): 1.0, ("A", ("a",)): 1.0}
+
 
 class TestGrounding:
     def pairwise_program(self):
