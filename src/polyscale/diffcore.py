@@ -21,8 +21,10 @@ row in the node's padded scan, where padding trails every sequence in both
 directions.  Both directions' input projections are one stacked matmul;
 the two recurrences run in one numpy scan over stacked (2, batch, hidden)
 states, and backpropagation through time runs in one reversed scan inside
-the node's vector-Jacobian product.  The per-direction and per-step
-reference paths live in the tests (``tests/reference_lstm.py``).
+the node's vector-Jacobian product.  The scan keeps its gate
+pre-activations gate-major, so each gate of a step is one contiguous
+(2, batch, hidden) block for the elementwise ops.  The per-direction and
+per-step reference paths live in the tests (``tests/reference_lstm.py``).
 
 ``ParameterStore`` keeps every parameter value in one flat buffer and every
 gradient in another; each tensor's arrays are views of its segment.
@@ -266,8 +268,12 @@ def bilstm_batch(
 
     Inside, the node scans the layout's slots: every state array is
     (2, B, n), and the recurrent products of both directions are one stacked
-    matmul.  Padding trails every sequence in both directions, so a
-    final-only node's gradient enters the scan at each sequence's last slot,
+    matmul.  A slot's gate pre-activations are (4, 2, B, n), gate-major, so
+    the activations and the cell and state updates run on whole gate blocks;
+    the products keep their gate-last operands and are added or read
+    through transposed views, so the layout moves no bits.  Padding trails
+    every sequence in both directions, so a final-only node's gradient
+    enters the scan at each sequence's last slot,
     and the padded slots, which run on zero inputs, get no gradient.  The
     input projections ``x @ Wx + b`` of both directions are one stacked
     matmul ahead of the scan.  The backward pass does backpropagation
@@ -307,10 +313,12 @@ def bilstm_batch(
     wh = wb[:, width:-1]
     proj = np.matmul(xt, wb[:, :width])
     proj += wb[:, -1:]
-    proj = proj.reshape(2, steps, batch, 4 * n)
-    acts = np.empty((steps, 2, batch, 4 * n))  # sigmoid i, f, o then tanh g
-    acts[:, 0] = proj[0]
-    acts[:, 1] = proj[1][mirror]  # the input projection, in slot order
+    proj = proj.reshape(2, steps, batch, 4, n)
+    # gate-major: acts[s, k] is gate k's (2, B, n) block of slot s, sigmoid
+    # i, f, o then tanh g, so every elementwise op below reads whole blocks
+    acts = np.empty((steps, 4, 2, batch, n))
+    acts[:, :, 0] = proj[0].transpose(0, 2, 1, 3)
+    acts[:, :, 1] = proj[1][mirror].transpose(0, 2, 1, 3)  # in slot order
 
     # index s + 1 holds the state scan slot s ends with, and index 0 the zero
     # state the scan starts from, so the states entering the slots are views
@@ -320,15 +328,14 @@ def bilstm_batch(
     tanh_cells = np.empty((steps, 2, batch, n))  # tanh of each slot's cell, for the gradient
     for s in range(steps):
         a = acts[s]
-        a += hidden[s] @ wh
+        a += (hidden[s] @ wh).reshape(2, batch, 4, n).transpose(2, 0, 1, 3)
         np.tanh(a, out=a)
-        sig = a[..., : 3 * n]
+        sig = a[:3]
         sig *= 0.5
         sig += 0.5
-        c_next = np.multiply(a[..., n : 2 * n], cells[s], out=cells[s + 1])
-        c_next += a[..., :n] * a[..., 3 * n :]
-        np.multiply(np.tanh(c_next, out=tanh_cells[s]), a[..., 2 * n : 3 * n],
-                    out=hidden[s + 1])
+        c_next = np.multiply(a[1], cells[s], out=cells[s + 1])
+        c_next += a[0] * a[3]
+        np.multiply(np.tanh(c_next, out=tanh_cells[s]), a[2], out=hidden[s + 1])
 
     def vjp(g, grads):
         gs = np.zeros((steps, 2, batch, n))  # the output gradient in slot order
@@ -338,24 +345,25 @@ def bilstm_batch(
             gt = step_major(g).reshape(steps, batch, 2 * n)
             gs[:, 0] = gt[..., :n]
             gs[:, 1] = gt[..., n:][mirror]
-        sig = acts[..., : 3 * n]
-        f = acts[..., n : 2 * n]
-        o = acts[..., 2 * n : 3 * n]
-        gg = acts[..., 3 * n :]
+        sig, f, o, gg = acts[:, :3], acts[:, 1], acts[:, 2], acts[:, 3]
         tc = tanh_cells
         out_gain = o * (1.0 - tc * tc)
-        # i, f and o gains: (g, c entering the slot, tanh c) * s * (1 - s)
-        gate_gain = np.empty_like(acts)
-        ifo = np.concatenate((gg, cells[:-1], tc), axis=-1, out=gate_gain[..., : 3 * n])
+        # gate gains, gate-last like the gradient they scale below and written
+        # through a gate-major view; i, f and o: (g, c entering the slot,
+        # tanh c) * s * (1 - s)
+        gate_gain = np.empty((steps, 2, batch, 4 * n))
+        gains = gate_gain.reshape(steps, 2, batch, 4, n).transpose(0, 3, 1, 2, 4)
+        gains[:, 0], gains[:, 1], gains[:, 2] = gg, cells[:-1], tc
+        ifo = gains[:, :3]
         ifo *= sig
         ifo *= 1.0 - sig
-        np.multiply(acts[..., :n], 1.0 - gg * gg, out=gate_gain[..., 3 * n :])
+        np.multiply(acts[:, 0], 1.0 - gg * gg, out=gains[:, 3])
         # the unhalved weights of both directions, transposed, as C-contiguous
         # input and recurrent blocks
         w = np.stack((forward[0].value, backward_params[0].value))
         wx_t = w[:, :width].transpose(0, 2, 1).copy()
         wh_t = w[:, width:].transpose(0, 2, 1).copy()
-        dz = np.empty_like(acts)
+        dz = np.empty((steps, 2, batch, 4 * n))
         dc = dh = np.zeros((2, batch, n))
         for s in range(steps - 1, -1, -1):
             dh = dh + gs[s]

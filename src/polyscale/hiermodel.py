@@ -236,34 +236,36 @@ def _token_ids(vocab: Vocabulary, manifestos: Sequence[Manifesto]) -> tuple[np.n
 
 
 def _encoder_inputs(vocab: Vocabulary, manifestos: Sequence[Manifesto]):
-    """What ``_encode_sentences`` reads of a batch of documents: the
-    ``_token_ids`` of their sentences, the ``ScanLayout`` of the sentences'
-    lengths (the word level) and that of the documents' sentence counts (the
-    sentence level)."""
+    """What the encoder reads of a batch of documents: the ``_token_ids`` of
+    their sentences, the ``ScanLayout`` of the sentences' lengths (the word
+    level, ``_word_vectors``) and that of the documents' sentence counts (the
+    sentence level, ``_sentence_states``)."""
     ids, lengths = _token_ids(vocab, manifestos)
     return ids, dc.ScanLayout(lengths), dc.ScanLayout([len(m.sentences) for m in manifestos])
 
 
-def _encode_sentences(params: HierParams, ids: np.ndarray, words: dc.ScanLayout,
-                      sentences: dc.ScanLayout) -> dc.Tensor:
-    """Sentence states of a batch of documents, (sentences, 2 * sentence_hidden).
+def _lstm(store: dc.ParameterStore, level: str):
+    """The forward and backward (weight, bias) pairs of an LSTM level."""
+    return tuple((store[f"{level}_{d}.weight"], store[f"{level}_{d}.bias"])
+                 for d in ("fwd", "bwd"))
 
-    ``ids``, ``words`` and ``sentences`` are ``_encoder_inputs`` of the
-    documents.  Rows run through the documents in order, each document's
-    sentences in order.  The word level is one LSTM node over every sentence
-    of the batch that returns only its final states, the sentence vectors, in
-    the same order.  The sentence level is one LSTM node over those vectors,
-    one sequence per document, and its states are the result.
-    """
-    store = params.store
+
+def _word_vectors(params: HierParams, ids: np.ndarray,
+                  words: dc.ScanLayout) -> dc.Tensor:
+    """Sentence vectors, (sentences, 2 * word_hidden): one word-level LSTM
+    node over the sentences whose token ``ids`` are packed one sentence after
+    another with lengths ``words``, returning each sentence's final states,
+    in the same order."""
     embedded = dc.gather(params.embedding_tensor(), ids)
+    return dc.bilstm_batch(embedded, *_lstm(params.store, "word"), words, final_only=True)
 
-    def lstm(prefix):
-        return store[f"{prefix}.weight"], store[f"{prefix}.bias"]
 
-    vectors = dc.bilstm_batch(embedded, lstm("word_fwd"), lstm("word_bwd"), words,
-                              final_only=True)
-    return dc.bilstm_batch(vectors, lstm("sent_fwd"), lstm("sent_bwd"), sentences)
+def _sentence_states(params: HierParams, vectors: dc.Tensor,
+                     sentences: dc.ScanLayout) -> dc.Tensor:
+    """Sentence states, (sentences, 2 * sentence_hidden): one sentence-level
+    LSTM node over the ``vectors`` of a batch of documents, one sequence per
+    document with the sentence counts ``sentences``, rows in the same order."""
+    return dc.bilstm_batch(vectors, *_lstm(params.store, "sent"), sentences)
 
 
 class _Softmax(NamedTuple):
@@ -311,7 +313,8 @@ def _heads(store: dc.ParameterStore, states: np.ndarray, counts):
     most sentences, K) array, or as a plain row sum when it is alone (the
     same bits), and its score is its own (1, K) @ (K, 1) dot, so from the
     same states a document gets the same heads in any batch.
-    The states themselves can differ in the last bits between batches: the
+    The states themselves can differ in the last bits between batches, and
+    between the word-level chunks ``predict`` puts a sentence in: the
     encoder's BLAS products pick their summation order by operand shape.
     ``predict`` reads these values; ``document_loss`` makes them one tape
     node with its losses.
@@ -468,7 +471,8 @@ def document_loss(
     """
     config = config or params.config
     inputs = _document_inputs(params, manifesto)
-    states = _encode_sentences(params, inputs.ids, inputs.words, inputs.sentences)
+    states = _sentence_states(params, _word_vectors(params, inputs.ids, inputs.words),
+                              inputs.sentences)
     return _head_loss(params.store, states, inputs.code_labels, inputs.pol_labels,
                       inputs.target, config)
 
@@ -557,15 +561,19 @@ class DocPrediction:
 
 
 # Values in each direction's half of the word-level gate array of one predict
-# batch (~512 KB a half): padded word slots times 4 * word_hidden.  Larger
-# batches add little speed and hold more memory at once.
+# chunk of sentences (~512 KB a half): padded word slots times 4 * word_hidden.
+# ``predict`` cuts its word-level chunks (``_word_chunks``) and its batches of
+# documents (``_predict_batches``) by it.  Larger chunks add little speed and
+# hold more memory at once.
 _BATCH_VALUES = 1 << 16
 
 
 def _predict_batches(manifestos: Sequence[Manifesto], word_hidden: int) -> list[list[Manifesto]]:
     """Consecutive runs of documents whose padded word slots (sentences times
     the longest sentence) times 4 * word_hidden stay within ``_BATCH_VALUES``.
-    A document over the budget on its own is a batch of one."""
+    A document over the budget on its own is a batch of one.  ``predict``
+    runs the sentence level and the heads per batch; the word level runs in
+    ``_word_chunks`` of all the documents' sentences."""
     batches: list[list[Manifesto]] = []
     rows = longest = 0
     for manifesto in manifestos:
@@ -580,22 +588,73 @@ def _predict_batches(manifestos: Sequence[Manifesto], word_hidden: int) -> list[
     return batches
 
 
+def _word_chunks(lengths: np.ndarray, word_hidden: int) -> list[np.ndarray]:
+    """The sentence indices, sorted by ``lengths`` longest first (stably) and
+    cut into runs whose padded word slots (sentences times the first's
+    length) times 4 * word_hidden stay within ``_BATCH_VALUES``.  A sentence
+    over the budget on its own is a chunk of one.  Sorting keeps the padding
+    of each chunk small."""
+    order = np.argsort(-lengths, kind="stable")
+    chunks, lo = [], 0
+    while lo < len(order):
+        size = max(1, _BATCH_VALUES // (int(lengths[order[lo]]) * 4 * word_hidden))
+        chunks.append(order[lo : lo + size])
+        lo += size
+    return chunks
+
+
 def predict(params: HierParams, docs: Corpus | Sequence[Manifesto]) -> list[DocPrediction]:
-    """Score documents in batches (see ``_predict_batches``), in input order."""
+    """Score documents, in input order.
+
+    The word level runs over every sentence of the documents at once
+    (``_chunked_word_vectors``), so a sentence is padded only to the longest
+    of its length-sorted chunk.  The sentence level and the heads then run
+    per ``_predict_batches`` batch of documents, on operands of the shapes
+    they would have if the batch ran alone.
+    """
     manifestos = docs.manifestos if isinstance(docs, Corpus) else tuple(docs)
+    batches = _predict_batches(manifestos, params.config.word_hidden)
+    if not batches:
+        return []
+    vectors = _chunked_word_vectors(params, *_token_ids(params.vocab, manifestos))
     out: list[DocPrediction] = []
-    for batch in _predict_batches(manifestos, params.config.word_hidden):
-        out += _predict_batch(params, batch)
+    lo = 0
+    for batch in batches:
+        counts = [len(m.sentences) for m in batch]
+        hi = lo + sum(counts)
+        out += _predict_batch(params, batch, counts, vectors[lo:hi])
+        lo = hi
     return out
 
 
-def _predict_batch(params: HierParams, batch: Sequence[Manifesto]) -> list[DocPrediction]:
-    """The encoder and ``_heads`` over the batch; its tape is freed on return,
-    before the next batch is built."""
+def _chunked_word_vectors(params: HierParams, ids: np.ndarray, lengths: list[int]) -> np.ndarray:
+    """The ``_word_vectors`` of sentences with these ``_token_ids``, one
+    word-level node per ``_word_chunks`` chunk, as rows in sentence order."""
+    hidden = params.config.word_hidden
+    lengths = np.array(lengths, dtype=np.intp)
+    chunks = _word_chunks(lengths, hidden)
+    # every sentence's run of ids, moved from where it starts in ``ids`` to
+    # where it starts in chunk order
+    order = np.concatenate(chunks)
+    runs = lengths[order]
+    shift = (np.cumsum(lengths) - lengths)[order] - (np.cumsum(runs) - runs)
+    tokens = ids[np.repeat(shift, runs) + np.arange(len(ids))]
+    vectors = np.empty((len(lengths), 2 * hidden))
+    lo = 0
+    for chunk in chunks:
+        hi = lo + int(lengths[chunk].sum())
+        vectors[chunk] = _word_vectors(params, tokens[lo:hi], dc.ScanLayout(lengths[chunk])).value
+        lo = hi
+    return vectors
+
+
+def _predict_batch(params: HierParams, batch: Sequence[Manifesto], counts: list[int],
+                   vectors: np.ndarray) -> list[DocPrediction]:
+    """The sentence level and ``_heads`` over the batch, whose documents have
+    ``counts`` sentences with these sentence ``vectors``."""
     scheme = params.scheme
-    counts = [len(m.sentences) for m in batch]
     bounds = np.cumsum([0] + counts)
-    states = _encode_sentences(params, *_encoder_inputs(params.vocab, batch))
+    states = _sentence_states(params, dc.constant(vectors), dc.ScanLayout(counts))
     code, pol, doc_vectors, scores = _heads(params.store, states.value, counts)
     codes = np.argmax(code.probs, axis=1)
     pols = np.argmax(pol.probs, axis=1)

@@ -338,7 +338,8 @@ class RelationalDatabase:
     batch of one.  ``ground`` reads the columns as they are.
     ``observations`` is a read-only mapping from atom to value over the
     columns.  ``targets`` is a dict from atom to initial value (None for the
-    default 0.5), in insertion order.
+    default 0.5), in insertion order, grown by ``add_target``; a dict
+    assigned to ``targets`` replaces it whole.
     """
 
     def __init__(self):
@@ -346,18 +347,24 @@ class RelationalDatabase:
         self._ids: dict[str, int] = {}
         self._columns: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
         self._indexes: dict[tuple[str, int], dict[tuple[int, ...], float]] = {}
-        self.targets: dict[Atom, float | None] = {}
+        self._targets: dict[Atom, float | None] = {}
+        # the predicates of the targets, which ``observe_many`` checks each
+        # batch against; a target deleted from ``targets`` may leave its
+        # predicate here, which costs only the per-atom check
+        self._target_predicates: set[str] = set()
+
+    @property
+    def targets(self) -> dict[Atom, float | None]:
+        return self._targets
+
+    @targets.setter
+    def targets(self, targets: dict[Atom, float | None]) -> None:
+        self._targets = targets
+        self._target_predicates = {name for name, _ in targets}
 
     @property
     def observations(self) -> Mapping[Atom, float]:
         return _Observations(self)
-
-    def _id(self, name: str) -> int:
-        i = self._ids.get(name)
-        if i is None:
-            i = self._ids[name] = len(self.constants)
-            self.constants.append(name)
-        return i
 
     def column(self, predicate: str, arity: int) -> tuple[np.ndarray, np.ndarray]:
         """The observed atoms of ``predicate`` with ``arity`` arguments, in
@@ -396,19 +403,26 @@ class RelationalDatabase:
         def atom(row: int) -> Atom:
             return predicate, tuple(names[i] for i in args[row])
 
-        if any(name == predicate for name, _ in self.targets):
+        if predicate in self._target_predicates:
             for row in range(len(args)):
                 if atom(row) in self.targets:
                     raise ValueError(f"atom {atom(row)} is already a target")
-        ids = np.array([self._id(c) for c in names], dtype=np.int64)[args]
+        # the ids the batch's new constants get once it is accepted
+        new: dict[str, int] = {}
+        for c in names:
+            if c not in self._ids and c not in new:
+                new[c] = len(self.constants) + len(new)
+        ids = np.array([self._ids.get(c, new.get(c)) for c in names], dtype=np.int64)[args]
         key = (predicate, args.shape[1])
         old, old_values = self.column(*key)
-        keys = np.concatenate(_joint_keys(old, ids, max(len(self.constants), 1)))
+        keys = np.concatenate(_joint_keys(old, ids, max(len(self.constants) + len(new), 1)))
         _, first = np.unique(keys, return_index=True)
         if len(first) < len(keys):
             again = np.ones(len(keys), dtype=bool)
             again[first] = False
             raise ValueError(f"atom {atom(np.flatnonzero(again)[0] - len(old))} observed twice")
+        self._ids.update(new)
+        self.constants.extend(new)
         self._columns[key] = (np.concatenate([old, ids]), np.concatenate([old_values, values]))
         self._indexes.pop(key, None)
 
@@ -421,6 +435,7 @@ class RelationalDatabase:
         if initial is not None and not 0.0 <= initial <= 1.0:
             raise ValueError(f"initial value must be in [0, 1], got {initial}")
         self.targets[atom] = initial
+        self._target_predicates.add(predicate)
 
 
 @dataclass(frozen=True)
@@ -671,13 +686,21 @@ def _row_codes(n_rows: int, entry_rule, entry_free, entry_coef) -> np.ndarray:
     if np.any(np.abs(entry_coef) != 1.0):
         raise ValueError("entry coefficients must be -1 or 1")
     counts = np.bincount(entry_rule, minlength=n_rows)
-    table = np.zeros((n_rows, int(counts.max()) if n_rows else 0), dtype=np.int64)
+    width = int(counts.max()) if n_rows else 0
+    columns = np.zeros((width, n_rows), dtype=np.int64)  # the table, transposed
     order = np.argsort(entry_rule, kind="stable")
     rows = entry_rule[order]
     slots = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-    table[rows, slots] = _entry_codes(entry_free, entry_coef)[order]
-    table.sort(axis=1)
-    return table
+    columns[slots, rows] = _entry_codes(entry_free, entry_coef)[order]
+    # odd-even transposition sort: ``width`` rounds of compare-exchanges
+    # between neighbouring columns sort every row at once, where a row-wise
+    # sort would make one call per row
+    for parity in range(width):
+        left, right = columns[parity % 2 : width - 1 : 2], columns[parity % 2 + 1 : width : 2]
+        low = np.minimum(left, right)
+        np.maximum(left, right, out=right)
+        left[...] = low
+    return np.ascontiguousarray(columns.T)
 
 
 def _concat(parts: Sequence[_Compiled], n_free: int) -> _Compiled:

@@ -83,7 +83,8 @@ def np_softmax(z):
 
 def encode(params, docs):
     """Sentence states of a batch of documents, as an array."""
-    return hm._encode_sentences(params, *hm._encoder_inputs(params.vocab, docs)).value
+    ids, words, sentences = hm._encoder_inputs(params.vocab, docs)
+    return hm._sentence_states(params, hm._word_vectors(params, ids, words), sentences).value
 
 
 def forward(params, doc):
@@ -227,8 +228,11 @@ class TestForward:
         docs = self.corpus.manifestos[:3] + (make_doc("n1", ["taxes must fall"]),)
         counts = [len(doc.sentences) for doc in docs]
         assert len(set(counts)) > 1
-        states = hm._encode_sentences(self.params, *hm._encoder_inputs(self.params.vocab, docs))
+        ids, words, sentences = hm._encoder_inputs(self.params.vocab, docs)
+        vectors = hm._word_vectors(self.params, ids, words)
+        states = hm._sentence_states(self.params, vectors, sentences)
         store = self.params.store
+        assert states.parents[0] is vectors
         assert states.parents[1:] == tuple(
             store[f"sent_{d}.{k}"] for d in ("fwd", "bwd") for k in ("weight", "bias"))
         assert states.value.shape == (sum(counts), 8)
@@ -776,6 +780,36 @@ class TestBatchedPredict:
         small_a, small_b = EDGE_DOCS["padded"], EDGE_DOCS["one_sentence"]
         batches = hm._predict_batches([small_a, big, small_b], hidden)
         assert batches == [[small_a], [big], [small_b]]
+
+
+class TestWordChunks:
+    """``predict`` runs the word level over every sentence of its documents,
+    in ``_word_chunks`` sorted longest first."""
+
+    setup_method = TestBatchedPredict.setup_method
+    assert_matches_per_document_pass = TestBatchedPredict.assert_matches_per_document_pass
+
+    def test_chunks_that_split_and_mix_documents_match_per_document_pass(self, monkeypatch):
+        # at word_hidden 4, a chunk holds two sentences of 4 tokens, or of 3
+        budget = 2 * 4 * 16
+        monkeypatch.setattr(hm, "_BATCH_VALUES", budget)
+        lengths = np.array([len(s.tokens) for d in self.docs for s in d.sentences])
+        doc_of = np.repeat(np.arange(len(self.docs)), [len(d.sentences) for d in self.docs])
+        chunks = hm._word_chunks(lengths, self.params.config.word_hidden)
+        order = [int(i) for chunk in chunks for i in chunk]
+        assert order == sorted(range(len(lengths)), key=lambda i: -lengths[i])  # stable
+        assert all(len(c) * lengths[c].max() * 16 <= budget for c in chunks)
+        assert any(len(set(doc_of[c])) > 1 for c in chunks)
+        chunk_of = {i: k for k, c in enumerate(chunks) for i in c}
+        assert any(len({chunk_of[i] for i in np.flatnonzero(doc_of == d)}) > 1
+                   for d in range(len(self.docs)))
+        self.assert_matches_per_document_pass(self.docs)
+
+    def test_over_budget_sentence_is_a_chunk_of_one(self):
+        hidden = 4
+        width = hm._BATCH_VALUES // (4 * hidden) + 1
+        chunks = hm._word_chunks(np.array([2, width, 1, width]), hidden)
+        assert [c.tolist() for c in chunks] == [[1], [3], [0, 2]]
 
 
 class TestCheckpoint:

@@ -13,6 +13,8 @@ from polyscale.pslengine import (
     PslProgram,
     RelationalDatabase,
     Rule,
+    _entry_codes,
+    _row_codes,
     ground,
     parse_program,
 )
@@ -123,3 +125,24 @@ def test_rows_tying_across_blocks_and_with_the_prior_merge_like_the_table():
         assert len(assert_merges_alike(cut.compiled).consts) == rows[0]
         cut = cut.with_prior(1.0)
         assert len(assert_merges_alike(cut.compiled).consts) == rows[1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 5), st.sampled_from((-1.0, 1.0))),
+                         max_size=6), max_size=12), st.randoms(use_true_random=False))
+def test_row_codes_are_each_rows_entry_codes_sorted_and_left_padded(rows, random):
+    """Against ``np.sort(axis=1)`` of the table with each row's codes in entry
+    order, padded with 0 on the right, on tables of width 0 to 6."""
+    entries = [(r, free, coef) for r, row in enumerate(rows) for free, coef in row]
+    random.shuffle(entries)  # entries of a row need not be adjacent or in order
+    entry_rule = np.array([r for r, _, _ in entries], dtype=np.intp)
+    entry_free = np.array([free for _, free, _ in entries], dtype=np.intp)
+    entry_coef = np.array([coef for _, _, coef in entries], dtype=np.float64)
+    width = max(map(len, rows), default=0)
+    table = np.zeros((len(rows), width), dtype=np.int64)
+    for (r, free, coef), code in zip(entries, _entry_codes(entry_free, entry_coef)):
+        table[r, np.count_nonzero(table[r])] = code
+    got = _row_codes(len(rows), entry_rule, entry_free, entry_coef)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert got.shape == table.shape
+    assert got.tobytes() == np.sort(table, axis=1).tobytes()

@@ -407,6 +407,33 @@ class TestDatabase:
         with pytest.raises(ValueError, match="already observed"):
             db.add_target("L", ("m2", "m1"))
 
+    def test_a_refused_batch_registers_no_constant(self):
+        db = RelationalDatabase()
+        db.add_target("pos", ("m3",))
+        db.observe("L", ("m1", "m2"), 0.5)
+        names = ["m1", "m2", "m3", "zz"]
+        for predicate, args, values, match in [
+            ("L", [[3, 0], [3, 0]], 1.0, "observed twice"),  # twice in the batch
+            ("L", [[3, 0], [0, 1]], 1.0, "observed twice"),  # already observed
+            ("pos", [[3], [2]], 1.0, "already a target"),
+            ("L", [[3, 0]], 1.5, r"\[0, 1\]"),
+            ("L", [[3, 4]], 1.0, "index the 4 constant"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                db.observe_many(predicate, names, args, values)
+            assert db.constants == ["m1", "m2"] and db._ids == {"m1": 0, "m2": 1}
+        db.observe_many("L", names, [[3, 0]], 1.0)
+        assert db.constants == names and db._ids == {"m1": 0, "m2": 1, "m3": 2, "zz": 3}
+
+    def test_targets_set_or_deleted_directly_are_checked(self):
+        db = RelationalDatabase()
+        db.add_target("pos", ("a",))
+        del db.targets["pos", ("a",)]
+        db.observe("pos", ("a",), 0.5)
+        db.targets = {("Q", ("b",)): None}
+        with pytest.raises(ValueError, match="already a target"):
+            db.observe("Q", ("b",), 0.5)
+
     def test_reads_see_each_write_to_a_column_they_have_read(self):
         db = RelationalDatabase()
         names = ["a", "b", "c"]
