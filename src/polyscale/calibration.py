@@ -206,8 +206,9 @@ class CalibrationConfig:
         if not self.recency_window_years > 0:
             raise ValueError(
                 f"recency_window_years must be positive, got {self.recency_window_years}")
-        if not self.prior_weight >= 0:
-            raise ValueError(f"prior_weight must be nonnegative, got {self.prior_weight}")
+        if not (math.isfinite(self.prior_weight) and self.prior_weight >= 0):
+            raise ValueError(
+                f"prior_weight must be finite and nonnegative, got {self.prior_weight}")
 
 
 def build_database(

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -311,13 +312,13 @@ def _heads(store: dc.ParameterStore, states: np.ndarray, counts):
 
     A document's mean sums its rows in order over a zero-padded (documents,
     most sentences, K) array, or as a plain row sum when it is alone (the
-    same bits), and its score is its own (1, K) @ (K, 1) dot, so from the
-    same states a document gets the same heads in any batch.
-    The states themselves can differ in the last bits between batches, and
-    between the word-level chunks ``predict`` puts a sentence in: the
-    encoder's BLAS products pick their summation order by operand shape.
-    ``predict`` reads these values; ``document_loss`` makes them one tape
-    node with its losses.
+    same bits), and its score is its own (1, K) @ (K, 1) dot.  ``predict``
+    calls this once per sentence-level chunk (``_chunks``), so the padded
+    array holds at most that chunk's documents; ``document_loss`` makes the
+    values of one document one tape node with its losses.  A document's
+    states, and so its heads, can differ in the last bits between the
+    chunks ``predict`` puts its sentences and itself in: the BLAS products
+    pick their summation order by operand shape.
     """
     code = _Softmax.of(states, store["code_head.weight"], store["code_head.bias"])
     pol = _Softmax.of(states, store["pol_head.weight"], store["pol_head.bias"])
@@ -560,114 +561,83 @@ class DocPrediction:
     doc_vector: np.ndarray
 
 
-# Values in each direction's half of the word-level gate array of one predict
-# chunk of sentences (~512 KB a half): padded word slots times 4 * word_hidden.
-# ``predict`` cuts its word-level chunks (``_word_chunks``) and its batches of
-# documents (``_predict_batches``) by it.  Larger chunks add little speed and
-# hold more memory at once.
+# Values in each direction's half of the gate array of one predict chunk of
+# sequences (~512 KB a half): padded slots times 4 * hidden, for the word
+# level's sentences and the sentence level's documents alike.  ``predict``
+# cuts both levels' chunks (``_chunks``) by it, and runs ``_heads`` once per
+# sentence-level chunk.  Larger chunks add little speed and hold more memory
+# at once.
 _BATCH_VALUES = 1 << 16
 
 
-def _predict_batches(manifestos: Sequence[Manifesto], word_hidden: int) -> list[list[Manifesto]]:
-    """Consecutive runs of documents whose padded word slots (sentences times
-    the longest sentence) times 4 * word_hidden stay within ``_BATCH_VALUES``.
-    A document over the budget on its own is a batch of one.  ``predict``
-    runs the sentence level and the heads per batch; the word level runs in
-    ``_word_chunks`` of all the documents' sentences."""
-    batches: list[list[Manifesto]] = []
-    rows = longest = 0
-    for manifesto in manifestos:
-        n = len(manifesto.sentences)
-        width = max(len(s.tokens) for s in manifesto.sentences)
-        if batches and (rows + n) * max(longest, width) * 4 * word_hidden <= _BATCH_VALUES:
-            batches[-1].append(manifesto)
-            rows, longest = rows + n, max(longest, width)
-        else:
-            batches.append([manifesto])
-            rows, longest = n, width
-    return batches
-
-
-def _word_chunks(lengths: np.ndarray, word_hidden: int) -> list[np.ndarray]:
-    """The sentence indices, sorted by ``lengths`` longest first (stably) and
-    cut into runs whose padded word slots (sentences times the first's
-    length) times 4 * word_hidden stay within ``_BATCH_VALUES``.  A sentence
-    over the budget on its own is a chunk of one.  Sorting keeps the padding
-    of each chunk small."""
+def _chunks(lengths: np.ndarray, hidden: int) -> list[np.ndarray]:
+    """The sequence indices, sorted by ``lengths`` longest first (stably) and
+    cut into runs whose padded slots (sequences times the first's length)
+    times 4 * hidden stay within ``_BATCH_VALUES``.  A sequence over the
+    budget on its own is a chunk of one.  Sorting keeps the padding of each
+    chunk small."""
     order = np.argsort(-lengths, kind="stable")
     chunks, lo = [], 0
     while lo < len(order):
-        size = max(1, _BATCH_VALUES // (int(lengths[order[lo]]) * 4 * word_hidden))
+        size = max(1, _BATCH_VALUES // (int(lengths[order[lo]]) * 4 * hidden))
         chunks.append(order[lo : lo + size])
         lo += size
     return chunks
 
 
+def _chunked(node, rows: np.ndarray, lengths: np.ndarray, hidden: int):
+    """Run ``node`` (``_word_vectors`` or ``_sentence_states``) over packed
+    ``rows``, sequences of ``lengths`` one after another, one node per
+    ``_chunks`` chunk.  Yields each chunk, the indices of its rows in
+    ``rows`` (in chunk order) and the node's value, so the caller writes it
+    back in input order: by chunk for one row per sequence, by those indices
+    for one row per step."""
+    starts = np.cumsum(lengths) - lengths
+    for chunk in _chunks(lengths, hidden):
+        runs = lengths[chunk]
+        at = np.repeat(starts[chunk] - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())
+        yield chunk, at, node(rows[at], dc.ScanLayout(runs)).value
+
+
 def predict(params: HierParams, docs: Corpus | Sequence[Manifesto]) -> list[DocPrediction]:
     """Score documents, in input order.
 
-    The word level runs over every sentence of the documents at once
-    (``_chunked_word_vectors``), so a sentence is padded only to the longest
-    of its length-sorted chunk.  The sentence level and the heads then run
-    per ``_predict_batches`` batch of documents, on operands of the shapes
-    they would have if the batch ran alone.
+    Both LSTM levels run over all of the documents at once in length-sorted
+    ``_chunks``: the word level over every sentence, the sentence level (and
+    ``_heads`` after it) over every document, so a sequence is padded only
+    to the longest of its chunk.
     """
     manifestos = docs.manifestos if isinstance(docs, Corpus) else tuple(docs)
-    batches = _predict_batches(manifestos, params.config.word_hidden)
-    if not batches:
+    if not manifestos:
         return []
-    vectors = _chunked_word_vectors(params, *_token_ids(params.vocab, manifestos))
-    out: list[DocPrediction] = []
-    lo = 0
-    for batch in batches:
-        counts = [len(m.sentences) for m in batch]
-        hi = lo + sum(counts)
-        out += _predict_batch(params, batch, counts, vectors[lo:hi])
-        lo = hi
-    return out
+    config, store, scheme = params.config, params.store, params.scheme
+    ids, lengths = _token_ids(params.vocab, manifestos)
+    vectors = np.empty((len(lengths), 2 * config.word_hidden))
+    for chunk, _, value in _chunked(partial(_word_vectors, params), ids,
+                                    np.array(lengths, dtype=np.intp), config.word_hidden):
+        vectors[chunk] = value
 
+    def sentence_level(x, layout):
+        return _sentence_states(params, dc.constant(x), layout)
 
-def _chunked_word_vectors(params: HierParams, ids: np.ndarray, lengths: list[int]) -> np.ndarray:
-    """The ``_word_vectors`` of sentences with these ``_token_ids``, one
-    word-level node per ``_word_chunks`` chunk, as rows in sentence order."""
-    hidden = params.config.word_hidden
-    lengths = np.array(lengths, dtype=np.intp)
-    chunks = _word_chunks(lengths, hidden)
-    # every sentence's run of ids, moved from where it starts in ``ids`` to
-    # where it starts in chunk order
-    order = np.concatenate(chunks)
-    runs = lengths[order]
-    shift = (np.cumsum(lengths) - lengths)[order] - (np.cumsum(runs) - runs)
-    tokens = ids[np.repeat(shift, runs) + np.arange(len(ids))]
-    vectors = np.empty((len(lengths), 2 * hidden))
-    lo = 0
-    for chunk in chunks:
-        hi = lo + int(lengths[chunk].sum())
-        vectors[chunk] = _word_vectors(params, tokens[lo:hi], dc.ScanLayout(lengths[chunk])).value
-        lo = hi
-    return vectors
-
-
-def _predict_batch(params: HierParams, batch: Sequence[Manifesto], counts: list[int],
-                   vectors: np.ndarray) -> list[DocPrediction]:
-    """The sentence level and ``_heads`` over the batch, whose documents have
-    ``counts`` sentences with these sentence ``vectors``."""
-    scheme = params.scheme
-    bounds = np.cumsum([0] + counts)
-    states = _sentence_states(params, dc.constant(vectors), dc.ScanLayout(counts))
-    code, pol, doc_vectors, scores = _heads(params.store, states.value, counts)
-    codes = np.argmax(code.probs, axis=1)
-    pols = np.argmax(pol.probs, axis=1)
+    counts = np.array([len(m.sentences) for m in manifestos], dtype=np.intp)
+    codes = np.empty(len(lengths), dtype=np.intp)
+    pols = np.empty(len(lengths), dtype=np.intp)
+    doc_vectors = np.empty((len(manifestos), len(scheme.codes) + 2 * config.sentence_hidden))
+    scores = np.empty(len(manifestos))
+    for chunk, at, states in _chunked(sentence_level, vectors, counts, config.sentence_hidden):
+        code, pol, doc_vectors[chunk], scores[chunk] = _heads(store, states, counts[chunk])
+        codes[at], pols[at] = np.argmax(code.probs, axis=1), np.argmax(pol.probs, axis=1)
+    bounds = np.cumsum(counts) - counts
     return [
         DocPrediction(
             manifesto_id=manifesto.id,
             rile_hat=float(rile),
-            codes=tuple(scheme.codes[k] for k in codes[lo:hi]),
-            polarities=tuple(POLARITY_ORDER[k] for k in pols[lo:hi]),
+            codes=tuple(scheme.codes[k] for k in codes[lo:lo + n]),
+            polarities=tuple(POLARITY_ORDER[k] for k in pols[lo:lo + n]),
             doc_vector=vector.copy(),
         )
-        for manifesto, lo, hi, vector, rile in zip(
-            batch, bounds, bounds[1:], doc_vectors, scores)
+        for manifesto, lo, n, vector, rile in zip(manifestos, bounds, counts, doc_vectors, scores)
     ]
 
 

@@ -61,6 +61,7 @@ import functools
 import itertools
 import logging
 import re
+import types
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -337,9 +338,9 @@ class RelationalDatabase:
     replaces that predicate's column with the longer one; ``observe`` is a
     batch of one.  ``ground`` reads the columns as they are.
     ``observations`` is a read-only mapping from atom to value over the
-    columns.  ``targets`` is a dict from atom to initial value (None for the
-    default 0.5), in insertion order, grown by ``add_target``; a dict
-    assigned to ``targets`` replaces it whole.
+    columns.  ``targets`` is a read-only mapping from atom to initial value
+    (None for the default 0.5), in insertion order; ``add_target`` is its
+    one writer.
     """
 
     def __init__(self):
@@ -349,18 +350,12 @@ class RelationalDatabase:
         self._indexes: dict[tuple[str, int], dict[tuple[int, ...], float]] = {}
         self._targets: dict[Atom, float | None] = {}
         # the predicates of the targets, which ``observe_many`` checks each
-        # batch against; a target deleted from ``targets`` may leave its
-        # predicate here, which costs only the per-atom check
+        # batch against
         self._target_predicates: set[str] = set()
 
     @property
-    def targets(self) -> dict[Atom, float | None]:
-        return self._targets
-
-    @targets.setter
-    def targets(self, targets: dict[Atom, float | None]) -> None:
-        self._targets = targets
-        self._target_predicates = {name for name, _ in targets}
+    def targets(self) -> Mapping[Atom, float | None]:
+        return types.MappingProxyType(self._targets)
 
     @property
     def observations(self) -> Mapping[Atom, float]:
@@ -405,7 +400,7 @@ class RelationalDatabase:
 
         if predicate in self._target_predicates:
             for row in range(len(args)):
-                if atom(row) in self.targets:
+                if atom(row) in self._targets:
                     raise ValueError(f"atom {atom(row)} is already a target")
         # the ids the batch's new constants get once it is accepted
         new: dict[str, int] = {}
@@ -428,13 +423,13 @@ class RelationalDatabase:
 
     def add_target(self, predicate: str, args: Sequence[str], initial: float | None = None) -> None:
         atom = (predicate, tuple(str(a) for a in args))
-        if atom in self.targets:
+        if atom in self._targets:
             raise ValueError(f"duplicate target {atom}")
         if atom in self.observations:
             raise ValueError(f"atom {atom} is already observed")
         if initial is not None and not 0.0 <= initial <= 1.0:
             raise ValueError(f"initial value must be in [0, 1], got {initial}")
-        self.targets[atom] = initial
+        self._targets[atom] = initial
         self._target_predicates.add(predicate)
 
 
@@ -503,7 +498,10 @@ class GroundNetwork:
         """This network plus a prior block that pulls every free atom toward its
         initial value with a squared hinge: two rows of ``weight`` per free
         atom, ``initial - x`` and ``x - initial``, which ``rules`` does not list.
+        ``weight`` must be finite and nonnegative, so the energy stays convex.
         """
+        if not (np.isfinite(weight) and weight >= 0):
+            raise ValueError(f"prior weight must be finite and nonnegative, got {weight}")
         if self.prior is not None:
             raise ValueError("the network already holds prior rows")
         n = len(self.free_atoms)

@@ -517,13 +517,15 @@ def planted_db():
                           CalibrationConfig(prior_weight=1.0), context)
 
 
-def without(db, predicate):
-    """A copy of ``db`` without the observations of one predicate."""
+def without(db, predicate, targets=None):
+    """A copy of ``db`` without the observations of one predicate, holding
+    the (atom, initial) pairs ``targets`` (by default those of ``db``)."""
     out = RelationalDatabase()
     for (name, args), value in db.observations.items():
         if name != predicate:
             out.observe(name, args, value)
-    out.targets = dict(db.targets)
+    for (name, args), initial in db.targets.items() if targets is None else targets:
+        out.add_target(name, args, initial)
     return out
 
 
@@ -601,6 +603,13 @@ def test_calibrating_twice_leaves_the_callers_network_as_it_was(planted_db):
     assert_same_map(first.map_result, second.map_result)
 
 
+@pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+def test_with_prior_refuses_a_weight_that_is_not_finite_and_nonnegative(planted_db, weight):
+    network = ground(default_program(), planted_db)
+    with pytest.raises(ValueError, match=f"finite and nonnegative, got {weight}"):
+        network.with_prior(weight)
+
+
 def test_select_refuses_a_network_with_prior_rows(planted_db):
     network = ground(default_program(), planted_db)
     network = network.with_prior(1.0)
@@ -613,8 +622,7 @@ def test_calibrate_refuses_a_network_of_another_program_or_database(planted_db):
     network = ground(program, planted_db)
     with pytest.raises(ValueError, match="not grounded from this program"):
         calibrate(planted_db, program.subset([0, 1]), network=network)
-    other = without(planted_db, "Manifesto")
-    del other.targets[next(iter(other.targets))]
+    other = without(planted_db, "Manifesto", list(planted_db.targets.items())[1:])
     with pytest.raises(ValueError, match="not grounded from this program"):
         calibrate(other, program, network=network)
     with pytest.raises(ValueError, match="prior rows"):

@@ -166,8 +166,12 @@ class TestCalibrationConfig:
             CalibrationConfig(recency_window_years=float("nan"))
 
     def test_nan_prior_weight_rejected(self):
-        with pytest.raises(ValueError, match="prior_weight must be nonnegative, got nan"):
+        with pytest.raises(ValueError, match="prior_weight must be finite and nonnegative, got nan"):
             CalibrationConfig(prior_weight=float("nan"))
+
+    def test_infinite_prior_weight_rejected(self):
+        with pytest.raises(ValueError, match="prior_weight must be finite and nonnegative, got inf"):
+            CalibrationConfig(prior_weight=float("inf"))
 
 
 class TestBuildDatabase:

@@ -706,9 +706,34 @@ class TestPredict:
             predict(params, [alien])
 
 
+def recorded_predict(monkeypatch, params, docs):
+    """``predict(params, docs)``, with each LSTM node it builds recorded as
+    (level, sequences, steps, hidden) and each ``_heads`` call as its counts."""
+    nodes, heads = [], []
+    bilstm_batch, run_heads = dc.bilstm_batch, hm._heads
+
+    def recording_bilstm_batch(x, forward, backward, layout, final_only=False):
+        level = "word" if final_only else "sentence"
+        nodes.append((level, layout.batch, layout.steps, forward[1].value.shape[0] // 4))
+        return bilstm_batch(x, forward, backward, layout, final_only)
+
+    def recording_heads(store, states, counts):
+        heads.append([int(n) for n in counts])
+        return run_heads(store, states, counts)
+
+    monkeypatch.setattr(dc, "bilstm_batch", recording_bilstm_batch)
+    monkeypatch.setattr(hm, "_heads", recording_heads)
+    return predict(params, docs), nodes, heads
+
+
+def gate_values(sequences, steps, hidden):
+    """Values in each direction's half of a chunk's padded gate array."""
+    return sequences * steps * 4 * hidden
+
+
 class TestBatchedPredict:
-    """``predict`` runs documents in batches; the per-step ``reference_forward``
-    is the reference."""
+    """``predict`` runs both LSTM levels and the heads in chunks of the
+    documents; the per-step ``reference_forward`` is the reference."""
 
     def setup_method(self):
         self.params, _ = train(small_corpus(), tiny_config())
@@ -720,8 +745,8 @@ class TestBatchedPredict:
         for _, t in self.params.store:
             t.value[...] = rng.uniform(-1.0, 1.0, size=t.value.shape)
 
-    def assert_matches_per_document_pass(self, docs):
-        preds = predict(self.params, docs)
+    def assert_matches_per_document_pass(self, docs, preds=None):
+        preds = predict(self.params, docs) if preds is None else preds
         assert [p.manifesto_id for p in preds] == [d.id for d in docs]
         for pred, doc in zip(preds, docs):
             doc_vector, rile_hat, _, code_probs, pol_probs = reference_forward(self.params, doc)
@@ -732,17 +757,20 @@ class TestBatchedPredict:
                 POLARITY_ORDER[np.argmax(p.value)] for p in pol_probs)
             assert pred.doc_vector.base is None
 
-    def test_one_batch_matches_per_document_pass(self):
-        assert len(hm._predict_batches(self.docs, self.params.config.word_hidden)) == 1
-        self.assert_matches_per_document_pass(self.docs)
+    def test_one_batch_matches_per_document_pass(self, monkeypatch):
+        preds, nodes, heads = recorded_predict(monkeypatch, self.params, self.docs)
+        assert [level for level, *_ in nodes] == ["word", "sentence"]
+        assert heads == [[3, 2, 2, 2, 2, 1]]  # documents longest first, stably
+        self.assert_matches_per_document_pass(self.docs, preds)
 
     def test_several_batches_match_per_document_pass(self, monkeypatch):
-        # at word_hidden 4, m1-m3 fill 6 sentences x 4 tokens x 16 = 384
-        # values, and m4 would raise that to 8 x 4 x 16 = 512
-        monkeypatch.setattr(hm, "_BATCH_VALUES", 400)
-        batches = hm._predict_batches(self.docs, self.params.config.word_hidden)
-        assert [[d.id for d in b] for b in batches] == [["m1", "m2", "m3"], ["m4", "e1", "e2"]]
-        self.assert_matches_per_document_pass(self.docs)
+        # at hidden 4, a chunk holds two sequences of 4 or 3 steps, or four of 2
+        monkeypatch.setattr(hm, "_BATCH_VALUES", 128)
+        preds, nodes, heads = recorded_predict(monkeypatch, self.params, self.docs)
+        assert [(level, b) for level, b, *_ in nodes] == (
+            [("word", 2)] * 6 + [("sentence", 2), ("sentence", 4)])
+        assert heads == [[3, 2], [2, 2, 2, 1]]
+        self.assert_matches_per_document_pass(self.docs, preds)
 
     def test_batch_composition_does_not_change_the_bits(self):
         m1, m2, m3, m4 = small_corpus().manifestos
@@ -756,60 +784,82 @@ class TestBatchedPredict:
     def test_no_documents(self):
         assert predict(self.params, []) == []
 
-    def test_batches_respect_the_budget(self):
-        hidden = 32
-        docs = list(self.docs) * 40
+    def test_batches_respect_the_budget(self, monkeypatch):
+        monkeypatch.setattr(hm, "_BATCH_VALUES", 512)  # at hidden 4, 32 steps
+        big = make_doc("big", [" ".join(["w"] * 40)] + ["w"] * 40)  # over it at both levels
+        docs = list(self.docs) * 40 + [big]
+        _, nodes, heads = recorded_predict(monkeypatch, self.params, docs)
+        sentence_hidden = self.params.config.sentence_hidden
+        for level in ("word", "sentence"):
+            chunks = [(b, t, n) for lv, b, t, n in nodes if lv == level]
+            assert chunks[0][0] == 1 and gate_values(*chunks[0]) > hm._BATCH_VALUES
+            assert all(gate_values(*c) <= hm._BATCH_VALUES for c in chunks[1:])
+            # each chunk closed because one more sequence would have broken the budget
+            assert all(gate_values(b + 1, t, n) > hm._BATCH_VALUES for b, t, n in chunks[:-1])
+        assert heads[0] == [len(big.sentences)]
+        assert all(gate_values(len(c), max(c), sentence_hidden) <= hm._BATCH_VALUES
+                   for c in heads[1:])
+        assert sorted(n for c in heads for n in c) == sorted(len(d.sentences) for d in docs)
+        assert len(heads) == sum(level == "sentence" for level, *_ in nodes) > 2
 
-        def gate_values(batch):
-            rows = sum(len(d.sentences) for d in batch)
-            longest = max(len(s.tokens) for d in batch for s in d.sentences)
-            return rows * longest * 4 * hidden
-
-        batches = hm._predict_batches(docs, hidden)
-        assert [d for batch in batches for d in batch] == docs
-        assert len(batches) > 1
-        assert all(gate_values(b) <= hm._BATCH_VALUES for b in batches)
-        # each batch closed because the next document would have broken the budget
-        assert all(gate_values(b + after[:1]) > hm._BATCH_VALUES
-                   for b, after in zip(batches, batches[1:]))
-
-    def test_over_budget_document_runs_alone(self):
-        hidden = 4
-        width = hm._BATCH_VALUES // (4 * hidden) + 1
-        big = make_doc("big", [" ".join(["w"] * width)])
-        small_a, small_b = EDGE_DOCS["padded"], EDGE_DOCS["one_sentence"]
-        batches = hm._predict_batches([small_a, big, small_b], hidden)
-        assert batches == [[small_a], [big], [small_b]]
+    def test_over_budget_document_runs_alone(self, monkeypatch):
+        monkeypatch.setattr(hm, "_BATCH_VALUES", 4 * 16)  # at hidden 4, four sentences
+        big = make_doc("big", ["w"] * 5)
+        docs = [EDGE_DOCS["padded"], big, EDGE_DOCS["one_sentence"]]
+        preds, nodes, heads = recorded_predict(monkeypatch, self.params, docs)
+        assert [b for level, b, *_ in nodes if level == "sentence"] == [1, 1, 1]
+        assert heads == [[5], [3], [1]]
+        self.assert_matches_per_document_pass(docs, preds)
 
 
-class TestWordChunks:
-    """``predict`` runs the word level over every sentence of its documents,
-    in ``_word_chunks`` sorted longest first."""
+def level_lengths(level, docs):
+    """The sequence lengths ``predict`` chunks at an LSTM ``level``: the
+    sentences' token counts, or the documents' sentence counts."""
+    if level == "word":
+        return np.array([len(s.tokens) for d in docs for s in d.sentences])
+    return np.array([len(d.sentences) for d in docs])
+
+
+class TestChunks:
+    """``predict`` runs each LSTM level over all of its documents' sequences,
+    in ``_chunks`` sorted longest first."""
 
     setup_method = TestBatchedPredict.setup_method
     assert_matches_per_document_pass = TestBatchedPredict.assert_matches_per_document_pass
 
-    def test_chunks_that_split_and_mix_documents_match_per_document_pass(self, monkeypatch):
-        # at word_hidden 4, a chunk holds two sentences of 4 tokens, or of 3
-        budget = 2 * 4 * 16
+    @pytest.mark.parametrize("level", ["word", "sentence"])
+    def test_split_chunks_match_per_document_pass(self, level, monkeypatch):
+        # at hidden 4, a chunk holds two sequences of 4 steps, or of 3
+        budget = gate_values(2, 4, 4)
         monkeypatch.setattr(hm, "_BATCH_VALUES", budget)
-        lengths = np.array([len(s.tokens) for d in self.docs for s in d.sentences])
-        doc_of = np.repeat(np.arange(len(self.docs)), [len(d.sentences) for d in self.docs])
-        chunks = hm._word_chunks(lengths, self.params.config.word_hidden)
+        lengths = level_lengths(level, self.docs)
+        chunks = hm._chunks(lengths, getattr(self.params.config, f"{level}_hidden"))
         order = [int(i) for chunk in chunks for i in chunk]
         assert order == sorted(range(len(lengths)), key=lambda i: -lengths[i])  # stable
-        assert all(len(c) * lengths[c].max() * 16 <= budget for c in chunks)
-        assert any(len(set(doc_of[c])) > 1 for c in chunks)
-        chunk_of = {i: k for k, c in enumerate(chunks) for i in c}
-        assert any(len({chunk_of[i] for i in np.flatnonzero(doc_of == d)}) > 1
-                   for d in range(len(self.docs)))
+        assert order != list(range(len(lengths)))  # so the rows are written back
+        assert all(gate_values(len(c), lengths[c].max(), 4) <= budget for c in chunks)
+        assert len(chunks) > 1
+        if level == "word":
+            doc_of = np.repeat(np.arange(len(self.docs)), level_lengths("sentence", self.docs))
+            assert any(len(set(doc_of[c])) > 1 for c in chunks)
+            chunk_of = {i: k for k, c in enumerate(chunks) for i in c}
+            assert any(len({chunk_of[i] for i in np.flatnonzero(doc_of == d)}) > 1
+                       for d in range(len(self.docs)))
         self.assert_matches_per_document_pass(self.docs)
 
-    def test_over_budget_sentence_is_a_chunk_of_one(self):
-        hidden = 4
-        width = hm._BATCH_VALUES // (4 * hidden) + 1
-        chunks = hm._word_chunks(np.array([2, width, 1, width]), hidden)
+    @pytest.mark.parametrize("level", ["word", "sentence"])
+    def test_over_budget_sequence_is_a_chunk_of_one(self, level, monkeypatch):
+        monkeypatch.setattr(hm, "_BATCH_VALUES", 4 * 16)  # at hidden 4, four steps
+        sizes = (2, 5, 1, 5)
+        if level == "word":
+            docs = [make_doc("d", [" ".join(["w"] * k) for k in sizes])]
+        else:
+            docs = [make_doc(f"d{i}", ["w"] * k) for i, k in enumerate(sizes)]
+        lengths = level_lengths(level, docs)
+        assert lengths.tolist() == list(sizes)
+        chunks = hm._chunks(lengths, 4)
         assert [c.tolist() for c in chunks] == [[1], [3], [0, 2]]
+        self.assert_matches_per_document_pass(docs)
 
 
 class TestCheckpoint:

@@ -425,14 +425,18 @@ class TestDatabase:
         db.observe_many("L", names, [[3, 0]], 1.0)
         assert db.constants == names and db._ids == {"m1": 0, "m2": 1, "m3": 2, "zz": 3}
 
-    def test_targets_set_or_deleted_directly_are_checked(self):
+    def test_targets_are_written_only_by_add_target(self):
         db = RelationalDatabase()
         db.add_target("pos", ("a",))
-        del db.targets["pos", ("a",)]
-        db.observe("pos", ("a",), 0.5)
-        db.targets = {("Q", ("b",)): None}
+        with pytest.raises(TypeError):
+            db.targets["Q", ("b",)] = None
+        with pytest.raises(TypeError):
+            del db.targets["pos", ("a",)]
+        with pytest.raises(AttributeError):
+            db.targets = {}
+        assert dict(db.targets) == {("pos", ("a",)): None}
         with pytest.raises(ValueError, match="already a target"):
-            db.observe("Q", ("b",), 0.5)
+            db.observe("pos", ("a",), 0.5)
 
     def test_reads_see_each_write_to_a_column_they_have_read(self):
         db = RelationalDatabase()
